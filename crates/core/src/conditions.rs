@@ -59,33 +59,29 @@ impl Condition {
 /// trace set that evaluates the assumption expression once per observation
 /// *occurrence*; interning makes the evaluation a per-distinct-observation
 /// memo lookup, which is what keeps splicing cheap on heavily shared trace
-/// sets.
+/// sets. The memo grows on demand, so it stays valid while splices intern
+/// new observations into the store it reads.
 pub(crate) struct AssumptionMemo<'c> {
     assumption: &'c Expr,
     memo: Vec<Option<bool>>,
 }
 
 impl<'c> AssumptionMemo<'c> {
-    /// Creates a memo for `assumption` over a store currently holding
-    /// `num_observations` interned observations.
-    pub fn new(assumption: &'c Expr, num_observations: usize) -> Self {
+    /// Creates an empty memo for `assumption`.
+    pub fn new(assumption: &'c Expr) -> Self {
         AssumptionMemo {
             assumption,
-            memo: vec![None; num_observations],
+            memo: Vec::new(),
         }
     }
 
     /// Whether the assumption holds on the observation, evaluating the
     /// expression at most once per distinct observation id.
     pub fn eval(&mut self, obs: ObsId, valuation: &Valuation) -> bool {
-        match self.memo[obs.index()] {
-            Some(holds) => holds,
-            None => {
-                let holds = self.assumption.eval_bool(valuation);
-                self.memo[obs.index()] = Some(holds);
-                holds
-            }
+        if obs.index() >= self.memo.len() {
+            self.memo.resize(obs.index() + 1, None);
         }
+        *self.memo[obs.index()].get_or_insert_with(|| self.assumption.eval_bool(valuation))
     }
 }
 
@@ -198,5 +194,24 @@ mod tests {
             .unwrap();
         assert!(dead_end.conclusion().is_false());
         assert_eq!(dead_end.as_implication().to_string(), "(true => false)");
+    }
+
+    #[test]
+    fn assumption_memo_grows_with_the_store() {
+        let mut vars = VarSet::new();
+        let on = vars.declare("on", Sort::Bool).unwrap();
+        let assumption = Expr::var(on, Sort::Bool);
+        let mut valuation = Valuation::zeroed(&vars);
+        let mut store = amle_system::TraceStore::new();
+        let off = store.intern(&valuation);
+        let mut memo = AssumptionMemo::new(&assumption);
+        assert!(!memo.eval(off, store.valuation(off)));
+        // An observation interned after the memo's first use lies past its
+        // initial size.
+        valuation.set(on, Value::Bool(true));
+        let on_obs = store.intern(&valuation);
+        assert!(on_obs.index() > off.index());
+        assert!(memo.eval(on_obs, store.valuation(on_obs)));
+        assert!(!memo.eval(off, store.valuation(off)));
     }
 }

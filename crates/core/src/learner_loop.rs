@@ -6,12 +6,14 @@ use crate::engine::{
 };
 use crate::report::{Invariant, IterationStats, RunReport};
 use amle_checker::build_oracle;
-use amle_expr::{Valuation, VarId};
+use amle_expr::{Expr, Valuation, VarId};
 use amle_learner::{LearnError, ModelLearner};
-use amle_system::{Simulator, System, Trace, TraceId, TraceSet, TraceStore};
+#[cfg(test)]
+use amle_system::Trace;
+use amle_system::{SegmentId, Simulator, System, TraceSet, TraceStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::thread;
@@ -106,13 +108,13 @@ impl From<LearnError> for ActiveLearnError {
 /// shortest prefix of every existing trace that ends in a state satisfying
 /// the violated condition's assumption (Section III-B).
 ///
-/// This is the **retained reference implementation** over flat traces: the
-/// loop itself runs [`splice_counterexample`] on the interned
+/// This is the **reference implementation** over flat traces, kept for the
+/// tests: the loop itself runs a [`Splicer`] on the interned
 /// [`TraceStore`], which must insert exactly the distinct traces this
 /// function produces, in the same first-occurrence order — the differential
-/// tests below drive both with identical counterexample sequences and
-/// compare the resulting sets observation for observation.
-#[cfg_attr(not(test), allow(dead_code))]
+/// tests drive both with identical counterexample sequences and compare the
+/// resulting sets observation for observation.
+#[cfg(test)]
 pub(crate) fn counterexample_traces(
     condition: &Condition,
     from: &Valuation,
@@ -141,61 +143,114 @@ pub(crate) fn counterexample_traces(
     new_traces
 }
 
-/// The store-backed splicing step (Section III-B): splices the valid
-/// counterexample `from → to` onto the shortest qualifying prefix of every
-/// trace stored before the call, returning the number of *new* traces this
-/// inserted.
+/// One simulated refinement iteration: its counterexamples, in the order
+/// the engine reports them.
+#[cfg(test)]
+pub(crate) type SpliceIteration = Vec<(Condition, Valuation, Valuation)>;
+
+/// Splices `iterations` into `initial` twice: with the flat
+/// [`counterexample_traces`] reference, and the way [`run_refinement`] does,
+/// with one [`Splicer`] per iteration. Returns each side's new-trace count
+/// per counterexample and its final trace set, reference first.
+#[cfg(test)]
+pub(crate) fn splice_both_ways(
+    initial: &TraceSet,
+    iterations: &[SpliceIteration],
+) -> [(Vec<usize>, TraceSet); 2] {
+    let mut reference = initial.clone();
+    let mut reference_counts = Vec::new();
+    let mut store = TraceStore::from_trace_set(initial);
+    let mut store_counts = Vec::new();
+    for iteration in iterations {
+        let mut splicer = Splicer::default();
+        for (condition, from, to) in iteration {
+            let spliced = counterexample_traces(condition, from, to, &reference);
+            let inserted = spliced.into_iter().map(|t| reference.insert(t));
+            reference_counts.push(inserted.filter(|&new| new).count());
+            store_counts.push(splicer.splice(&mut store, condition, from, to));
+        }
+    }
+    [
+        (reference_counts, reference),
+        (store_counts, store.to_trace_set()),
+    ]
+}
+
+/// The store-backed splicing step (Section III-B) for one refinement
+/// iteration: splices each valid counterexample `from → to` onto the
+/// shortest qualifying prefix of every trace stored before it, including
+/// the traces earlier counterexamples of the same iteration spliced in.
 ///
-/// Per parent trace this is O(trace length) pointer-walking (the id path is
-/// materialised once into a reused buffer) plus a memoised
-/// per-distinct-observation assumption evaluation — no observation vectors
-/// are cloned and no O(|T|) duplicate scans run. Parent traces that
-/// share the same qualifying prefix *segment* would all produce the same
-/// spliced trace, so the splice is emitted once per distinct segment
-/// (fixing the duplicate-splice waste of the flat path, which built each
-/// duplicate candidate in full before the insert rejected it). The set of
-/// traces inserted — and therefore everything downstream — is identical to
-/// the reference [`counterexample_traces`] path.
-pub(crate) fn splice_counterexample(
-    store: &mut TraceStore,
-    condition: &Condition,
-    from: &Valuation,
-    to: &Valuation,
-) -> usize {
-    if condition.kind == ConditionKind::Initial {
-        return usize::from(store.insert(std::slice::from_ref(to)).is_some());
-    }
-    // Snapshot the trace list: traces spliced in by this call (or by earlier
-    // counterexamples of the same iteration, which *are* visible) must not
-    // be re-scanned mid-call.
-    let parents: Vec<TraceId> = store.traces().collect();
-    let mut memo = AssumptionMemo::new(&condition.assumption, store.num_observations());
-    let mut seen_prefixes = HashSet::new();
-    let mut buf = Vec::new();
-    let mut inserted = 0;
-    let mut matched = false;
-    for trace in parents {
-        store.obs_ids_into(trace, &mut buf);
-        let Some(j) = buf
+/// The splice points depend only on the violated condition's assumption,
+/// not on the transition, and an iteration's counterexamples share few
+/// distinct assumptions. So the splicer groups them by their hash-consed
+/// assumption [`Expr`] (an O(1) hash) and keeps, per group, the ordered
+/// list of distinct first-qualifying prefix segments. The first
+/// counterexample of a group builds the list with one
+/// [`TraceStore::qualifying_prefixes`] walk of the shared-prefix trie;
+/// later ones extend it over the traces added since the group's
+/// watermark. A counterexample then costs one splice per listed prefix,
+/// with `from` and `to` interned once.
+///
+/// A group retains only its prefix list, its per-observation
+/// [`AssumptionMemo`] and its watermark: nothing per store segment. The
+/// list is ordered by the first trace reaching each prefix, which is the
+/// order a scan of every trace emits them in, so the store's contents,
+/// trace order and per-counterexample new-trace counts are identical to
+/// the test-only `counterexample_traces` reference.
+#[derive(Default)]
+pub(crate) struct Splicer<'c> {
+    groups: HashMap<&'c Expr, AssumptionGroup<'c>>,
+}
+
+/// The splice points of one assumption (see [`Splicer`]).
+struct AssumptionGroup<'c> {
+    /// The distinct first-qualifying prefixes of the traces below
+    /// `watermark`, in first-occurrence order.
+    prefixes: Vec<SegmentId>,
+    memo: AssumptionMemo<'c>,
+    watermark: usize,
+}
+
+impl<'c> Splicer<'c> {
+    /// Splices one counterexample of `condition` into `store`, returning
+    /// the number of *new* traces this inserted.
+    pub fn splice(
+        &mut self,
+        store: &mut TraceStore,
+        condition: &'c Condition,
+        from: &Valuation,
+        to: &Valuation,
+    ) -> usize {
+        if condition.kind == ConditionKind::Initial {
+            return usize::from(store.insert(std::slice::from_ref(to)).is_some());
+        }
+        let group = self
+            .groups
+            .entry(&condition.assumption)
+            .or_insert_with(|| AssumptionGroup {
+                prefixes: Vec::new(),
+                memo: AssumptionMemo::new(&condition.assumption),
+                watermark: 0,
+            });
+        let memo = &mut group.memo;
+        store.qualifying_prefixes(
+            group.watermark,
+            |obs| memo.eval(obs, store.valuation(obs)),
+            &mut group.prefixes,
+        );
+        group.watermark = store.len();
+        let (from, to) = (store.intern(from), store.intern(to));
+        if group.prefixes.is_empty() {
+            // No trace reaches the assumption: record the bare transition.
+            return usize::from(store.splice(store.root(), from, to).is_some());
+        }
+        group
+            .prefixes
             .iter()
-            .position(|obs| memo.eval(*obs, store.valuation(*obs)))
-        else {
-            continue;
-        };
-        matched = true;
-        let prefix = store.prefix(trace, j);
-        if !seen_prefixes.insert(prefix) {
-            continue; // an identical splice was already emitted
-        }
-        if store.splice(prefix, from, to).is_some() {
-            inserted += 1;
-        }
+            .filter(|&&prefix| store.splice(prefix, from, to).is_some())
+            .count()
     }
-    if !matched {
-        // No trace reaches the assumption: record the bare transition.
-        inserted += usize::from(store.insert(&[from.clone(), to.clone()]).is_some());
-    }
-    inserted
 }
 
 /// The active model-learning algorithm.
@@ -363,9 +418,14 @@ impl<'a, L: ModelLearner> ActiveLearner<'a, L> {
 ///
 /// The trace set lives in an interned [`TraceStore`]: the learner consumes
 /// it through [`ModelLearner::learn_from_store`] (incremental word
-/// conversion and encoding), and counterexamples are spliced in via
-/// [`splice_counterexample`] (O(1) shared-prefix splices). Both paths are
-/// pinned byte-identical to the flat-trace reference semantics.
+/// conversion and encoding). Each iteration splices its counterexamples
+/// through one [`Splicer`], which groups them by assumption: a group finds
+/// its first-qualifying prefixes with one trie walk, in the order of the
+/// first trace reaching each, and then extends that list only over traces
+/// added since. An iteration with `g` distinct assumptions therefore walks
+/// the store `g` times instead of once per counterexample, and each group
+/// holds O(its prefixes + observations) memory. Both paths are pinned
+/// byte-identical to the flat-trace reference semantics.
 pub(crate) fn run_refinement<L: ModelLearner, E: ConditionEngine>(
     system: &System,
     learner: &mut L,
@@ -413,9 +473,10 @@ pub(crate) fn run_refinement<L: ModelLearner, E: ConditionEngine>(
         alpha = evaluation.alpha();
 
         // 3. Splice valid counterexamples into new traces.
+        let mut splicer = Splicer::default();
         let mut new_traces = 0;
         for (condition, from, to) in &evaluation.counterexamples {
-            new_traces += splice_counterexample(store, condition, from, to);
+            new_traces += splicer.splice(store, condition, from, to);
         }
 
         iteration_stats.push(IterationStats {
@@ -723,36 +784,19 @@ mod tests {
         assert!(report.total_time >= report.learn_time);
     }
 
-    /// Drives the reference flat-trace splicing and the store-backed
-    /// splicing with the same counterexample sequence and asserts the
-    /// resulting trace sets are observation-for-observation identical
-    /// (content *and* insertion order), and that both report the same
-    /// new-trace counts.
-    fn assert_splicing_differential(
-        system: &System,
-        initial: &TraceSet,
-        counterexamples: &[(Condition, Valuation, Valuation)],
-    ) {
-        let _ = system;
-        let mut reference = initial.clone();
-        let mut store = TraceStore::from_trace_set(initial);
-        for (condition, from, to) in counterexamples {
-            let mut reference_new = 0;
-            for trace in counterexample_traces(condition, from, to, &reference) {
-                if reference.insert(trace) {
-                    reference_new += 1;
-                }
-            }
-            let store_new = splice_counterexample(&mut store, condition, from, to);
-            assert_eq!(store_new, reference_new, "new-trace counts diverged");
-        }
-        let materialized = store.to_trace_set();
+    /// Asserts that the grouped splicer reproduces the flat reference on
+    /// `iterations`: the same new-trace count for every counterexample, and
+    /// trace sets identical observation for observation (content *and*
+    /// insertion order).
+    fn assert_splicing_differential(initial: &TraceSet, iterations: &[SpliceIteration]) {
+        let [(want_counts, want), (got_counts, got)] = splice_both_ways(initial, iterations);
+        assert_eq!(got_counts, want_counts, "new-trace counts diverged");
         assert_eq!(
-            materialized.len(),
-            reference.len(),
+            got.len(),
+            want.len(),
             "trace counts diverged after splicing"
         );
-        for (got, want) in materialized.iter().zip(reference.iter()) {
+        for (got, want) in got.iter().zip(want.iter()) {
             assert_eq!(
                 got.observations(),
                 want.observations(),
@@ -761,14 +805,27 @@ mod tests {
         }
     }
 
+    /// A condition of some automaton state with the given assumption.
+    fn state_condition(assumption: Expr) -> Condition {
+        Condition {
+            kind: ConditionKind::State {
+                state: amle_automaton::StateId::from_index(0),
+            },
+            assumption,
+            outgoing: vec![Expr::true_()],
+        }
+    }
+
     /// Conditions extracted from a model learned on the system's own random
     /// traces, plus concrete counterexample transitions sampled from fresh
     /// simulations — a realistic splicing workload without running the
-    /// checker.
-    fn splicing_workload(
-        system: &System,
-        seed: u64,
-    ) -> (TraceSet, Vec<(Condition, Valuation, Valuation)>) {
+    /// checker. Each of its two iterations cycles through the conditions
+    /// twice, so every assumption recurs interleaved with the others. An
+    /// `Initial` and a never-matching (`false`) counterexample sit
+    /// mid-sequence. The last counterexample's assumption holds exactly on
+    /// the `to` of the first state condition, so some of its qualifying
+    /// prefixes are reached only by traces spliced earlier in the iteration.
+    fn splicing_workload(system: &System, seed: u64) -> (TraceSet, Vec<SpliceIteration>) {
         let sim = Simulator::new(system);
         let mut rng = StdRng::seed_from_u64(seed);
         let traces = sim.random_traces(10, 8, &mut rng);
@@ -776,26 +833,53 @@ mod tests {
             .learn(system.vars(), &system.all_vars(), &traces)
             .unwrap();
         let conditions = extract_conditions(&model, &system.init_expr());
-        let mut counterexamples = Vec::new();
-        for (i, condition) in conditions.iter().enumerate() {
+        let initial = conditions[0].clone();
+        assert_eq!(initial.kind, ConditionKind::Initial);
+        let never = state_condition(Expr::false_());
+        let mut step = |i: usize| {
             let probe = sim.random_trace(6, &mut rng);
-            let step = probe.steps().nth(i % 5);
-            if let Some((from, to)) = step {
-                counterexamples.push((condition.clone(), from.clone(), to.clone()));
+            let (from, to) = probe.steps().nth(i % 5).expect("probe has 5 steps");
+            (from.clone(), to.clone())
+        };
+        let mut iterations = Vec::new();
+        for _ in 0..2 {
+            let mut iteration = Vec::new();
+            for (i, condition) in conditions.iter().chain(&conditions).enumerate() {
+                if i == conditions.len() {
+                    for special in [&initial, &never] {
+                        let (from, to) = step(i);
+                        iteration.push((special.clone(), from, to));
+                    }
+                }
+                let (from, to) = step(i);
+                iteration.push((condition.clone(), from, to));
             }
+            let (_, _, target) = iteration
+                .iter()
+                .find(|(c, _, _)| c.kind != ConditionKind::Initial)
+                .expect("a state condition");
+            let exact = Expr::and_all(system.all_vars().into_iter().map(|v| {
+                let sort = system.vars().sort(v);
+                system
+                    .var(v)
+                    .eq(&Expr::constant(sort, target.value(v)).unwrap())
+            }));
+            let (from, to) = step(0);
+            iteration.push((state_condition(exact), from, to));
+            iterations.push(iteration);
         }
         assert!(
-            counterexamples.len() >= 3,
+            conditions.len() >= 3,
             "workload should exercise several conditions"
         );
-        (traces, counterexamples)
+        (traces, iterations)
     }
 
     #[test]
     fn store_splicing_matches_reference_on_the_cooler() {
         let system = cooler();
-        let (traces, counterexamples) = splicing_workload(&system, 0xC0);
-        assert_splicing_differential(&system, &traces, &counterexamples);
+        let (traces, iterations) = splicing_workload(&system, 0xC0);
+        assert_splicing_differential(&traces, &iterations);
     }
 
     #[test]
@@ -807,8 +891,8 @@ mod tests {
                     .find(|b| b.name.starts_with("Synth"))
             })
             .expect("a synthetic benchmark exists");
-        let (traces, counterexamples) = splicing_workload(&benchmark.system, 0x5E);
-        assert_splicing_differential(&benchmark.system, &traces, &counterexamples);
+        let (traces, iterations) = splicing_workload(&benchmark.system, 0x5E);
+        assert_splicing_differential(&traces, &iterations);
     }
 
     #[test]
@@ -833,23 +917,56 @@ mod tests {
         // Different prefix [30] before its first `s_on` observation.
         traces.insert(Trace::new(vec![mk(30, false), mk(95, true)]));
 
-        let condition = Condition {
-            kind: ConditionKind::State {
-                state: amle_automaton::StateId::from_index(0),
-            },
-            assumption: sys.var(on),
-            outgoing: vec![Expr::true_()],
-        };
+        let condition = state_condition(sys.var(on));
         let from = mk(85, true);
         let to = mk(20, true);
 
         let mut store = TraceStore::from_trace_set(&traces);
-        let inserted = splice_counterexample(&mut store, &condition, &from, &to);
+        let inserted = Splicer::default().splice(&mut store, &condition, &from, &to);
         assert_eq!(inserted, 2, "one splice per distinct qualifying prefix");
         assert_eq!(store.len(), traces.len() + 2);
 
         // And the result matches the reference path exactly.
-        assert_splicing_differential(&sys, &traces, &[(condition, from, to)]);
+        assert_splicing_differential(&traces, &[vec![(condition, from, to)]]);
+    }
+
+    #[test]
+    fn grouped_splices_reach_traces_spliced_earlier_in_the_iteration() {
+        let sys = cooler();
+        let temp = sys.vars().lookup("inp_temp").unwrap();
+        let on = sys.vars().lookup("s_on").unwrap();
+        let mk = |t: i64, o: bool| {
+            let mut v = sys.initial_valuation();
+            v.set(temp, Value::Int(t));
+            v.set(on, Value::Bool(o));
+            v
+        };
+        let mut traces = TraceSet::new();
+        traces.insert(Trace::new(vec![mk(10, false), mk(80, true)]));
+        traces.insert(Trace::new(vec![mk(20, false), mk(30, false)]));
+
+        let hot = state_condition(sys.var(on));
+        // Holds only on temperature 99, which no initial trace observes.
+        let at_99 = state_condition(sys.var(temp).eq(&Expr::int_val(99, 8)));
+        let iteration = vec![
+            // No trace reaches `temp = 99` yet: the bare transition.
+            (at_99.clone(), mk(50, false), mk(60, false)),
+            // Splices onto [10]; the new trace [10, 90, 99] reaches 99.
+            (hot.clone(), mk(90, true), mk(99, true)),
+            // The `at_99` group extends over the two traces added since its
+            // first counterexample and splices onto [10, 90]; its own new
+            // trace [10, 90, 40, 99] reaches 99 again.
+            (at_99.clone(), mk(40, false), mk(99, false)),
+            // So the next `at_99` splice also lands on [10, 90, 40].
+            (at_99, mk(41, false), mk(42, false)),
+            // The `hot` group extends over every trace since its first
+            // counterexample; all of them reach `s_on` after [10].
+            (hot, mk(95, true), mk(5, true)),
+        ];
+        let iterations = [iteration];
+        assert_splicing_differential(&traces, &iterations);
+        let [_, (counts, _)] = splice_both_ways(&traces, &iterations);
+        assert_eq!(counts, vec![1, 1, 1, 2, 1]);
     }
 
     #[test]

@@ -2,12 +2,17 @@
 //!
 //! The central property is the paper's Theorem 1: when the loop converges
 //! (`α = 1`), the learned abstraction admits every system trace — checked by
-//! sampling fresh random traces with seeds the learner never saw.
+//! sampling fresh random traces with seeds the learner never saw. The
+//! grouped splicing step is checked against the flat reference on random
+//! trace sets and counterexample sequences.
 
-use crate::{ActiveLearner, ActiveLearnerConfig};
-use amle_expr::{Expr, Sort, Value};
+use crate::learner_loop::{splice_both_ways, SpliceIteration};
+use crate::{ActiveLearner, ActiveLearnerConfig, Condition, ConditionKind};
+use amle_automaton::StateId;
+use amle_expr::{Expr, Sort, Valuation, Value, VarSet};
 use amle_learner::HistoryLearner;
-use amle_system::{Simulator, System, SystemBuilder};
+use amle_system::{Simulator, System, SystemBuilder, Trace, TraceSet};
+use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -109,5 +114,70 @@ proptest! {
         let report = learner.run().expect("run");
         prop_assert!(report.iterations <= max_iterations);
         prop_assert_eq!(report.iteration_stats.len(), report.iterations);
+    }
+}
+
+/// Conditions over one 2-bit variable `x`, indexed by the splicing
+/// proptest: an `Initial` condition, never- and always-matching
+/// assumptions, and overlapping ones, two of which share an assumption
+/// across different automaton states.
+fn splice_conditions(vars: &VarSet) -> Vec<Condition> {
+    let x = Expr::var(vars.lookup("x").expect("declared"), Sort::int(2));
+    let state = |state, assumption| Condition {
+        kind: ConditionKind::State {
+            state: StateId::from_index(state),
+        },
+        assumption,
+        outgoing: vec![Expr::true_()],
+    };
+    let is = |v| x.eq(&Expr::int_val(v, 2));
+    vec![
+        Condition {
+            kind: ConditionKind::Initial,
+            assumption: is(0),
+            outgoing: vec![],
+        },
+        state(0, Expr::false_()),
+        state(0, Expr::true_()),
+        state(0, is(1)),
+        state(1, is(1)),
+        state(1, is(2)),
+        state(2, x.lt(&Expr::int_val(2, 2))),
+        state(2, is(1).or(&is(3))),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn grouped_splicing_matches_the_flat_reference(
+        traces in vec(vec(0i64..4, 1..6), 0..8),
+        iterations in vec(vec((0usize..8, 0i64..4, 0i64..4), 0..12), 1..4),
+    ) {
+        let mut vars = VarSet::new();
+        let x = vars.declare("x", Sort::int(2)).expect("fresh variable");
+        let obs = |v| {
+            let mut o = Valuation::zeroed(&vars);
+            o.set(x, Value::Int(v));
+            o
+        };
+        let conditions = splice_conditions(&vars);
+        let initial: TraceSet = traces
+            .iter()
+            .map(|t| Trace::new(t.iter().map(|&v| obs(v)).collect()))
+            .collect();
+        let iterations: Vec<SpliceIteration> = iterations
+            .iter()
+            .map(|iteration| {
+                iteration
+                    .iter()
+                    .map(|&(c, from, to)| (conditions[c].clone(), obs(from), obs(to)))
+                    .collect()
+            })
+            .collect();
+        let [(want_counts, want), (got_counts, got)] = splice_both_ways(&initial, &iterations);
+        prop_assert_eq!(got_counts, want_counts);
+        prop_assert_eq!(got, want);
     }
 }

@@ -837,9 +837,9 @@ mod tests {
         // (stable alphabet → incremental), then with a brand-new observation
         // (changed cell structure → rebuild). Both must match from-scratch.
         let first = store.traces().next().unwrap();
-        let known = store.materialize(first).observations()[3].clone();
+        let known = store.obs_ids(first)[3];
         let prefix = store.prefix(first, 5);
-        store.splice(prefix, &known, &known).unwrap();
+        store.splice(prefix, known, known).unwrap();
         assert_eq!(
             inc.update(&vars, &observables, &store),
             AbstractionUpdate::Incremental { new_traces: 1 }
@@ -849,7 +849,8 @@ mod tests {
         let mut fresh_obs = Valuation::zeroed(&vars);
         fresh_obs.set(temp, Value::Int(3));
         fresh_obs.set(on, Value::Bool(true));
-        store.splice(prefix, &fresh_obs, &known).unwrap();
+        let fresh_obs = store.intern(&fresh_obs);
+        store.splice(prefix, fresh_obs, known).unwrap();
         assert_eq!(
             inc.update(&vars, &observables, &store),
             AbstractionUpdate::Rebuilt

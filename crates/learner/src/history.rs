@@ -324,9 +324,9 @@ mod tests {
         // Growing the store with a splice of known observations keeps the
         // alphabet stable, so only the new trace's word is encoded.
         let first = store.traces().next().unwrap();
-        let obs = store.materialize(first).observations()[2].clone();
+        let obs = store.obs_ids(first)[2];
         let prefix = store.prefix(first, 4);
-        store.splice(prefix, &obs, &obs).unwrap();
+        store.splice(prefix, obs, obs).unwrap();
         let before = incremental.word_stats();
         let grown = incremental
             .learn_from_store(sys.vars(), &observables, &store)

@@ -85,6 +85,10 @@ struct Segment {
     children: Vec<(u32, u32)>,
     /// The trace id if this segment's sequence has been inserted as a trace.
     trace: Option<u32>,
+    /// The id of the first trace whose path runs through this segment.
+    /// Traces only ever append, so it is fixed when the segment is created
+    /// and never decreases along the segment vector.
+    first_trace: u32,
 }
 
 /// Aggregate statistics of a [`TraceStore`], surfaced in run reports and the
@@ -141,14 +145,15 @@ static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
 ///
 /// // Splice `4, 5` onto the length-2 prefix `1, 2` of the stored trace.
 /// let prefix = store.prefix(t, 2);
-/// let spliced = store.splice(prefix, &obs(4), &obs(5)).expect("new trace");
+/// let (four, five) = (store.intern(&obs(4)), store.intern(&obs(5)));
+/// let spliced = store.splice(prefix, four, five).expect("new trace");
 /// assert_eq!(
 ///     store.materialize(spliced).observations(),
 ///     &[obs(1), obs(2), obs(4), obs(5)]
 /// );
 ///
 /// // The same splice again is a structural duplicate: O(1), no new trace.
-/// assert_eq!(store.splice(prefix, &obs(4), &obs(5)), None);
+/// assert_eq!(store.splice(prefix, four, five), None);
 ///
 /// // Both traces share the `1, 2` prefix segments, and the five distinct
 /// // observations are interned once each.
@@ -205,6 +210,7 @@ impl TraceStore {
                 depth: 0,
                 children: Vec::new(),
                 trace: None,
+                first_trace: 0,
             }],
             traces: Vec::new(),
             stored_observations: 0,
@@ -301,19 +307,21 @@ impl TraceStore {
             .collect()
     }
 
-    /// Interns one valuation, returning its id. Internal: observations enter
-    /// the table only via [`insert`](Self::insert) and
-    /// [`splice`](Self::splice), which guarantees every interned observation
-    /// occurs in at least one stored trace — the invariant the learners'
-    /// per-observation mining relies on.
-    fn intern(&mut self, valuation: &Valuation) -> u32 {
+    /// Interns one valuation, returning its id, so a caller that splices the
+    /// same transition onto many prefixes hashes it once.
+    ///
+    /// The learners mine every interned observation as if it occurred in a
+    /// stored trace, so a caller must store a trace through each id it
+    /// interns (with [`splice`](Self::splice)) before the store is read
+    /// again.
+    pub fn intern(&mut self, valuation: &Valuation) -> ObsId {
         if let Some(id) = self.interner.get(valuation) {
-            return *id;
+            return ObsId(*id);
         }
         let id = self.observations.len() as u32;
         self.observations.push(valuation.clone());
         self.interner.insert(valuation.clone(), id);
-        id
+        ObsId(id)
     }
 
     /// Descends from `segment` along `obs`, creating the child if needed.
@@ -324,12 +332,15 @@ impl TraceStore {
             Err(position) => {
                 let child = self.segments.len() as u32;
                 let depth = self.segments[segment as usize].depth + 1;
+                // Every segment is created on the path of the trace that
+                // `mark` is about to number `traces.len()`.
                 self.segments.push(Segment {
                     parent: segment,
                     obs,
                     depth,
                     children: Vec::new(),
                     trace: None,
+                    first_trace: self.traces.len() as u32,
                 });
                 self.segments[segment as usize]
                     .children
@@ -363,7 +374,7 @@ impl TraceStore {
         }
         let mut segment = 0;
         for valuation in observations {
-            let obs = self.intern(valuation);
+            let obs = self.intern(valuation).0;
             segment = self.child(segment, obs);
         }
         self.mark(segment)
@@ -398,23 +409,97 @@ impl TraceStore {
         SegmentId(0)
     }
 
-    /// Splices the counterexample transition `from → to` onto a shared
-    /// prefix: stores the trace `prefix · from · to` (Section III-B of the
-    /// paper, `T_CE`). O(1) beyond interning the two observations.
+    /// Splices the counterexample transition `from → to`, given as
+    /// [interned](Self::intern) ids, onto a shared prefix: stores the trace
+    /// `prefix · from · to` (Section III-B of the paper, `T_CE`). O(1): two
+    /// child lookups and no hashing of valuations.
     ///
     /// Returns the new trace's id, or `None` when the spliced trace is a
     /// structural duplicate of a stored one.
-    pub fn splice(
-        &mut self,
-        prefix: SegmentId,
-        from: &Valuation,
-        to: &Valuation,
-    ) -> Option<TraceId> {
-        let from = self.intern(from);
-        let to = self.intern(to);
-        let mid = self.child(prefix.0, from);
-        let end = self.child(mid, to);
+    pub fn splice(&mut self, prefix: SegmentId, from: ObsId, to: ObsId) -> Option<TraceId> {
+        let mid = self.child(prefix.0, from.0);
+        let end = self.child(mid, to.0);
         self.mark(end)
+    }
+
+    /// Appends to `out` the distinct *first-qualifying prefixes* first
+    /// reached by a trace with id `since` or later, ordered by the first
+    /// trace that reaches each.
+    ///
+    /// A trace's first-qualifying prefix is the prefix before its first
+    /// observation satisfying `qualifies`; a trace with no such observation
+    /// has none. For an assumption predicate these are exactly the splice
+    /// points of Section III-B, in the first-occurrence order a scan of
+    /// every trace would find them.
+    ///
+    /// A prefix is reached first by the smallest trace id among its
+    /// qualifying child segments' first traces, and that never changes as
+    /// the store grows. So a call with `since = len()` after the store grew
+    /// appends precisely what a fresh `since = 0` call on the grown store
+    /// would list after the earlier result: callers keep a list current by
+    /// remembering `len()` as their watermark.
+    ///
+    /// Cost: with `since = 0`, one depth-first walk of the shared-prefix
+    /// trie that stops at every qualifying segment, so each shared prefix
+    /// is resolved once however many traces share it: O(non-qualifying
+    /// segments and their children), plus sorting the result. With
+    /// `since > 0`, O(length) per newer trace, plus a scan of a prefix's
+    /// children when a newer trace is the first through its qualifying
+    /// segment.
+    pub fn qualifying_prefixes(
+        &self,
+        since: usize,
+        mut qualifies: impl FnMut(ObsId) -> bool,
+        out: &mut Vec<SegmentId>,
+    ) {
+        let first_trace = |segment: u32| self.segments[segment as usize].first_trace as usize;
+        if since == 0 {
+            let mut found = Vec::new();
+            let mut stack = vec![0];
+            while let Some(segment) = stack.pop() {
+                let mut first = usize::MAX;
+                for &(obs, child) in &self.segments[segment as usize].children {
+                    if qualifies(ObsId(obs)) {
+                        first = first.min(first_trace(child));
+                    } else {
+                        stack.push(child);
+                    }
+                }
+                if first != usize::MAX {
+                    found.push((first, segment));
+                }
+            }
+            found.sort_unstable();
+            out.extend(found.into_iter().map(|(_, segment)| SegmentId(segment)));
+            return;
+        }
+        let mut path = Vec::new();
+        for trace in since..self.traces.len() {
+            path.clear();
+            let mut segment = self.traces[trace];
+            while segment != 0 {
+                path.push(segment);
+                segment = self.segments[segment as usize].parent;
+            }
+            let Some(&hit) = path
+                .iter()
+                .rev()
+                .find(|&&s| qualifies(ObsId(self.segments[s as usize].obs)))
+            else {
+                continue;
+            };
+            if first_trace(hit) < trace {
+                continue; // an earlier trace runs through the same segment
+            }
+            let prefix = self.segments[hit as usize].parent;
+            let reached_earlier = self.segments[prefix as usize]
+                .children
+                .iter()
+                .any(|&(obs, child)| first_trace(child) < trace && qualifies(ObsId(obs)));
+            if !reached_earlier {
+                out.push(SegmentId(prefix));
+            }
+        }
     }
 
     /// Aggregate statistics (see [`TraceStoreStats`]).
@@ -529,16 +614,17 @@ mod tests {
         let o = |v| obs(&vars, x, v);
         let mut store = TraceStore::new();
         let t = store.insert(&[o(1), o(2), o(3)]).unwrap();
-        let spliced = store.splice(store.prefix(t, 1), &o(7), &o(8)).unwrap();
+        let (seven, eight) = (store.intern(&o(7)), store.intern(&o(8)));
+        let spliced = store.splice(store.prefix(t, 1), seven, eight).unwrap();
         assert_eq!(
             store.materialize(spliced).observations(),
             &[o(1), o(7), o(8)]
         );
         // Splicing onto the empty prefix yields the bare transition.
-        let bare = store.splice(store.root(), &o(7), &o(8)).unwrap();
+        let bare = store.splice(store.root(), seven, eight).unwrap();
         assert_eq!(store.materialize(bare).observations(), &[o(7), o(8)]);
         // Duplicates are detected without cloning anything.
-        assert!(store.splice(store.prefix(t, 1), &o(7), &o(8)).is_none());
+        assert!(store.splice(store.prefix(t, 1), seven, eight).is_none());
     }
 
     #[test]
@@ -551,12 +637,13 @@ mod tests {
         // The prefix of `a` at length 2 IS trace `b`'s segment.
         assert_eq!(store.prefix(a, 2), store.prefix(b, 2));
         // Splicing onto it therefore dedupes against extensions of either.
-        let s = store.splice(store.prefix(a, 2), &o(9), &o(9)).unwrap();
+        let nine = store.intern(&o(9));
+        let s = store.splice(store.prefix(a, 2), nine, nine).unwrap();
         assert_eq!(
             store.materialize(s).observations(),
             &[o(1), o(2), o(9), o(9)]
         );
-        assert!(store.splice(store.prefix(b, 2), &o(9), &o(9)).is_none());
+        assert!(store.splice(store.prefix(b, 2), nine, nine).is_none());
     }
 
     #[test]
@@ -614,6 +701,112 @@ mod tests {
         assert_eq!(store.observations_since(9999).count(), 0);
     }
 
+    /// The observation values spelled by `segment`, from the root.
+    fn spell(store: &TraceStore, x: VarId, segment: SegmentId) -> Vec<i64> {
+        let mut values = Vec::new();
+        let mut segment = segment.0 as usize;
+        while store.segments[segment].depth > 0 {
+            let obs = ObsId(store.segments[segment].obs);
+            values.push(store.valuation(obs).value(x).to_i64());
+            segment = store.segments[segment].parent as usize;
+        }
+        values.reverse();
+        values
+    }
+
+    /// The qualifying prefixes first reached from trace `since` on, where an
+    /// observation qualifies when its value is one of `hits`.
+    fn qualifying(store: &TraceStore, x: VarId, since: usize, hits: &[i64]) -> Vec<Vec<i64>> {
+        let mut out = Vec::new();
+        let qualifies = |o| hits.contains(&store.valuation(o).value(x).to_i64());
+        store.qualifying_prefixes(since, qualifies, &mut out);
+        out.into_iter().map(|p| spell(store, x, p)).collect()
+    }
+
+    #[test]
+    fn qualifying_prefixes_of_a_trace_that_prefixes_another() {
+        let (vars, x) = vars();
+        let o = |v| obs(&vars, x, v);
+        let mut store = TraceStore::new();
+        store.insert(&[o(1), o(2)]).unwrap();
+        store.insert(&[o(1), o(2), o(3)]).unwrap();
+        store.insert(&[o(1), o(5)]).unwrap();
+        // Both of the first two traces stop before the 2 at [1].
+        assert_eq!(qualifying(&store, x, 0, &[2]), vec![vec![1]]);
+        // Only the longer trace reaches a 3: its prefix ends where the
+        // shorter trace does.
+        assert_eq!(qualifying(&store, x, 0, &[3]), vec![vec![1, 2]]);
+        // Ordered by the first trace reaching each prefix: [1, 2] by trace
+        // 1 (through the 3), [1] by trace 2 (through the 5).
+        assert_eq!(qualifying(&store, x, 0, &[3, 5]), vec![vec![1, 2], vec![1]]);
+    }
+
+    #[test]
+    fn a_hit_at_the_first_observation_gives_the_root_prefix() {
+        let (vars, x) = vars();
+        let o = |v| obs(&vars, x, v);
+        let mut store = TraceStore::new();
+        store.insert(&[o(4), o(1)]).unwrap();
+        store.insert(&[o(1), o(4)]).unwrap();
+        store.insert(&[o(4), o(2)]).unwrap();
+        let mut out = Vec::new();
+        let qualifies = |o| store.valuation(o).value(x).to_i64() == 4;
+        store.qualifying_prefixes(0, qualifies, &mut out);
+        assert_eq!(out, vec![store.root(), store.prefix(TraceId(1), 1)]);
+    }
+
+    #[test]
+    fn traces_without_a_hit_have_no_qualifying_prefix() {
+        let (vars, x) = vars();
+        let o = |v| obs(&vars, x, v);
+        let mut store = TraceStore::new();
+        assert!(qualifying(&store, x, 0, &[1]).is_empty());
+        store.insert(&[o(1), o(2), o(3)]).unwrap();
+        store.insert(&[o(2), o(2)]).unwrap();
+        assert!(qualifying(&store, x, 0, &[9]).is_empty());
+        assert!(qualifying(&store, x, 0, &[]).is_empty());
+        assert!(qualifying(&store, x, store.len(), &[2]).is_empty());
+    }
+
+    #[test]
+    fn watermark_extension_returns_only_new_prefixes() {
+        let (vars, x) = vars();
+        let o = |v| obs(&vars, x, v);
+        let hits = [2, 3];
+        let mut store = TraceStore::new();
+        store.insert(&[o(1), o(2), o(7)]).unwrap();
+        store.insert(&[o(5), o(3)]).unwrap();
+        let before = qualifying(&store, x, 0, &hits);
+        assert_eq!(before, vec![vec![1], vec![5]]);
+        let watermark = store.len();
+
+        // Through the existing qualifying segment [1, 2]: nothing new.
+        let (one, two, nine) = (
+            store.intern(&o(1)),
+            store.intern(&o(2)),
+            store.intern(&o(9)),
+        );
+        store.splice(store.root(), one, two).unwrap();
+        store.insert(&[o(1), o(2), o(9)]).unwrap();
+        // A new qualifying segment [1, 3] under the old prefix [1]: nothing new.
+        store.insert(&[o(1), o(3)]).unwrap();
+        // Two new prefixes, [6, 6] and [5, 8], plus a repeat of [6, 6].
+        store.insert(&[o(6), o(6), o(2)]).unwrap();
+        let five_eight = store.insert(&[o(5), o(8), o(9)]).unwrap();
+        store
+            .splice(store.prefix(five_eight, 2), two, nine)
+            .unwrap();
+        store.insert(&[o(6), o(6), o(3)]).unwrap();
+
+        let added = qualifying(&store, x, watermark, &hits);
+        assert_eq!(added, vec![vec![6, 6], vec![5, 8]]);
+        // The extension appends exactly what a full recomputation lists
+        // after the earlier result.
+        let mut all = before;
+        all.extend(added);
+        assert_eq!(qualifying(&store, x, 0, &hits), all);
+    }
+
     #[test]
     fn store_ids_are_unique() {
         assert_ne!(TraceStore::new().store_id(), TraceStore::new().store_id());
@@ -626,8 +819,10 @@ mod tests {
         let mut store = TraceStore::new();
         assert_eq!(store.stats().approx_bytes_saved, 0);
         let t = store.insert(&[o(1), o(2), o(3), o(4)]).unwrap();
+        let seven = store.intern(&o(7));
         for v in 0..40 {
-            store.splice(store.prefix(t, 3), &o(100 + v), &o(7));
+            let from = store.intern(&o(100 + v));
+            store.splice(store.prefix(t, 3), from, seven);
         }
         let stats = store.stats();
         assert_eq!(stats.traces, 41);
