@@ -4,9 +4,10 @@
 //! perf-diff <baseline.json> <candidate.json> [--threshold <ratio>] [--fail-on-regression]
 //! ```
 //!
-//! Prints per-benchmark wall-time / solver-time / solve-call / cache-hit
-//! deltas (plus propagations-per-conflict when the schema-2 CDCL counters
-//! are present) and a regression summary. By default the exit code is 0
+//! Prints per-benchmark wall-time / solver-time / solve-call / cache-hit /
+//! propagations-per-conflict deltas and a regression summary. Both
+//! documents must be schema 5, the one `suite --json` writes. By default
+//! the exit code is 0
 //! regardless of findings, so CI can run it as a non-blocking report step;
 //! `--fail-on-regression` exits 1 when a regression (or a fingerprint
 //! divergence) is flagged.

@@ -374,16 +374,15 @@ fn json_escape(s: &str) -> String {
 /// trajectory (`BENCH_*.json`) can accumulate across versions, and what
 /// the `perf-diff` binary consumes to compare two runs.
 ///
-/// Schema history: **5** added the base-session frame-ledger counters
-/// (`frames_encoded`, `frames_reused` — chain-encoded frame disjuncts vs
-/// activation-ledger reuses in the k-induction base sessions); **4** added
-/// the conclusion-disjunct ledger counters (`disj_encoded`, `disj_reused` —
-/// first-time Tseitin encodes vs session reuses of conclusion disjuncts);
-/// **3** added the optional per-record `circuit` object (netlist statistics
-/// — input/latch/gate counts and cone-of-influence survivors — present only
-/// on circuit benchmarks); **2** added the CDCL work counters (`decisions`,
-/// `propagations`, `conflicts`, `minimized_lits`, `mean_lbd`); schema 1
-/// records lack them. `perf-diff` accepts all five.
+/// The document is schema **5**, the only one `perf-diff` reads. Each
+/// record carries the CDCL work counters (`decisions`, `propagations`,
+/// `conflicts`, `minimized_lits`, `mean_lbd`), the conclusion-disjunct
+/// ledger counters (`disj_encoded`, `disj_reused` — first-time Tseitin
+/// encodes vs session reuses of conclusion disjuncts), the base-session
+/// frame-ledger counters (`frames_encoded`, `frames_reused` — chain-encoded
+/// frame disjuncts vs activation-ledger reuses) and, on circuit benchmarks
+/// only, a `circuit` object of netlist statistics (input/latch/gate counts
+/// and cone-of-influence survivors).
 pub fn suite_json(
     meta: &SuiteRunMeta,
     benchmarks: &[Benchmark],
@@ -925,16 +924,16 @@ mod tests {
             "\"interner\"",
             "\"canonical_rewrites\"",
             "\"invariant_dag_nodes\"",
-            // Schema-2 CDCL work counters, one per benchmark record.
+            // CDCL work counters, one per benchmark record.
             "\"decisions\"",
             "\"propagations\"",
             "\"conflicts\"",
             "\"minimized_lits\"",
             "\"mean_lbd\"",
-            // Schema-4 conclusion-disjunct ledger counters.
+            // Conclusion-disjunct ledger counters.
             "\"disj_encoded\"",
             "\"disj_reused\"",
-            // Schema-5 base-session frame-ledger counters.
+            // Base-session frame-ledger counters.
             "\"frames_encoded\"",
             "\"frames_reused\"",
         ] {

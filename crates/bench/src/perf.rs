@@ -4,11 +4,8 @@
 //! is its matching consumer — the per-benchmark delta computation behind the
 //! `perf-diff` binary, reading documents with the shared JSON parser from
 //! [`amle_serve::json`] (one parser for the daemon wire protocol and the
-//! suite artefacts, not two drifting copies). It accepts schema 1
-//! (pre-CDCL-counters), schema 2, schema 3 (optional per-record circuit
-//! netlist stats), schema 4 (conclusion-disjunct ledger counters) and
-//! schema 5 (base-session frame-ledger counters) documents, so a fresh run
-//! can be compared against an older CI artifact.
+//! suite artefacts, not two drifting copies). It reads schema 5, the only
+//! schema `suite --json` writes, and rejects every other.
 //!
 //! A *regression* is flagged per benchmark:
 //!
@@ -38,9 +35,9 @@ pub struct BenchPerf {
     pub solve_calls: u64,
     /// Verdict-cache hits.
     pub cache_hits: u64,
-    /// CDCL conflicts (0 in schema-1 documents).
+    /// CDCL conflicts.
     pub conflicts: u64,
-    /// Unit propagations (0 in schema-1 documents).
+    /// Unit propagations.
     pub propagations: u64,
     /// Semantic fingerprint digest of the run.
     pub fingerprint_digest: String,
@@ -49,7 +46,7 @@ pub struct BenchPerf {
 /// A parsed `suite --json` document, reduced to what `perf-diff` needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuiteRun {
-    /// Document schema version (1 through 5).
+    /// Document schema version (always 5).
     pub schema: u64,
     /// Oracle engine the suite ran with.
     pub engine: String,
@@ -80,7 +77,7 @@ fn field_str(obj: &Json, key: &str) -> String {
 pub fn parse_suite_run(text: &str) -> Result<SuiteRun, String> {
     let doc = parse_json(text)?;
     let schema = field_u64(&doc, "schema");
-    if !(1..=5).contains(&schema) {
+    if schema != 5 {
         return Err(format!("unsupported suite schema {schema}"));
     }
     let benchmarks = match doc.get("benchmarks") {
@@ -219,9 +216,8 @@ pub fn diff_runs(base: &SuiteRun, new: &SuiteRun, threshold: f64) -> PerfDiff {
 }
 
 /// Renders the comparison as a fixed-width report: per-benchmark wall-time /
-/// solver-time / solve-call / cache-hit deltas plus propagations-per-conflict
-/// when both documents carry the schema-2 counters, then a regression
-/// summary.
+/// solver-time / solve-call / cache-hit / propagations-per-conflict deltas,
+/// then a regression summary.
 pub fn format_diff(base: &SuiteRun, new: &SuiteRun, diff: &PerfDiff) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -259,7 +255,6 @@ pub fn format_diff(base: &SuiteRun, new: &SuiteRun, diff: &PerfDiff) -> String {
         };
         let ppc = match (prop_cf(&d.base), prop_cf(&d.new)) {
             (Some(a), Some(b)) => format!("{a:.0}->{b:.0}"),
-            (None, Some(b)) => format!("-->{b:.0}"),
             _ => "-".to_string(),
         };
         let solves = if d.new.solve_calls == d.base.solve_calls {
@@ -374,50 +369,34 @@ fn csv_escape(field: &str) -> String {
 mod tests {
     use super::*;
 
-    fn sample(schema: u64, time: f64, calls: u64, hits: u64, fp: &str) -> String {
-        let counters = if schema >= 2 {
-            ", \"decisions\": 10, \"propagations\": 600, \"conflicts\": 20, \
-             \"minimized_lits\": 4, \"mean_lbd\": 2.5"
-        } else {
-            ""
-        };
+    fn sample(time: f64, calls: u64, hits: u64, fp: &str) -> String {
         format!(
-            "{{\n  \"schema\": {schema},\n  \"engine\": \"kinduction\",\n  \
+            "{{\n  \"schema\": 5,\n  \"engine\": \"kinduction\",\n  \
              \"wall_time_s\": {time},\n  \"fingerprint_digest\": \"{fp}\",\n  \
              \"benchmarks\": [\n    {{\"name\": \"A\", \"time_s\": {time}, \
              \"solve_calls\": {calls}, \"solver_time_s\": 0.5, \
-             \"cache_hits\": {hits}, \"fingerprint_digest\": \"{fp}-a\"{counters}}}\n  ]\n}}\n"
+             \"cache_hits\": {hits}, \"fingerprint_digest\": \"{fp}-a\", \
+             \"decisions\": 10, \"propagations\": 600, \"conflicts\": 20, \
+             \"minimized_lits\": 4, \"mean_lbd\": 2.5}}\n  ]\n}}\n"
         )
     }
 
     #[test]
     fn parses_all_supported_schemas() {
-        let v1 = parse_suite_run(&sample(1, 1.0, 100, 7, "abc")).unwrap();
-        assert_eq!(v1.schema, 1);
-        assert_eq!(v1.benchmarks[0].conflicts, 0, "schema 1 has no counters");
-        let v2 = parse_suite_run(&sample(2, 1.0, 100, 7, "abc")).unwrap();
-        assert_eq!(v2.schema, 2);
-        assert_eq!(v2.benchmarks[0].conflicts, 20);
-        assert_eq!(v2.benchmarks[0].propagations, 600);
-        // Schema 3 adds only the optional per-record circuit stats object,
-        // so a schema-2-shaped document under the new number still parses.
-        let v3 = parse_suite_run(&sample(3, 1.0, 100, 7, "abc")).unwrap();
-        assert_eq!(v3.schema, 3);
-        // Schema 4 adds only the disjunct-ledger counters, which older
-        // documents simply lack.
-        let v4 = parse_suite_run(&sample(4, 1.0, 100, 7, "abc")).unwrap();
-        assert_eq!(v4.schema, 4);
-        // Schema 5 adds only the base-session frame-ledger counters.
-        let v5 = parse_suite_run(&sample(5, 1.0, 100, 7, "abc")).unwrap();
-        assert_eq!(v5.schema, 5);
+        let run = parse_suite_run(&sample(1.0, 100, 7, "abc")).unwrap();
+        assert_eq!(run.schema, 5);
+        assert_eq!(run.benchmarks[0].conflicts, 20);
+        assert_eq!(run.benchmarks[0].propagations, 600);
+        // Older schemas are rejected too, not half-read.
+        assert!(parse_suite_run("{\"schema\": 4, \"benchmarks\": []}").is_err());
         assert!(parse_suite_run("{\"schema\": 6, \"benchmarks\": []}").is_err());
     }
 
     #[test]
     fn trend_emits_one_row_per_benchmark_per_run() {
-        let a = parse_suite_run(&sample(3, 1.0, 100, 7, "abc")).unwrap();
-        let b = parse_suite_run(&sample(4, 0.8, 90, 12, "abc")).unwrap();
-        let c = parse_suite_run(&sample(4, 0.7, 90, 12, "abc")).unwrap();
+        let a = parse_suite_run(&sample(1.0, 100, 7, "abc")).unwrap();
+        let b = parse_suite_run(&sample(0.8, 90, 12, "abc")).unwrap();
+        let c = parse_suite_run(&sample(0.7, 90, 12, "abc")).unwrap();
         let csv = format_trend(&[a, b, c]);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(
@@ -437,8 +416,8 @@ mod tests {
 
     #[test]
     fn trend_tolerates_benchmarks_missing_from_some_runs() {
-        let a = parse_suite_run(&sample(4, 1.0, 100, 7, "abc")).unwrap();
-        let mut b = parse_suite_run(&sample(4, 0.9, 95, 8, "def")).unwrap();
+        let a = parse_suite_run(&sample(1.0, 100, 7, "abc")).unwrap();
+        let mut b = parse_suite_run(&sample(0.9, 95, 8, "def")).unwrap();
         b.benchmarks[0].name = "B".to_string();
         let csv = format_trend(&[a, b]);
         // "A" only appears in run 1, "B" only in run 2; no empty rows are
@@ -451,7 +430,7 @@ mod tests {
 
     #[test]
     fn trend_escapes_awkward_benchmark_names() {
-        let mut run = parse_suite_run(&sample(4, 1.0, 100, 7, "abc")).unwrap();
+        let mut run = parse_suite_run(&sample(1.0, 100, 7, "abc")).unwrap();
         run.benchmarks[0].name = "two,words \"q\"".to_string();
         let csv = format_trend(&[run.clone(), run]);
         assert!(csv.contains("\"two,words \"\"q\"\"\",1,"));
@@ -478,7 +457,7 @@ mod tests {
 
     #[test]
     fn identical_runs_are_clean() {
-        let run = parse_suite_run(&sample(2, 1.0, 100, 7, "abc")).unwrap();
+        let run = parse_suite_run(&sample(1.0, 100, 7, "abc")).unwrap();
         let diff = diff_runs(&run, &run, 0.2);
         assert!(!diff.has_regressions());
         assert!(diff.fingerprints_match);
@@ -489,36 +468,36 @@ mod tests {
 
     #[test]
     fn wall_time_regression_respects_threshold_and_floor() {
-        let base = parse_suite_run(&sample(2, 1.0, 100, 7, "abc")).unwrap();
+        let base = parse_suite_run(&sample(1.0, 100, 7, "abc")).unwrap();
         // +30% over a 20% threshold and above the absolute floor: flagged.
-        let slow = parse_suite_run(&sample(2, 1.3, 100, 7, "abc")).unwrap();
+        let slow = parse_suite_run(&sample(1.3, 100, 7, "abc")).unwrap();
         assert!(diff_runs(&base, &slow, 0.2).has_regressions());
         // +30% but within the threshold at 40%: clean.
         assert!(!diff_runs(&base, &slow, 0.4).has_regressions());
         // Huge ratio on a microscopic benchmark: under the floor, clean.
-        let tiny_base = parse_suite_run(&sample(2, 0.001, 100, 7, "abc")).unwrap();
-        let tiny_slow = parse_suite_run(&sample(2, 0.004, 100, 7, "abc")).unwrap();
+        let tiny_base = parse_suite_run(&sample(0.001, 100, 7, "abc")).unwrap();
+        let tiny_slow = parse_suite_run(&sample(0.004, 100, 7, "abc")).unwrap();
         assert!(!diff_runs(&tiny_base, &tiny_slow, 0.2).has_regressions());
     }
 
     #[test]
     fn deterministic_counter_drift_is_always_flagged() {
-        let base = parse_suite_run(&sample(2, 1.0, 100, 7, "abc")).unwrap();
-        let more_calls = parse_suite_run(&sample(2, 1.0, 101, 7, "abc")).unwrap();
+        let base = parse_suite_run(&sample(1.0, 100, 7, "abc")).unwrap();
+        let more_calls = parse_suite_run(&sample(1.0, 101, 7, "abc")).unwrap();
         let diff = diff_runs(&base, &more_calls, 0.2);
         assert!(diff.has_regressions());
         assert!(diff.deltas[0].regressions[0].contains("solve calls"));
-        let fewer_hits = parse_suite_run(&sample(2, 1.0, 100, 6, "abc")).unwrap();
+        let fewer_hits = parse_suite_run(&sample(1.0, 100, 6, "abc")).unwrap();
         assert!(diff_runs(&base, &fewer_hits, 0.2).has_regressions());
         // Fewer solve calls / more hits are improvements, not regressions.
-        let better = parse_suite_run(&sample(2, 1.0, 90, 9, "abc")).unwrap();
+        let better = parse_suite_run(&sample(1.0, 90, 9, "abc")).unwrap();
         assert!(!diff_runs(&base, &better, 0.2).has_regressions());
     }
 
     #[test]
     fn fingerprint_divergence_is_a_regression() {
-        let base = parse_suite_run(&sample(2, 1.0, 100, 7, "abc")).unwrap();
-        let other = parse_suite_run(&sample(2, 1.0, 100, 7, "xyz")).unwrap();
+        let base = parse_suite_run(&sample(1.0, 100, 7, "abc")).unwrap();
+        let other = parse_suite_run(&sample(1.0, 100, 7, "xyz")).unwrap();
         let diff = diff_runs(&base, &other, 0.2);
         assert!(!diff.fingerprints_match);
         assert!(diff.has_regressions());
@@ -527,19 +506,8 @@ mod tests {
     }
 
     #[test]
-    fn cross_schema_comparison_works() {
-        let old = parse_suite_run(&sample(1, 1.0, 100, 7, "abc")).unwrap();
-        let new = parse_suite_run(&sample(2, 0.9, 100, 7, "abc")).unwrap();
-        let diff = diff_runs(&old, &new, 0.2);
-        assert!(!diff.has_regressions());
-        // prop/cf renders one-sided when the baseline lacks counters.
-        let rendered = format_diff(&old, &new, &diff);
-        assert!(rendered.contains("-->30"));
-    }
-
-    #[test]
     fn unmatched_benchmarks_are_reported_not_flagged() {
-        let base = parse_suite_run(&sample(2, 1.0, 100, 7, "abc")).unwrap();
+        let base = parse_suite_run(&sample(1.0, 100, 7, "abc")).unwrap();
         let mut renamed = base.clone();
         renamed.benchmarks[0].name = "B".to_string();
         let diff = diff_runs(&base, &renamed, 0.2);

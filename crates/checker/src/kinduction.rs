@@ -37,8 +37,7 @@
 use amle_bitblast::Encoder;
 use amle_expr::{Expr, ExprId, Valuation, Value, VarId};
 use amle_sat::{
-    cdcl_backend, ActivationLedger, ClauseSink, IncrementalSolver, Lit, SolveResult, SolverConfig,
-    SolverStats,
+    cdcl_backend, ActivationLedger, ClauseSink, IncrementalSolver, Lit, SolveResult, SolverStats,
 };
 use amle_system::System;
 use std::fmt;
@@ -107,15 +106,13 @@ pub struct CheckerStats {
     /// ran out, forcing a k-induction re-run.
     pub explicit_fallbacks: u64,
     /// Conclusion disjuncts Tseitin-encoded for the first time in a
-    /// condition session (delta mode: per distinct canonical disjunct; full
-    /// mode: every disjunct of a first-seen conclusion).
+    /// condition session (once per distinct canonical disjunct).
     pub disj_encoded: u64,
     /// Conclusion disjuncts answered from the session's persistent ledger
     /// without re-encoding.
     pub disj_reused: u64,
-    /// Base-session frame disjuncts encoded for the first time (delta mode:
-    /// one chain link per new `(formula, frame)` pair; full mode: every frame
-    /// of a first-seen `(formula, k)` query).
+    /// Base-session frame disjuncts encoded for the first time (one chain
+    /// link per new `(formula, frame)` pair).
     pub frames_encoded: u64,
     /// Base-session frame disjuncts answered from the activation ledger
     /// without re-encoding.
@@ -198,13 +195,9 @@ pub enum CheckerMode {
     FreshPerQuery,
 }
 
-/// Factory producing fresh solver instances for the checker's sessions.
-///
-/// The produced solver is `Send` so whole checkers (and their persistent
-/// sessions) can be moved into worker threads by the parallel engine.
-pub type SolverBackend = fn() -> Box<dyn IncrementalSolver + Send>;
-
-/// One persistent encoder-over-solver pair.
+/// One persistent encoder-over-solver pair. The solver is `Send` so whole
+/// checkers (and their persistent sessions) can be moved into worker
+/// threads by the parallel engine.
 struct Session {
     enc: Encoder<Box<dyn IncrementalSolver + Send>>,
     /// Number of transition steps already unrolled (frames `0..=unrolled`
@@ -216,18 +209,16 @@ struct Session {
     /// the clause.
     activations: ActivationLedger<(ExprId, usize)>,
     /// Conclusion-disjunct ledger of the condition session: the frame-1
-    /// Tseitin literal of each canonical disjunct already encoded (in full
-    /// mode, of each whole conclusion). A query assumes the negations of
-    /// exactly its disjuncts' literals; everything else stays retracted.
+    /// Tseitin literal of each canonical disjunct already encoded. A query
+    /// assumes the negations of exactly its disjuncts' literals; everything
+    /// else stays retracted.
     disjuncts: ActivationLedger<ExprId>,
 }
 
 impl Session {
-    fn new(system: &System, backend: SolverBackend, config: SolverConfig) -> Self {
-        let mut sink = backend();
-        sink.configure(&config);
+    fn new(system: &System) -> Self {
         Session {
-            enc: Encoder::with_sink(system.vars(), sink),
+            enc: Encoder::with_sink(system.vars(), cdcl_backend()),
             unrolled: 0,
             activations: ActivationLedger::new(),
             disjuncts: ActivationLedger::new(),
@@ -274,7 +265,6 @@ pub struct KInductionChecker<'a> {
     system: &'a System,
     stats: CheckerStats,
     mode: CheckerMode,
-    backend: SolverBackend,
     /// Fig. 3a session: one transition unrolling, query via assumptions.
     condition: Option<Session>,
     /// Fig. 3b base-case session: `Init` plus a growing unrolling.
@@ -283,15 +273,6 @@ pub struct KInductionChecker<'a> {
     step: Option<Session>,
     /// Solver statistics of sessions that have been dropped (fresh mode).
     retired: SolverStats,
-    /// Delta-encode conclusion disjunctions (the default). `false` restores
-    /// the full per-query or-chain encoding as a differential oracle.
-    conclusion_delta: bool,
-    /// Chain-encode base-session frame disjunctions (the default). `false`
-    /// restores the full per-`(formula, k)` frame clause as a differential
-    /// oracle.
-    base_delta: bool,
-    /// Search policy applied to every solver session this checker creates.
-    solver_config: SolverConfig,
 }
 
 impl fmt::Debug for KInductionChecker<'_> {
@@ -313,86 +294,15 @@ impl<'a> KInductionChecker<'a> {
 
     /// Creates a checker with an explicit session [`CheckerMode`].
     pub fn with_mode(system: &'a System, mode: CheckerMode) -> Self {
-        Self::with_backend(system, mode, cdcl_backend)
-    }
-
-    /// Creates a checker with an explicit mode and solver backend factory.
-    pub fn with_backend(system: &'a System, mode: CheckerMode, backend: SolverBackend) -> Self {
         KInductionChecker {
             system,
             stats: CheckerStats::default(),
             mode,
-            backend,
             condition: None,
             base: None,
             step: None,
             retired: SolverStats::default(),
-            conclusion_delta: true,
-            base_delta: true,
-            solver_config: SolverConfig::default(),
         }
-    }
-
-    /// Sets whether conclusion disjunctions are delta-encoded (default) or
-    /// re-encoded as one or-chain per query. Both modes return byte-identical
-    /// results; the switch exists so the differential harness can pin that.
-    pub fn with_conclusion_delta(mut self, on: bool) -> Self {
-        self.set_conclusion_delta(on);
-        self
-    }
-
-    /// In-place variant of [`KInductionChecker::with_conclusion_delta`].
-    pub fn set_conclusion_delta(&mut self, on: bool) {
-        self.conclusion_delta = on;
-    }
-
-    /// Whether conclusion disjunctions are delta-encoded.
-    pub fn conclusion_delta(&self) -> bool {
-        self.conclusion_delta
-    }
-
-    /// Sets whether base-session frame disjunctions are chain-encoded
-    /// (default) or emitted as one full `0..=k` clause per `(formula, k)`
-    /// query. Both modes return byte-identical results with identical solve
-    /// counts; the switch exists so the differential harness can pin that.
-    pub fn with_base_delta(mut self, on: bool) -> Self {
-        self.set_base_delta(on);
-        self
-    }
-
-    /// In-place variant of [`KInductionChecker::with_base_delta`].
-    pub fn set_base_delta(&mut self, on: bool) {
-        self.base_delta = on;
-    }
-
-    /// Whether base-session frame disjunctions are chain-encoded.
-    pub fn base_delta(&self) -> bool {
-        self.base_delta
-    }
-
-    /// Sets the solver search policy for every session. Applied immediately
-    /// to live sessions and to all sessions created afterwards. Every
-    /// [`SolverConfig`] setting is verdict-neutral, so this never changes
-    /// results — only search effort.
-    pub fn with_solver_config(mut self, config: SolverConfig) -> Self {
-        self.set_solver_config(config);
-        self
-    }
-
-    /// In-place variant of [`KInductionChecker::with_solver_config`].
-    pub fn set_solver_config(&mut self, config: SolverConfig) {
-        self.solver_config = config;
-        for session in [&mut self.condition, &mut self.base, &mut self.step]
-            .into_iter()
-            .flatten()
-        {
-            session.enc.sink_mut().configure(&config);
-        }
-    }
-
-    /// The solver search policy applied to this checker's sessions.
-    pub fn solver_config(&self) -> SolverConfig {
-        self.solver_config
     }
 
     /// The system under check.
@@ -400,8 +310,8 @@ impl<'a> KInductionChecker<'a> {
         self.system
     }
 
-    /// Creates an independent checker over the same system, mode and solver
-    /// backend, with fresh sessions and zeroed statistics.
+    /// Creates an independent checker over the same system and mode, with
+    /// fresh sessions and zeroed statistics.
     ///
     /// This is the session-cloning primitive of the parallel engine: each
     /// worker forks the template checker once and then keeps its own
@@ -410,10 +320,7 @@ impl<'a> KInductionChecker<'a> {
     /// [`KInductionChecker::check_condition`]), forked checkers return
     /// byte-identical results to the original for any query sequence.
     pub fn fork(&self) -> KInductionChecker<'a> {
-        Self::with_backend(self.system, self.mode, self.backend)
-            .with_conclusion_delta(self.conclusion_delta)
-            .with_base_delta(self.base_delta)
-            .with_solver_config(self.solver_config)
+        Self::with_mode(self.system, self.mode)
     }
 
     /// The session mode of this checker.
@@ -422,14 +329,14 @@ impl<'a> KInductionChecker<'a> {
     }
 
     /// The name of the SAT backend in use, read from a live session when one
-    /// exists (constructing a throwaway backend instance only as a fallback).
+    /// exists. Every session runs [`cdcl_backend`], so it is `cdcl` before
+    /// the first query too.
     pub fn backend_name(&self) -> &'static str {
         [&self.condition, &self.base, &self.step]
             .into_iter()
             .flatten()
             .next()
-            .map(|session| session.enc.sink().backend_name())
-            .unwrap_or_else(|| (self.backend)().backend_name())
+            .map_or("cdcl", |session| session.enc.sink().backend_name())
     }
 
     /// Statistics accumulated so far, including aggregated solver statistics
@@ -454,8 +361,8 @@ impl<'a> KInductionChecker<'a> {
 
     /// The condition session, created on first use: input constraints on
     /// frame 0 plus one transition unrolling (which constrains frame 1).
-    fn condition_session(system: &System, backend: SolverBackend, config: SolverConfig) -> Session {
-        let mut session = Session::new(system, backend, config);
+    fn condition_session(system: &System) -> Session {
+        let mut session = Session::new(system);
         let input_constraints = system.input_constraints_expr();
         session.enc.assert_expr(0, &input_constraints);
         session.ensure_unrolled(system, 1);
@@ -463,8 +370,8 @@ impl<'a> KInductionChecker<'a> {
     }
 
     /// The base-case session: `Init(X₀)`; the unrolling grows per query.
-    fn base_session(system: &System, backend: SolverBackend, config: SolverConfig) -> Session {
-        let mut session = Session::new(system, backend, config);
+    fn base_session(system: &System) -> Session {
+        let mut session = Session::new(system);
         let init = system.init_expr();
         session.enc.assert_expr(0, &init);
         session
@@ -472,8 +379,8 @@ impl<'a> KInductionChecker<'a> {
 
     /// The step-case session: input constraints on frame 0; the unrolling
     /// grows per query.
-    fn step_session(system: &System, backend: SolverBackend, config: SolverConfig) -> Session {
-        let mut session = Session::new(system, backend, config);
+    fn step_session(system: &System) -> Session {
+        let mut session = Session::new(system);
         let input_constraints = system.input_constraints_expr();
         session.enc.assert_expr(0, &input_constraints);
         session
@@ -490,12 +397,9 @@ impl<'a> KInductionChecker<'a> {
     /// through assumptions. `outgoing` holds the *canonical* conclusion
     /// disjuncts.
     ///
-    /// In delta mode the query assumes `¬dᵢ` per disjunct — semantically
-    /// `¬(⋁ dᵢ)` — with each `dᵢ` encoded at most once per session via the
-    /// disjunct ledger and no or-chain spine ever built. In full mode the
-    /// canonical or-chain is encoded as one formula, as the original
-    /// implementation did; verdicts, counterexamples and solve counts are
-    /// byte-identical either way, only the encoding work differs.
+    /// The query assumes `¬dᵢ` per disjunct — semantically `¬(⋁ dᵢ)` — with
+    /// each `dᵢ` encoded at most once per session via the disjunct ledger
+    /// and no or-chain spine ever built.
     fn condition_query(
         stats: &mut CheckerStats,
         session: &mut Session,
@@ -503,39 +407,21 @@ impl<'a> KInductionChecker<'a> {
         assumption: &Expr,
         blocked: &[Expr],
         outgoing: &[Expr],
-        delta: bool,
     ) -> CheckResult {
         let mut assumptions = Vec::with_capacity(blocked.len() + outgoing.len() + 1);
         assumptions.push(session.enc.encode_bool(0, assumption));
         for blocked_state in blocked {
             assumptions.push(!session.enc.encode_bool(0, blocked_state));
         }
-        if delta {
-            let (fresh, reused) = (session.disjuncts.fresh(), session.disjuncts.reused());
-            for disjunct in outgoing {
-                let lit = session
-                    .disjuncts
-                    .get_or_insert_with(disjunct.id(), || session.enc.encode_bool(1, disjunct));
-                assumptions.push(!lit);
-            }
-            stats.disj_encoded += session.disjuncts.fresh() - fresh;
-            stats.disj_reused += session.disjuncts.reused() - reused;
-        } else {
-            let conclusion = Expr::or_all(outgoing.iter().cloned()).canonical();
-            let fresh = session.disjuncts.fresh();
+        let (fresh, reused) = (session.disjuncts.fresh(), session.disjuncts.reused());
+        for disjunct in outgoing {
             let lit = session
                 .disjuncts
-                .get_or_insert_with(conclusion.id(), || session.enc.encode_bool(1, &conclusion));
-            // Attribute the whole disjunct batch to whichever bucket the
-            // conclusion landed in, so delta and full runs report comparable
-            // totals.
-            if session.disjuncts.fresh() > fresh {
-                stats.disj_encoded += outgoing.len() as u64;
-            } else {
-                stats.disj_reused += outgoing.len() as u64;
-            }
+                .get_or_insert_with(disjunct.id(), || session.enc.encode_bool(1, disjunct));
             assumptions.push(!lit);
         }
+        stats.disj_encoded += session.disjuncts.fresh() - fresh;
+        stats.disj_reused += session.disjuncts.reused() - reused;
         Self::count_query(stats, session);
         match session.solve(&assumptions) {
             SolveResult::Unsat => CheckResult::Valid,
@@ -608,73 +494,42 @@ impl<'a> KInductionChecker<'a> {
     /// "state holds in some frame `0..=k`" is attached behind activation
     /// literals so it can be retracted by simply not assuming it.
     ///
-    /// In delta mode the disjunction is a **chain**: one activation literal
-    /// `act_f` per `(formula, frame)` pair with the clause
-    /// `act_f → lit_f ∨ act_{f-1}`, and the query assumes only `act_k`.
-    /// Assuming `act_k` forces the formula to hold in some frame `≤ k` (the
-    /// one-directional Tseitin chain unrolls to the full disjunction), so
-    /// growing `k → k+1` for a known formula encodes exactly one new frame
-    /// literal and one two-or-three-literal chaining clause instead of a
-    /// fresh `k+2`-literal clause re-listing every frame. In full mode the
-    /// original per-`(formula, k)` whole-disjunction clause is emitted, as a
-    /// differential oracle. Either way there is exactly one solve per query
-    /// and the encodings are equisatisfiable, so verdicts and solve counts
-    /// are byte-identical.
+    /// The disjunction is a **chain**: one activation literal `act_f` per
+    /// `(formula, frame)` pair with the clause `act_f → lit_f ∨ act_{f-1}`,
+    /// and the query assumes only `act_k`. Assuming `act_k` forces the
+    /// formula to hold in some frame `≤ k` (the one-directional Tseitin chain
+    /// unrolls to the full disjunction), so growing `k → k+1` for a known
+    /// formula encodes exactly one new frame literal and one
+    /// two-or-three-literal chaining clause instead of a fresh
+    /// `k+2`-literal clause re-listing every frame. There is exactly one
+    /// solve per query.
     fn base_query(
         stats: &mut CheckerStats,
         session: &mut Session,
         system: &System,
         state_formula: &Expr,
         k: usize,
-        delta: bool,
     ) -> SolveResult {
         session.ensure_unrolled(system, k);
         let enc = &mut session.enc;
-        let act = if delta {
-            let (fresh, reused) = (session.activations.fresh(), session.activations.reused());
-            let mut prev: Option<Lit> = None;
-            for frame in 0..=k {
-                let act =
-                    session
-                        .activations
-                        .get_or_insert_with((state_formula.id(), frame), || {
-                            let lit = enc.encode_bool(frame, state_formula);
-                            let act = Lit::positive(enc.sink_mut().new_var());
-                            let mut clause = vec![!act, lit];
-                            clause.extend(prev);
-                            enc.sink_mut().add_clause(&clause);
-                            act
-                        });
-                prev = Some(act);
-            }
-            stats.frames_encoded += session.activations.fresh() - fresh;
-            stats.frames_reused += session.activations.reused() - reused;
-            prev.expect("0..=k is never empty")
-        } else {
-            let fresh = session.activations.fresh();
+        let (fresh, reused) = (session.activations.fresh(), session.activations.reused());
+        let mut prev: Option<Lit> = None;
+        for frame in 0..=k {
             let act = session
                 .activations
-                .get_or_insert_with((state_formula.id(), k), || {
-                    let frame_lits: Vec<Lit> = (0..=k)
-                        .map(|frame| enc.encode_bool(frame, state_formula))
-                        .collect();
+                .get_or_insert_with((state_formula.id(), frame), || {
+                    let lit = enc.encode_bool(frame, state_formula);
                     let act = Lit::positive(enc.sink_mut().new_var());
-                    let mut clause = Vec::with_capacity(frame_lits.len() + 1);
-                    clause.push(!act);
-                    clause.extend(frame_lits);
+                    let mut clause = vec![!act, lit];
+                    clause.extend(prev);
                     enc.sink_mut().add_clause(&clause);
                     act
                 });
-            // Attribute all k+1 frames to whichever bucket the whole-clause
-            // entry landed in, so delta and full runs report comparable
-            // totals.
-            if session.activations.fresh() > fresh {
-                stats.frames_encoded += (k + 1) as u64;
-            } else {
-                stats.frames_reused += (k + 1) as u64;
-            }
-            act
-        };
+            prev = Some(act);
+        }
+        stats.frames_encoded += session.activations.fresh() - fresh;
+        stats.frames_reused += session.activations.reused() - reused;
+        let act = prev.expect("0..=k is never empty");
         Self::count_query(stats, session);
         session.solve(&[act])
     }
@@ -766,24 +621,15 @@ impl<'a> KInductionChecker<'a> {
         let assumption = assumption.canonical();
         let blocked: Vec<Expr> = blocked.iter().map(Expr::canonical).collect();
         let outgoing: Vec<Expr> = outgoing.iter().map(Expr::canonical).collect();
-        let delta = self.conclusion_delta;
-        let (system, backend, config) = (self.system, self.backend, self.solver_config);
+        let system = self.system;
         Self::run_query(
             self.mode,
             &mut self.stats,
             &mut self.retired,
             &mut self.condition,
-            || Self::condition_session(system, backend, config),
+            || Self::condition_session(system),
             |stats, session| {
-                Self::condition_query(
-                    stats,
-                    session,
-                    system,
-                    &assumption,
-                    &blocked,
-                    &outgoing,
-                    delta,
-                )
+                Self::condition_query(stats, session, system, &assumption, &blocked, &outgoing)
             },
         )
     }
@@ -836,15 +682,14 @@ impl<'a> KInductionChecker<'a> {
         // literal and the per-frame encodings of both sessions.
         let state_formula = &state_formula.canonical();
 
-        let (system, backend, config) = (self.system, self.backend, self.solver_config);
-        let base_delta = self.base_delta;
+        let system = self.system;
         let base = Self::run_query(
             self.mode,
             &mut self.stats,
             &mut self.retired,
             &mut self.base,
-            || Self::base_session(system, backend, config),
-            |stats, session| Self::base_query(stats, session, system, state_formula, k, base_delta),
+            || Self::base_session(system),
+            |stats, session| Self::base_query(stats, session, system, state_formula, k),
         );
         if base == SolveResult::Sat {
             return SpuriousResult::Reachable;
@@ -855,7 +700,7 @@ impl<'a> KInductionChecker<'a> {
             &mut self.stats,
             &mut self.retired,
             &mut self.step,
-            || Self::step_session(system, backend, config),
+            || Self::step_session(system),
             |stats, session| Self::step_query(stats, session, system, state_formula, k),
         );
         if step == SolveResult::Unsat {
@@ -868,6 +713,7 @@ impl<'a> KInductionChecker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explicit::ExplicitChecker;
     use amle_expr::{Sort, Value};
     use amle_system::SystemBuilder;
 
@@ -1081,9 +927,10 @@ mod tests {
 
     #[test]
     fn delta_and_full_conclusion_encodings_agree() {
-        // AMLE_CONCLUSION_DELTA=0's checker-level switch: the same query
-        // sequence (growing, shrinking and permuted conclusions) must give
-        // byte-identical verdicts and counterexamples in both modes.
+        // The delta-encoded session against two references: a fresh session
+        // per query, which encodes every conclusion in full, and the explicit
+        // engine. The same query sequence (growing, shrinking and permuted
+        // conclusions) must give byte-identical verdicts and counterexamples.
         let sys = saturating_counter();
         let c = var_expr(&sys, "c");
         let disjuncts = [
@@ -1092,10 +939,9 @@ mod tests {
             c.eq(&Expr::int_val(2, 4)),
         ];
         let mut delta = KInductionChecker::new(&sys);
-        let mut full = KInductionChecker::new(&sys).with_conclusion_delta(false);
-        assert!(delta.conclusion_delta());
-        assert!(!full.conclusion_delta());
-        assert!(!full.fork().conclusion_delta(), "fork must keep the mode");
+        let mut full = KInductionChecker::with_mode(&sys, CheckerMode::FreshPerQuery);
+        let mut explicit = ExplicitChecker::new(&sys, 10_000);
+        let init = sys.init_expr();
         let queries: [&[Expr]; 5] = [
             &disjuncts[0..2],
             &disjuncts[0..3],
@@ -1104,10 +950,16 @@ mod tests {
             &[],
         ];
         for outgoing in queries {
+            let result = delta.check_initial_condition(outgoing);
             assert_eq!(
-                delta.check_initial_condition(outgoing),
+                result,
                 full.check_initial_condition(outgoing),
-                "modes disagree on {outgoing:?}"
+                "fresh sessions disagree on {outgoing:?}"
+            );
+            assert_eq!(
+                result,
+                explicit.check_condition_unbudgeted(&init, &[], outgoing),
+                "explicit engine disagrees on {outgoing:?}"
             );
         }
         // Same number of solver queries either way — only encoding differs.
@@ -1127,7 +979,6 @@ mod tests {
         let c_id = sys.vars().lookup("c").unwrap();
         let flag_id = sys.vars().lookup("flag").unwrap();
         let mut checker = KInductionChecker::new(&sys);
-        assert!(checker.base_delta());
         let mut ghost = sys.initial_valuation();
         ghost.set(c_id, Value::Int(0));
         ghost.set(flag_id, Value::Bool(true));
@@ -1161,19 +1012,19 @@ mod tests {
     }
 
     #[test]
-    fn base_delta_and_full_encodings_agree() {
-        // AMLE_BASE_DELTA=0's checker-level switch: the same spurious-check
-        // sequence (growing, repeated and shrinking bounds, reachable and
-        // unreachable targets) must give identical verdicts with identical
-        // solve counts in both modes.
+    fn chained_and_full_base_encodings_agree() {
+        // The chained base session against two references: a fresh session
+        // per query, which encodes the whole `0..=k` disjunction, and the
+        // explicit engine. The same spurious-check sequence (growing,
+        // repeated and shrinking bounds, reachable and unreachable targets)
+        // must give identical verdicts, with identical solve counts against
+        // the fresh sessions.
         let sys = saturating_counter();
         let c_id = sys.vars().lookup("c").unwrap();
         let flag_id = sys.vars().lookup("flag").unwrap();
         let mut delta = KInductionChecker::new(&sys);
-        let mut full = KInductionChecker::new(&sys).with_base_delta(false);
-        assert!(delta.base_delta());
-        assert!(!full.base_delta());
-        assert!(!full.fork().base_delta(), "fork must keep the mode");
+        let mut full = KInductionChecker::with_mode(&sys, CheckerMode::FreshPerQuery);
+        let mut explicit = ExplicitChecker::new(&sys, 10_000);
 
         let mut ghost = sys.initial_valuation();
         ghost.set(c_id, Value::Int(0));
@@ -1192,10 +1043,16 @@ mod tests {
             (&reachable, 6),
         ];
         for (formula, k) in queries {
+            let result = delta.check_spurious(formula, k);
             assert_eq!(
-                delta.check_spurious(formula, k),
+                result,
                 full.check_spurious(formula, k),
-                "modes disagree at k={k}"
+                "fresh sessions disagree at k={k}"
+            );
+            assert_eq!(
+                result,
+                explicit.check_spurious_unbudgeted(formula, k),
+                "explicit engine disagrees at k={k}"
             );
         }
         assert_eq!(
@@ -1203,8 +1060,7 @@ mod tests {
             full.stats().sat_queries,
             "base chaining changed the query count"
         );
-        // The chain amortises: by the end reuse dominates fresh encodes in
-        // delta mode, while full mode re-encodes every distinct (formula, k).
+        // The chain amortises: by the end reuse dominates fresh encodes.
         let stats = delta.stats();
         assert!(
             stats.frames_reused > stats.frames_encoded,
@@ -1212,37 +1068,6 @@ mod tests {
             stats.frames_reused,
             stats.frames_encoded
         );
-    }
-
-    #[test]
-    fn solver_config_is_applied_and_verdict_neutral() {
-        use amle_sat::{PhaseMode, RestartStrategy};
-        let sys = saturating_counter();
-        let c = var_expr(&sys, "c");
-        let conclusion = c.ne(&Expr::int_val(3, 4));
-        let config = SolverConfig {
-            restart: RestartStrategy::NoneBelow(u64::MAX),
-            phase_saving: PhaseMode::ResetPerQuery,
-            ..SolverConfig::default()
-        };
-        let mut tuned = KInductionChecker::new(&sys).with_solver_config(config);
-        assert_eq!(tuned.solver_config(), config);
-        assert_eq!(tuned.fork().solver_config(), config, "fork keeps config");
-
-        let mut default = KInductionChecker::new(&sys);
-        let reference = default.check_condition(&Expr::true_(), &[], &conclusion);
-        let got = tuned.check_condition(&Expr::true_(), &[], &conclusion);
-        assert_eq!(got, reference, "search policy changed a counterexample");
-        assert_eq!(
-            tuned.stats().sat_queries,
-            default.stats().sat_queries,
-            "search policy changed the solve count"
-        );
-        // Reconfiguring a live session applies to it immediately and stays
-        // verdict-neutral.
-        tuned.set_solver_config(SolverConfig::default());
-        let again = tuned.check_condition(&Expr::true_(), &[], &conclusion);
-        assert_eq!(again, reference);
     }
 
     #[test]

@@ -46,9 +46,7 @@ mod oracle;
 mod portfolio;
 
 pub use explicit::{ExplicitChecker, Odometer, DEFAULT_QUERY_BUDGET};
-pub use kinduction::{
-    CheckResult, CheckerMode, CheckerStats, KInductionChecker, SolverBackend, SpuriousResult,
-};
+pub use kinduction::{CheckResult, CheckerMode, CheckerStats, KInductionChecker, SpuriousResult};
 pub use oracle::{
     build_oracle, state_formula, ConditionOracle, OracleKind, OracleSettings,
     DEFAULT_EXPLICIT_BUDGET, DEFAULT_ROUTE_THRESHOLD,

@@ -140,18 +140,6 @@ pub struct OracleSettings {
     /// answered by k-induction and the two results are asserted equal — the
     /// cross-validation mode used by the differential tests.
     pub cross_validate: bool,
-    /// Delta-encode conclusion disjunctions in the k-induction condition
-    /// session (default). `false` restores the full per-query or-chain
-    /// encode; results are byte-identical either way.
-    pub conclusion_delta: bool,
-    /// Chain-encode base-session frame disjunctions in the k-induction
-    /// spurious checks (default). `false` restores the full per-`(formula,
-    /// k)` frame clause; results are byte-identical either way.
-    pub base_delta: bool,
-    /// CDCL search policy for every SAT session the oracle stack creates.
-    /// Verdict-neutral: only search effort (conflicts, propagations, wall
-    /// time) depends on it.
-    pub solver: amle_sat::SolverConfig,
 }
 
 impl Default for OracleSettings {
@@ -161,9 +149,6 @@ impl Default for OracleSettings {
             explicit_budget: DEFAULT_EXPLICIT_BUDGET,
             route_threshold: DEFAULT_ROUTE_THRESHOLD,
             cross_validate: false,
-            conclusion_delta: true,
-            base_delta: true,
-            solver: amle_sat::SolverConfig::default(),
         }
     }
 }
@@ -190,12 +175,7 @@ pub fn build_oracle<'a>(
     settings: &OracleSettings,
 ) -> Box<dyn ConditionOracle + 'a> {
     match settings.kind {
-        OracleKind::KInduction => Box::new(
-            KInductionChecker::new(system)
-                .with_conclusion_delta(settings.conclusion_delta)
-                .with_base_delta(settings.base_delta)
-                .with_solver_config(settings.solver),
-        ),
+        OracleKind::KInduction => Box::new(KInductionChecker::new(system)),
         OracleKind::Explicit => Box::new(
             PortfolioOracle::new(
                 system,
@@ -203,22 +183,14 @@ pub fn build_oracle<'a>(
                 u64::MAX,
                 settings.cross_validate,
             )
-            .conclusion_delta(settings.conclusion_delta)
-            .base_delta(settings.base_delta)
-            .solver_config(settings.solver)
             .named("explicit"),
         ),
-        OracleKind::Portfolio => Box::new(
-            PortfolioOracle::new(
-                system,
-                settings.explicit_budget,
-                settings.route_threshold,
-                settings.cross_validate,
-            )
-            .conclusion_delta(settings.conclusion_delta)
-            .base_delta(settings.base_delta)
-            .solver_config(settings.solver),
-        ),
+        OracleKind::Portfolio => Box::new(PortfolioOracle::new(
+            system,
+            settings.explicit_budget,
+            settings.route_threshold,
+            settings.cross_validate,
+        )),
     }
 }
 

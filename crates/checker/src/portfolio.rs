@@ -71,27 +71,6 @@ impl<'a> PortfolioOracle<'a> {
         self
     }
 
-    /// Sets whether the inner k-induction checker delta-encodes conclusion
-    /// disjunctions (see [`KInductionChecker::with_conclusion_delta`]).
-    pub fn conclusion_delta(mut self, on: bool) -> Self {
-        self.kinduction.set_conclusion_delta(on);
-        self
-    }
-
-    /// Sets whether the inner k-induction checker chain-encodes base-session
-    /// frame disjunctions (see [`KInductionChecker::with_base_delta`]).
-    pub fn base_delta(mut self, on: bool) -> Self {
-        self.kinduction.set_base_delta(on);
-        self
-    }
-
-    /// Sets the CDCL search policy of the inner k-induction checker's
-    /// sessions (see [`KInductionChecker::with_solver_config`]).
-    pub fn solver_config(mut self, config: amle_sat::SolverConfig) -> Self {
-        self.kinduction.set_solver_config(config);
-        self
-    }
-
     /// The system under check.
     pub fn system(&self) -> &System {
         self.kinduction.system()

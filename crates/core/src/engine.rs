@@ -53,7 +53,6 @@ use amle_checker::{
     SpuriousResult,
 };
 use amle_expr::{Expr, Valuation, VarId, VarSet};
-use amle_sat::SolverConfig;
 use amle_system::System;
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -137,17 +136,6 @@ pub struct OracleConfig {
     /// Cross-validation mode: explicitly-routed queries are also answered
     /// by k-induction and the results asserted equal.
     pub cross_validate: bool,
-    /// Delta-encode conclusion disjunctions in the k-induction condition
-    /// sessions (the default). Reports are byte-identical either way; the
-    /// switch exists so the differential harness can pin that.
-    pub conclusion_delta: bool,
-    /// Chain-encode base-session frame disjunctions in the k-induction
-    /// spurious checks (the default). Reports are byte-identical either way.
-    pub base_delta: bool,
-    /// CDCL search policy for every SAT session (restarts, phase saving,
-    /// clause-DB reduction). Verdict-neutral: fingerprints and solve counts
-    /// never depend on it, only conflicts/propagations/wall time do.
-    pub solver: SolverConfig,
 }
 
 impl Default for OracleConfig {
@@ -158,21 +146,14 @@ impl Default for OracleConfig {
             explicit_budget: amle_checker::DEFAULT_EXPLICIT_BUDGET,
             route_threshold: amle_checker::DEFAULT_ROUTE_THRESHOLD,
             cross_validate: false,
-            conclusion_delta: true,
-            base_delta: true,
-            solver: SolverConfig::default(),
         }
     }
 }
 
 impl OracleConfig {
     /// Reads the engine from `AMLE_ENGINE` (`kinduction`, `explicit` or
-    /// `portfolio`), the cache switch from `AMLE_VERDICT_CACHE`, the
-    /// conclusion delta-encoding switch from `AMLE_CONCLUSION_DELTA`, the
-    /// base-session chain-encoding switch from `AMLE_BASE_DELTA`
-    /// (`0`/`off`/`false` disable any of them) and the solver search policy
-    /// from the `AMLE_SOLVER_*` knobs (see [`SolverConfig::from_env`]),
-    /// defaulting to k-induction with the cache and both delta encodings on.
+    /// `portfolio`), defaulting to k-induction; everything else keeps its
+    /// [`OracleConfig::default`] value.
     pub fn from_env() -> Self {
         let mut config = OracleConfig::default();
         if let Ok(name) = std::env::var("AMLE_ENGINE") {
@@ -188,25 +169,6 @@ impl OracleConfig {
                 ),
             }
         }
-        if let Ok(flag) = std::env::var("AMLE_VERDICT_CACHE") {
-            let flag = flag.trim();
-            config.verdict_cache = !(flag == "0"
-                || flag.eq_ignore_ascii_case("off")
-                || flag.eq_ignore_ascii_case("false"));
-        }
-        if let Ok(flag) = std::env::var("AMLE_CONCLUSION_DELTA") {
-            let flag = flag.trim();
-            config.conclusion_delta = !(flag == "0"
-                || flag.eq_ignore_ascii_case("off")
-                || flag.eq_ignore_ascii_case("false"));
-        }
-        if let Ok(flag) = std::env::var("AMLE_BASE_DELTA") {
-            let flag = flag.trim();
-            config.base_delta = !(flag == "0"
-                || flag.eq_ignore_ascii_case("off")
-                || flag.eq_ignore_ascii_case("false"));
-        }
-        config.solver = SolverConfig::from_env();
         config
     }
 
@@ -217,9 +179,6 @@ impl OracleConfig {
             explicit_budget: self.explicit_budget,
             route_threshold: self.route_threshold,
             cross_validate: self.cross_validate,
-            conclusion_delta: self.conclusion_delta,
-            base_delta: self.base_delta,
-            solver: self.solver,
         }
     }
 }
@@ -919,7 +878,7 @@ mod tests {
     #[test]
     fn oracle_config_env_round_trip() {
         // `from_env` must honour the AMLE_ENGINE value when the CI matrix
-        // sets one and default to kinduction + cache otherwise.
+        // sets one and default to kinduction otherwise.
         let parsed = OracleConfig::from_env();
         match std::env::var("AMLE_ENGINE") {
             Ok(v) => {
@@ -929,30 +888,6 @@ mod tests {
             }
             Err(_) => assert_eq!(parsed.engine, OracleKind::KInduction),
         }
-        if std::env::var("AMLE_VERDICT_CACHE").is_err() {
-            assert!(parsed.verdict_cache);
-        }
-        match std::env::var("AMLE_CONCLUSION_DELTA") {
-            Ok(v) => {
-                let v = v.trim();
-                let expect =
-                    !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false"));
-                assert_eq!(parsed.conclusion_delta, expect);
-            }
-            Err(_) => assert!(parsed.conclusion_delta),
-        }
-        match std::env::var("AMLE_BASE_DELTA") {
-            Ok(v) => {
-                let v = v.trim();
-                let expect =
-                    !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false"));
-                assert_eq!(parsed.base_delta, expect);
-            }
-            Err(_) => assert!(parsed.base_delta),
-        }
-        // The solver policy flows through from `SolverConfig::from_env`,
-        // whatever the CI matrix set.
-        assert_eq!(parsed.solver, SolverConfig::from_env());
     }
 
     /// The stale-cache regression pin (a cache keyed by automaton state id or

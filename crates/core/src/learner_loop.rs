@@ -46,8 +46,8 @@ pub struct ActiveLearnerConfig {
     pub parallel: ParallelConfig,
     /// The condition-oracle stack and planner behaviour: which engine
     /// answers queries (`AMLE_ENGINE`), whether the cross-iteration verdict
-    /// cache is on (`AMLE_VERDICT_CACHE`), and the portfolio's budget /
-    /// routing / cross-validation knobs. Semantic fingerprints are
+    /// cache is on, and the portfolio's budget / routing / cross-validation
+    /// knobs. Semantic fingerprints are
     /// byte-identical across engines and cache settings.
     pub oracle: OracleConfig,
 }

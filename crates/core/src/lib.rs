@@ -77,7 +77,7 @@ pub use session::{IngestOutcome, Session, SessionStats};
 pub use amle_checker::{CheckerStats, ConditionOracle, OracleKind};
 pub use amle_expr::InternerStats;
 pub use amle_learner::WordStats;
-pub use amle_sat::{PhaseMode, RestartStrategy, SolverConfig, SolverStats};
+pub use amle_sat::SolverStats;
 pub use amle_system::{ObsId, SegmentId, TraceId, TraceStore, TraceStoreStats};
 
 #[cfg(test)]

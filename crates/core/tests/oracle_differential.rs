@@ -168,3 +168,26 @@ fn explicit_first_portfolio_matches_kinduction_on_small_systems() {
         );
     }
 }
+
+#[test]
+fn base_session_reuse_dominates_by_late_iterations() {
+    // The acceptance criterion on the base-session ledger: on a benchmark
+    // with repeated spurious checks, reuse must dominate fresh encodes by
+    // the end of the run.
+    for benchmark in full_suite() {
+        let report = run(&benchmark, 1, OracleConfig::default());
+        let stats = report.checker_stats;
+        if stats.spurious_checks >= 4 {
+            assert!(
+                stats.frames_reused > stats.frames_encoded,
+                "{}: frame reuse {} did not dominate encodes {} over {} spurious checks",
+                benchmark.name,
+                stats.frames_reused,
+                stats.frames_encoded,
+                stats.spurious_checks
+            );
+            return;
+        }
+    }
+    panic!("no suite benchmark issued enough spurious checks at this shape");
+}

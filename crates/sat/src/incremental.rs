@@ -13,7 +13,7 @@
 //! into" — implemented both by the plain [`CnfFormula`] container and by
 //! solvers, so the bit-blaster can target either without caring which.
 
-use crate::{CnfFormula, Lit, SolveResult, Solver, SolverConfig, SolverStats, Var};
+use crate::{CnfFormula, Lit, SolveResult, Solver, SolverStats, Var};
 
 /// A consumer of freshly encoded CNF: allocates variables and accepts
 /// clauses.
@@ -66,13 +66,6 @@ pub trait IncrementalSolver: ClauseSink {
 
     /// A short identifier of the backing implementation, for reports.
     fn backend_name(&self) -> &'static str;
-
-    /// Applies a search-policy configuration. Every [`SolverConfig`] setting
-    /// is verdict-neutral, so consumers may call this at any point between
-    /// solve calls; backends without tunable search ignore it (the default).
-    fn configure(&mut self, config: &SolverConfig) {
-        let _ = config;
-    }
 }
 
 impl ClauseSink for CnfFormula {
@@ -140,10 +133,6 @@ impl IncrementalSolver for Solver {
     fn backend_name(&self) -> &'static str {
         "cdcl"
     }
-
-    fn configure(&mut self, config: &SolverConfig) {
-        self.set_config(*config);
-    }
 }
 
 impl<T: ClauseSink + ?Sized> ClauseSink for Box<T> {
@@ -184,10 +173,6 @@ impl<T: IncrementalSolver + ?Sized> IncrementalSolver for Box<T> {
     fn backend_name(&self) -> &'static str {
         (**self).backend_name()
     }
-
-    fn configure(&mut self, config: &SolverConfig) {
-        (**self).configure(config)
-    }
 }
 
 /// The default backend: a fresh dependency-free CDCL [`Solver`].
@@ -196,11 +181,6 @@ impl<T: IncrementalSolver + ?Sized> IncrementalSolver for Box<T> {
 /// condition-checking engine) can move solver sessions into worker threads.
 pub fn cdcl_backend() -> Box<dyn IncrementalSolver + Send> {
     Box::new(Solver::new())
-}
-
-/// [`cdcl_backend`] with an explicit search policy.
-pub fn cdcl_backend_with(config: SolverConfig) -> Box<dyn IncrementalSolver + Send> {
-    Box::new(Solver::with_config(config))
 }
 
 #[cfg(test)]

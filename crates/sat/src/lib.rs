@@ -12,10 +12,8 @@
 //! * two-watched-literal propagation,
 //! * first-UIP conflict analysis with clause learning,
 //! * VSIDS-style variable activities with phase saving,
-//! * a configurable search policy ([`SolverConfig`]: Luby / EMA-LBD /
-//!   conflict-gated restarts, phase-saving modes, clause-DB reduction
-//!   growth and glue threshold — all verdict-neutral),
-//! * learnt-clause database reduction,
+//! * Luby restarts,
+//! * LBD-tiered learnt-clause database reduction,
 //! * solving under assumptions (incremental use),
 //! * a pluggable backend seam ([`IncrementalSolver`] / [`ClauseSink`]) so the
 //!   checker and learner can keep one solver session alive across queries,
@@ -45,7 +43,6 @@
 #![deny(missing_docs)]
 
 mod cnf;
-mod config;
 mod dimacs;
 mod incremental;
 mod ledger;
@@ -53,9 +50,8 @@ mod lit;
 mod solver;
 
 pub use cnf::CnfFormula;
-pub use config::{PhaseMode, RestartStrategy, SolverConfig};
 pub use dimacs::{parse_dimacs, write_dimacs, ParseDimacsError};
-pub use incremental::{cdcl_backend, cdcl_backend_with, ClauseSink, IncrementalSolver};
+pub use incremental::{cdcl_backend, ClauseSink, IncrementalSolver};
 pub use ledger::ActivationLedger;
 pub use lit::{Lit, Var};
 pub use solver::{SolveResult, Solver, SolverStats};

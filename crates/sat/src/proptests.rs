@@ -11,10 +11,13 @@
 //! 4. differential checks of the CDCL core against exhaustive enumeration on
 //!    instances up to 16 variables with wider clauses — sat/unsat agreement,
 //!    model validity, and unsat-under-assumptions consistency — which
-//!    exercise propagation (blockers), conflict analysis (minimization) and
-//!    restarts on deeper search trees than the narrow 8-variable instances.
+//!    exercise propagation (blockers) and conflict analysis (minimization)
+//!    on deeper search trees than the narrow 8-variable instances. Those
+//!    instances rarely reach the 50-conflict Luby unit, so each case is
+//!    solved again with the unit forced to 1, which restarts after 1, 1, 2,
+//!    1, … conflicts.
 
-use crate::{CnfFormula, Lit, PhaseMode, RestartStrategy, SolveResult, Solver, SolverConfig, Var};
+use crate::{CnfFormula, Lit, SolveResult, Var};
 use proptest::prelude::*;
 
 /// Brute-force satisfiability by enumerating all assignments.
@@ -135,15 +138,20 @@ proptest! {
 
     // Differential check of the CDCL core at the brute-force ceiling:
     // 16 variables and clauses up to width 5 produce non-trivial search
-    // (restarts, learnt clauses, minimization) while enumeration stays
-    // exact. Verdicts must agree and models must really be models.
+    // (learnt clauses, minimization, and restarts under the unit-1 run)
+    // while enumeration stays exact. Verdicts must agree and models must
+    // really be models.
     #[test]
     fn cdcl_differential_vs_enumeration(cnf in arb_cnf_with_width(16, 64, 1..=5)) {
-        let mut solver = cnf.to_solver();
-        let result = solver.solve();
-        prop_assert_eq!(result == SolveResult::Sat, brute_force_sat(&cnf));
-        if result == SolveResult::Sat {
-            prop_assert!(cnf.evaluate(&solver.model()));
+        let expected = brute_force_sat(&cnf);
+        for luby_unit in [None, Some(1)] {
+            let mut solver = cnf.to_solver();
+            solver.luby_unit_override = luby_unit;
+            let result = solver.solve();
+            prop_assert_eq!(result == SolveResult::Sat, expected, "unit {:?}", luby_unit);
+            if result == SolveResult::Sat {
+                prop_assert!(cnf.evaluate(&solver.model()), "unit {:?}", luby_unit);
+            }
         }
     }
 
@@ -159,20 +167,24 @@ proptest! {
         let assumptions: Vec<Lit> = (0..4)
             .map(|i| Lit::new(Var::from_index(i), assumption_bits & (1 << i) != 0))
             .collect();
-        let mut solver = cnf.to_solver();
-        let result = solver.solve_with_assumptions(&assumptions);
         let expected = brute_force_model(&cnf, &assumptions);
-        prop_assert_eq!(result == SolveResult::Sat, expected.is_some());
-        if result == SolveResult::Sat {
-            let model = solver.model();
-            prop_assert!(cnf.evaluate(&model));
-            for lit in &assumptions {
-                prop_assert_eq!(model[lit.var().index()], lit.is_positive());
+        let expected_plain = brute_force_sat(&cnf);
+        for luby_unit in [None, Some(1)] {
+            let mut solver = cnf.to_solver();
+            solver.luby_unit_override = luby_unit;
+            let result = solver.solve_with_assumptions(&assumptions);
+            prop_assert_eq!(result == SolveResult::Sat, expected.is_some(), "unit {:?}", luby_unit);
+            if result == SolveResult::Sat {
+                let model = solver.model();
+                prop_assert!(cnf.evaluate(&model), "unit {:?}", luby_unit);
+                for lit in &assumptions {
+                    prop_assert_eq!(model[lit.var().index()], lit.is_positive());
+                }
             }
+            // The assumptions are transient: an unconstrained re-solve must
+            // agree with plain enumeration again.
+            prop_assert_eq!(solver.solve() == SolveResult::Sat, expected_plain, "unit {:?}", luby_unit);
         }
-        // The assumptions are transient: an unconstrained re-solve must agree
-        // with plain enumeration again.
-        prop_assert_eq!(solver.solve() == SolveResult::Sat, brute_force_sat(&cnf));
     }
 
     // Incremental clause addition between solve calls agrees with solving
@@ -198,99 +210,5 @@ proptest! {
         let mut fresh = combined.to_solver();
         prop_assert_eq!(r1, fresh.solve());
         prop_assert_eq!(r1 == SolveResult::Sat, brute_force_sat(&combined));
-    }
-}
-
-/// The search-policy grid exercised by the config-differential properties:
-/// every restart strategy, both phase modes, and non-default clause-DB
-/// settings. Verdicts must be invariant across all of them.
-fn config_grid() -> Vec<SolverConfig> {
-    vec![
-        SolverConfig::default(),
-        SolverConfig {
-            restart: RestartStrategy::EmaLbd,
-            restart_base: 8,
-            ..SolverConfig::default()
-        },
-        SolverConfig {
-            restart: RestartStrategy::NoneBelow(u64::MAX),
-            ..SolverConfig::default()
-        },
-        SolverConfig {
-            restart: RestartStrategy::NoneBelow(32),
-            restart_base: 2,
-            phase_saving: PhaseMode::ResetPerQuery,
-            reduce_growth_pct: 100,
-            glue_threshold: 5,
-        },
-        SolverConfig {
-            restart_base: 1,
-            phase_saving: PhaseMode::ResetPerQuery,
-            glue_threshold: 1,
-            ..SolverConfig::default()
-        },
-    ]
-}
-
-/// Loads `cnf` into a solver running under `config`.
-fn solver_with(cnf: &CnfFormula, config: SolverConfig) -> Solver {
-    let mut solver = Solver::with_config(config);
-    for _ in 0..cnf.num_vars() {
-        solver.new_var();
-    }
-    for clause in cnf.clauses() {
-        solver.add_clause(clause.iter().copied());
-    }
-    solver
-}
-
-// Search-policy differential: restart strategy, phase saving, and clause-DB
-// tuning are heuristics — they may change how the solver searches but never
-// what it concludes. Each config variant must agree with exhaustive
-// enumeration (and hence with every other variant) on verdicts, produce real
-// models, and honour assumptions.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn all_search_policies_agree_with_enumeration(cnf in arb_cnf_with_width(14, 56, 1..=5)) {
-        let expected = brute_force_sat(&cnf);
-        for config in config_grid() {
-            let mut solver = solver_with(&cnf, config);
-            let result = solver.solve();
-            prop_assert_eq!(result == SolveResult::Sat, expected, "config {:?}", config);
-            if result == SolveResult::Sat {
-                prop_assert!(cnf.evaluate(&solver.model()), "config {:?}", config);
-            }
-        }
-    }
-
-    #[test]
-    fn all_search_policies_agree_under_assumptions(
-        cnf in arb_cnf_with_width(10, 40, 1..=4),
-        assumption_bits in any::<u8>(),
-    ) {
-        let assumptions: Vec<Lit> = (0..4)
-            .map(|i| Lit::new(Var::from_index(i), assumption_bits & (1 << i) != 0))
-            .collect();
-        let expected = brute_force_model(&cnf, &assumptions).is_some();
-        for config in config_grid() {
-            let mut solver = solver_with(&cnf, config);
-            let result = solver.solve_with_assumptions(&assumptions);
-            prop_assert_eq!(result == SolveResult::Sat, expected, "config {:?}", config);
-            if result == SolveResult::Sat {
-                let model = solver.model();
-                prop_assert!(cnf.evaluate(&model), "config {:?}", config);
-                for lit in &assumptions {
-                    prop_assert_eq!(model[lit.var().index()], lit.is_positive());
-                }
-            }
-            // Heuristics never leak state that changes a later verdict.
-            prop_assert_eq!(
-                solver.solve() == SolveResult::Sat,
-                brute_force_sat(&cnf),
-                "config {:?}", config
-            );
-        }
     }
 }
