@@ -1,0 +1,67 @@
+#!/usr/bin/env bash
+# Checks one suite family's semantic fingerprint against its committed digest
+# and across oracle engines, worker counts and verdict-cache settings.
+#
+# usage: bash ci/fingerprints.sh <quick|circuit|table1>
+#
+# `quick` (the default quick suite) and `circuit` (the gate-level circuit
+# family) run the same four steps:
+#   1. kinduction with --compare (a 1-worker re-run must be byte-identical),
+#      dumped to the file the committed digest names, then `sha256sum -c`;
+#   2. portfolio with --compare, diffed against step 1;
+#   3. --no-cache under kinduction, diffed against step 1;
+#   4. --no-cache under portfolio, diffed against step 1.
+# The quick kinduction run also writes suite-quick.json for perf-diff.
+# `table1` regenerates the paper-shape Table I fingerprint and checks its
+# digest.
+#
+# The fingerprint files (fp-*.txt) and suite-quick.json are written to the
+# repository root, where the digests expect them.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+suite() {
+    cargo run --release -p amle-bench --bin suite -- "$@"
+}
+
+family=${1:-}
+case "$family" in
+    quick)
+        flags=(--quick)
+        baseline=fp-kinduction.txt
+        digest=ci/quick-suite.fingerprint.sha256
+        json=(--json suite-quick.json)
+        ;;
+    circuit)
+        flags=(--quick --circuits --only Circuit)
+        baseline=fp-circuits.txt
+        digest=ci/circuit-suite.fingerprint.sha256
+        json=()
+        ;;
+    table1)
+        suite --table1-only --dump-fingerprint fp-table1.txt
+        sha256sum -c ci/table1-paper.fingerprint.sha256
+        exit 0
+        ;;
+    *)
+        echo "usage: $0 <quick|circuit|table1>" >&2
+        exit 2
+        ;;
+esac
+
+suite "${flags[@]}" --compare --engine kinduction \
+    --dump-fingerprint "$baseline" "${json[@]}"
+sha256sum -c "$digest"
+
+suite "${flags[@]}" --compare --engine portfolio \
+    --dump-fingerprint "fp-$family-portfolio.txt"
+diff "$baseline" "fp-$family-portfolio.txt"
+
+for engine in kinduction portfolio; do
+    suite "${flags[@]}" --engine "$engine" --no-cache \
+        --dump-fingerprint "fp-$family-$engine-nocache.txt"
+    diff "$baseline" "fp-$family-$engine-nocache.txt"
+done
+
+echo "$family: fingerprints match $digest across engines, workers and cache settings"

@@ -8,13 +8,13 @@
 //!       [--repeat N] [--table1-only] [--stress] [--circuits]
 //!       [--circuit-file <path>] [--only <substring>]
 //!       [--dump-fingerprint <path>] [--json <path>]
-//!       [--learner history|ktails|satdfa|lstar]
+//!       [--learner history|ktails|satdfa]
 //!       [--engine kinduction|explicit|portfolio] [--no-cache]
 //!       [--cross-validate]
 //! ```
 //!
 //! * `--workers N` — number of suite-level worker threads (benchmarks are
-//!   sharded across them). Defaults to `AMLE_WORKERS`, then 4.
+//!   sharded across them). Defaults to 4.
 //! * `--condition-workers N` — worker count of the per-run condition-checking
 //!   engine (see `amle_core::ParallelConfig`). Defaults to 1: benchmark-level
 //!   sharding already saturates the cores, and nesting both multiplies
@@ -56,10 +56,11 @@
 //! * `--json <path>` — write the machine-readable per-benchmark results
 //!   (wall time, iterations, solver work, verdict-cache and interner
 //!   statistics, fingerprint digests; see `amle_bench::suite_json`) so perf
-//!   trajectories (`BENCH_*.json`) accumulate across versions. The
-//!   `AMLE_BENCH_JSON` environment variable supplies a default path.
-//! * `--learner history|ktails|satdfa|lstar` — the model-learning component
-//!   driven by the loop (default `history`, the paper's configuration).
+//!   trajectories (`BENCH_*.json`) accumulate across versions.
+//! * `--learner history|ktails|satdfa` — the model-learning component
+//!   driven by the loop (default `history`, the paper's configuration; see
+//!   `amle_learner::LearnerKind::from_name`). `satdfa` does not finish any
+//!   quick Table I benchmark within 20 s; pair it with `--only`.
 //! * `--engine kinduction|explicit|portfolio` — which condition-oracle
 //!   stack answers the checking queries (see `amle_core::OracleConfig`).
 //!   Fingerprints are byte-identical across engines.
@@ -81,7 +82,7 @@ use amle_bench::{
 };
 use amle_benchmarks::{all_benchmarks, full_suite, Benchmark};
 use amle_core::{ActiveLearnerConfig, OracleConfig, OracleKind, ParallelConfig};
-use amle_learner::{HistoryLearner, KTailsLearner, LearnerKind, LstarLearner, SatDfaLearner};
+use amle_learner::LearnerKind;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -102,38 +103,23 @@ struct Options {
     oracle: OracleConfig,
 }
 
-/// Builds a fresh learner of the named kind (one per benchmark run, so
-/// per-learner incremental caches never leak across benchmarks). `None` for
-/// an unknown name; callers validate at argument-parse time.
-fn make_learner(name: &str) -> Option<LearnerKind> {
-    match name {
-        "history" => Some(LearnerKind::History(HistoryLearner::default())),
-        "ktails" => Some(LearnerKind::KTails(KTailsLearner::new(1))),
-        "satdfa" => Some(LearnerKind::SatDfa(SatDfaLearner::default())),
-        "lstar" => Some(LearnerKind::Lstar(LstarLearner::default())),
-        _ => None,
-    }
-}
-
 fn usage() -> ExitCode {
     eprintln!(
         "usage: suite [--workers N] [--condition-workers N] [--quick] [--compare]\n\
          \x20            [--repeat N] [--table1-only] [--stress] [--circuits]\n\
          \x20            [--circuit-file <path>] [--only <substring>]\n\
          \x20            [--dump-fingerprint <path>] [--json <path>]\n\
-         \x20            [--learner history|ktails|satdfa|lstar]\n\
+         \x20            [--learner {}]\n\
          \x20            [--engine kinduction|explicit|portfolio] [--no-cache]\n\
-         \x20            [--cross-validate]"
+         \x20            [--cross-validate]",
+        LearnerKind::NAMES.join("|")
     );
     ExitCode::from(2)
 }
 
 fn parse_options() -> Result<Options, ExitCode> {
     let mut options = Options {
-        workers: std::env::var("AMLE_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(4),
+        workers: 4,
         condition_workers: 1,
         quick: false,
         compare: false,
@@ -144,11 +130,9 @@ fn parse_options() -> Result<Options, ExitCode> {
         circuit_files: Vec::new(),
         only: None,
         dump_fingerprint: None,
-        json: std::env::var("AMLE_BENCH_JSON")
-            .ok()
-            .filter(|p| !p.is_empty()),
+        json: None,
         learner: "history".to_string(),
-        oracle: OracleConfig::from_env(),
+        oracle: OracleConfig::default(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -182,8 +166,11 @@ fn parse_options() -> Result<Options, ExitCode> {
             "--json" => options.json = Some(value("--json")?),
             "--learner" => {
                 let name = value("--learner")?;
-                if make_learner(&name).is_none() {
-                    eprintln!("unknown learner `{name}` (history|ktails|satdfa|lstar)");
+                if LearnerKind::from_name(&name).is_none() {
+                    eprintln!(
+                        "unknown learner `{name}` ({})",
+                        LearnerKind::NAMES.join("|")
+                    );
                     return Err(usage());
                 }
                 options.learner = name;
@@ -296,8 +283,11 @@ fn main() -> ExitCode {
         let start = Instant::now();
         let results = run_suite(&suite, suite_workers, |benchmark| {
             eprintln!("running {} ...", benchmark.name);
+            // A fresh learner per benchmark run, so per-learner incremental
+            // caches never leak across benchmarks.
             (
-                make_learner(&options.learner).expect("learner name validated at parse time"),
+                LearnerKind::from_name(&options.learner)
+                    .expect("learner name validated at parse time"),
                 config_for(benchmark, options.quick, condition_workers, options.oracle),
             )
         });

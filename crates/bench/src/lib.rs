@@ -11,11 +11,9 @@
 //! * `ablation` — the design-choice ablations from DESIGN.md (learner choice
 //!   and k-induction bound sensitivity).
 //!
-//! Criterion benches in `benches/` time the same experiments so that
-//! `cargo bench` exercises every table and figure.
-//!
-//! The `perf-diff` binary (backed by [`perf`]) compares two `suite --json`
-//! documents and flags per-benchmark regressions.
+//! The `suite` binary runs the full evaluation suite sharded across worker
+//! threads; the `perf-diff` binary (backed by [`perf`]) compares two
+//! `suite --json` documents and flags per-benchmark regressions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +25,7 @@ use amle_core::{
     random_sampling_baseline, ActiveLearner, ActiveLearnerConfig, InternerStats, RunReport,
 };
 use amle_learner::{HistoryLearner, KTailsLearner, ModelLearner};
+use amle_serve::json::json_escape;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -43,8 +42,8 @@ pub fn paper_config(benchmark: &Benchmark) -> ActiveLearnerConfig {
     }
 }
 
-/// A smaller configuration used by the criterion benches so that timing runs
-/// stay short.
+/// A smaller experiment shape (15 traces of length 15) for the ablations and
+/// tests, so that runs stay short.
 pub fn quick_config(benchmark: &Benchmark) -> ActiveLearnerConfig {
     ActiveLearnerConfig {
         observables: Some(benchmark.observables.clone()),
@@ -337,7 +336,7 @@ pub struct SuiteRunMeta {
     /// The condition-oracle engine name (`kinduction`, `explicit`,
     /// `portfolio`).
     pub engine: String,
-    /// The model-learner name (`history`, `ktails`, `satdfa`, `lstar`).
+    /// The model-learner name (one of `amle_learner::LearnerKind::NAMES`).
     pub learner: String,
     /// Whether the quick experiment shape was used.
     pub quick: bool,
@@ -349,30 +348,14 @@ pub struct SuiteRunMeta {
     pub wall_time_s: f64,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a suite run as a machine-readable JSON document (no external
 /// dependencies — the schema is small and hand-rolled): run metadata, the
 /// digest of the concatenated semantic fingerprint, and one record per
 /// benchmark with wall time, iterations, solver work, verdict-cache and
 /// interner statistics, and the per-benchmark fingerprint digest. This is
-/// what `suite --json <path>` (and `AMLE_BENCH_JSON`) write, so the perf
-/// trajectory (`BENCH_*.json`) can accumulate across versions, and what
-/// the `perf-diff` binary consumes to compare two runs.
+/// what `suite --json <path>` writes, so the perf trajectory
+/// (`BENCH_*.json`) can accumulate across versions, and what the
+/// `perf-diff` binary consumes to compare two runs.
 ///
 /// The document is schema **5**, the only one `perf-diff` reads. Each
 /// record carries the CDCL work counters (`decisions`, `propagations`,
@@ -740,8 +723,7 @@ mod tests {
         // Explicit-first portfolio (unbounded routing threshold) so the
         // explicit engine actually answers queries on this small system.
         let mut config = quick_config(&b);
-        config.oracle.engine = amle_core::OracleKind::Portfolio;
-        config.oracle.route_threshold = u64::MAX;
+        config.oracle.engine = amle_core::OracleKind::Explicit;
         let (row, report) = run_active(&b, HistoryLearner::default(), config);
         let (_, baseline) = run_active(&b, HistoryLearner::default(), quick_config(&b));
         assert_eq!(

@@ -42,7 +42,9 @@ use amle_expr::{Expr, Sort, Valuation, Value, VarId};
 use amle_system::System;
 use std::collections::{HashMap, HashSet};
 
-/// Default per-query work budget used by [`ExplicitChecker::new`].
+/// Default per-query work budget of the explicit engine, used by
+/// [`ExplicitChecker::new`] and by both portfolio stacks of
+/// [`crate::build_oracle`].
 pub const DEFAULT_QUERY_BUDGET: u64 = 1 << 18;
 
 /// The admissible values of one variable as inclusive runs of *raw* (bit

@@ -310,19 +310,6 @@ impl<'a> KInductionChecker<'a> {
         self.system
     }
 
-    /// Creates an independent checker over the same system and mode, with
-    /// fresh sessions and zeroed statistics.
-    ///
-    /// This is the session-cloning primitive of the parallel engine: each
-    /// worker forks the template checker once and then keeps its own
-    /// persistent incremental sessions for the lifetime of the run. Because
-    /// counterexamples are canonicalised (see
-    /// [`KInductionChecker::check_condition`]), forked checkers return
-    /// byte-identical results to the original for any query sequence.
-    pub fn fork(&self) -> KInductionChecker<'a> {
-        Self::with_mode(self.system, self.mode)
-    }
-
     /// The session mode of this checker.
     pub fn mode(&self) -> CheckerMode {
         self.mode
@@ -1081,23 +1068,18 @@ mod tests {
         let direct = cold.check_condition(&Expr::true_(), &[], &conclusion);
 
         // A warmed-up checker whose condition session served unrelated
-        // queries first (different learnt clauses and saved phases), plus a
-        // fork of it.
+        // queries first (different learnt clauses and saved phases).
         let mut warm = KInductionChecker::new(&sys);
         let side = c.le(&Expr::int_val(5, 4));
         assert!(warm.check_condition(&side, &[], &side).is_valid());
         let _ = warm.check_condition(&Expr::true_(), &[], &c.ne(&Expr::int_val(1, 4)));
         let warmed = warm.check_condition(&Expr::true_(), &[], &conclusion);
-        let forked = warm
-            .fork()
-            .check_condition(&Expr::true_(), &[], &conclusion);
 
         // And the fresh-per-query oracle.
         let mut fresh = KInductionChecker::with_mode(&sys, CheckerMode::FreshPerQuery);
         let oracle = fresh.check_condition(&Expr::true_(), &[], &conclusion);
 
         assert_eq!(direct, warmed, "session history changed the model");
-        assert_eq!(direct, forked, "fork changed the model");
         assert_eq!(direct, oracle, "session mode changed the model");
         match direct {
             CheckResult::Valid => panic!("condition should be violated"),

@@ -34,8 +34,7 @@
 //!   size, falls back to k-induction when the explicit budget runs out,
 //!   and offers a cross-validation mode asserting engine agreement.
 //!
-//! [`build_oracle`] assembles the stack described by an
-//! [`OracleSettings`]/[`OracleKind`] pair.
+//! [`build_oracle`] assembles the stack of one [`OracleKind`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -48,8 +47,7 @@ mod portfolio;
 pub use explicit::{ExplicitChecker, Odometer, DEFAULT_QUERY_BUDGET};
 pub use kinduction::{CheckResult, CheckerMode, CheckerStats, KInductionChecker, SpuriousResult};
 pub use oracle::{
-    build_oracle, state_formula, ConditionOracle, OracleKind, OracleSettings,
-    DEFAULT_EXPLICIT_BUDGET, DEFAULT_ROUTE_THRESHOLD,
+    build_oracle, state_formula, ConditionOracle, OracleKind, DEFAULT_ROUTE_THRESHOLD,
 };
 pub use portfolio::PortfolioOracle;
 

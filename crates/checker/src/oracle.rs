@@ -21,7 +21,7 @@
 //! fingerprint, and it is asserted at runtime by the portfolio's
 //! cross-validation mode.
 
-use crate::explicit::ExplicitChecker;
+use crate::explicit::{ExplicitChecker, DEFAULT_QUERY_BUDGET};
 use crate::kinduction::{CheckResult, CheckerStats, KInductionChecker, SpuriousResult};
 use crate::portfolio::PortfolioOracle;
 use amle_expr::{Expr, Valuation, VarId, VarSet};
@@ -123,73 +123,43 @@ impl OracleKind {
     }
 }
 
-/// Construction-time settings of an oracle stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OracleSettings {
-    /// Which engine (or combination) answers queries.
-    pub kind: OracleKind,
-    /// Work budget (state/transition evaluations) the explicit engine may
-    /// spend on a single query before the portfolio falls back to
-    /// k-induction.
-    pub explicit_budget: u64,
-    /// Portfolio routing threshold: a query goes to the explicit engine only
-    /// when its estimated concrete cost (input/state product size) is at
-    /// most this many evaluations.
-    pub route_threshold: u64,
-    /// When `true`, every query the portfolio answers explicitly is *also*
-    /// answered by k-induction and the two results are asserted equal — the
-    /// cross-validation mode used by the differential tests.
-    pub cross_validate: bool,
-}
-
-impl Default for OracleSettings {
-    fn default() -> Self {
-        OracleSettings {
-            kind: OracleKind::default(),
-            explicit_budget: DEFAULT_EXPLICIT_BUDGET,
-            route_threshold: DEFAULT_ROUTE_THRESHOLD,
-            cross_validate: false,
-        }
-    }
-}
-
-/// Default per-query work budget of the explicit engine.
-pub const DEFAULT_EXPLICIT_BUDGET: u64 = 1 << 18;
-
-/// Default portfolio routing threshold (estimated evaluations).
+/// Portfolio routing threshold (estimated evaluations): a query goes to the
+/// explicit engine only when its estimated concrete cost (input/state
+/// product size) is at most this many evaluations.
 pub const DEFAULT_ROUTE_THRESHOLD: u64 = 1 << 14;
 
-/// Builds the oracle stack described by `settings` over `system`.
+/// Builds the oracle stack of the given `kind` over `system`.
 ///
 /// * [`OracleKind::KInduction`] — a bare [`KInductionChecker`];
 /// * [`OracleKind::Explicit`] — a [`PortfolioOracle`] with an unbounded
 ///   routing threshold (explicit-first, k-induction rescue on budget
 ///   exhaustion);
-/// * [`OracleKind::Portfolio`] — a [`PortfolioOracle`] with the configured
-///   threshold.
+/// * [`OracleKind::Portfolio`] — a [`PortfolioOracle`] routing by
+///   [`DEFAULT_ROUTE_THRESHOLD`].
+///
+/// Both portfolio stacks give the explicit engine [`DEFAULT_QUERY_BUDGET`]
+/// per query. With `cross_validate`, every query a portfolio answers
+/// explicitly is *also* answered by k-induction and the two results are
+/// asserted equal — the cross-validation mode of the differential tests.
 ///
 /// Each call builds fresh sessions with zeroed statistics, so the parallel
 /// engine can call it once per worker.
 pub fn build_oracle<'a>(
     system: &'a System,
-    settings: &OracleSettings,
+    kind: OracleKind,
+    cross_validate: bool,
 ) -> Box<dyn ConditionOracle + 'a> {
-    match settings.kind {
+    match kind {
         OracleKind::KInduction => Box::new(KInductionChecker::new(system)),
         OracleKind::Explicit => Box::new(
-            PortfolioOracle::new(
-                system,
-                settings.explicit_budget,
-                u64::MAX,
-                settings.cross_validate,
-            )
-            .named("explicit"),
+            PortfolioOracle::new(system, DEFAULT_QUERY_BUDGET, u64::MAX, cross_validate)
+                .named("explicit"),
         ),
         OracleKind::Portfolio => Box::new(PortfolioOracle::new(
             system,
-            settings.explicit_budget,
-            settings.route_threshold,
-            settings.cross_validate,
+            DEFAULT_QUERY_BUDGET,
+            DEFAULT_ROUTE_THRESHOLD,
+            cross_validate,
         )),
     }
 }

@@ -49,8 +49,7 @@
 
 use crate::conditions::{Condition, ConditionKind};
 use amle_checker::{
-    build_oracle, CheckResult, CheckerStats, ConditionOracle, OracleKind, OracleSettings,
-    SpuriousResult,
+    build_oracle, CheckResult, CheckerStats, ConditionOracle, OracleKind, SpuriousResult,
 };
 use amle_expr::{Expr, Valuation, VarId, VarSet};
 use amle_system::System;
@@ -128,11 +127,6 @@ pub struct OracleConfig {
     /// Whether the cross-iteration verdict cache is consulted. Reports are
     /// byte-identical either way; the cache only skips re-solving.
     pub verdict_cache: bool,
-    /// Per-query work budget of the explicit engine (portfolio stacks).
-    pub explicit_budget: u64,
-    /// Portfolio routing threshold (largest estimated concrete query size
-    /// still routed to the explicit engine).
-    pub route_threshold: u64,
     /// Cross-validation mode: explicitly-routed queries are also answered
     /// by k-induction and the results asserted equal.
     pub cross_validate: bool,
@@ -143,42 +137,7 @@ impl Default for OracleConfig {
         OracleConfig {
             engine: OracleKind::default(),
             verdict_cache: true,
-            explicit_budget: amle_checker::DEFAULT_EXPLICIT_BUDGET,
-            route_threshold: amle_checker::DEFAULT_ROUTE_THRESHOLD,
             cross_validate: false,
-        }
-    }
-}
-
-impl OracleConfig {
-    /// Reads the engine from `AMLE_ENGINE` (`kinduction`, `explicit` or
-    /// `portfolio`), defaulting to k-induction; everything else keeps its
-    /// [`OracleConfig::default`] value.
-    pub fn from_env() -> Self {
-        let mut config = OracleConfig::default();
-        if let Ok(name) = std::env::var("AMLE_ENGINE") {
-            match OracleKind::from_name(&name) {
-                Some(kind) => config.engine = kind,
-                // Loud, not fatal: `from_env` runs inside `Default`, but a
-                // typo must not silently evaporate the intended engine
-                // coverage.
-                None => eprintln!(
-                    "AMLE_ENGINE=`{name}` is not a known engine \
-                     (kinduction|explicit|portfolio); using {}",
-                    config.engine.name()
-                ),
-            }
-        }
-        config
-    }
-
-    /// The construction-time settings handed to [`build_oracle`].
-    pub(crate) fn settings(&self) -> OracleSettings {
-        OracleSettings {
-            kind: self.engine,
-            explicit_budget: self.explicit_budget,
-            route_threshold: self.route_threshold,
-            cross_validate: self.cross_validate,
         }
     }
 }
@@ -680,7 +639,7 @@ impl<'scope, 'p> WorkerPool<'scope, 'p> {
         let (work_tx, work_rx) = mpsc::channel::<WorkItem>();
         let work_rx = Arc::new(Mutex::new(work_rx));
         let (result_tx, result_rx) = mpsc::channel();
-        let settings = oracle.settings();
+        let (engine, cross_validate) = (oracle.engine, oracle.cross_validate);
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let work_rx = Arc::clone(&work_rx);
@@ -690,7 +649,7 @@ impl<'scope, 'p> WorkerPool<'scope, 'p> {
                 let _notifier = PanicNotifier {
                     result_tx: result_tx.clone(),
                 };
-                let mut oracle = build_oracle(system, &settings);
+                let mut oracle = build_oracle(system, engine, cross_validate);
                 let vars = system.vars();
                 loop {
                     // Hold the queue lock only for the dequeue itself; the
@@ -804,7 +763,7 @@ mod tests {
         config: &OracleConfig,
     ) -> (Box<dyn ConditionOracle + 'a>, QueryPlanner) {
         (
-            build_oracle(system, &config.settings()),
+            build_oracle(system, config.engine, config.cross_validate),
             QueryPlanner::new(config.verdict_cache),
         )
     }
@@ -872,21 +831,6 @@ mod tests {
                 v.trim().parse::<usize>().unwrap_or(1).max(1)
             ),
             Err(_) => assert_eq!(parsed.workers, 1),
-        }
-    }
-
-    #[test]
-    fn oracle_config_env_round_trip() {
-        // `from_env` must honour the AMLE_ENGINE value when the CI matrix
-        // sets one and default to kinduction otherwise.
-        let parsed = OracleConfig::from_env();
-        match std::env::var("AMLE_ENGINE") {
-            Ok(v) => {
-                if let Some(kind) = OracleKind::from_name(&v) {
-                    assert_eq!(parsed.engine, kind);
-                }
-            }
-            Err(_) => assert_eq!(parsed.engine, OracleKind::KInduction),
         }
     }
 

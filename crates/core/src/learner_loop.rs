@@ -45,10 +45,9 @@ pub struct ActiveLearnerConfig {
     /// byte-identical across worker counts.
     pub parallel: ParallelConfig,
     /// The condition-oracle stack and planner behaviour: which engine
-    /// answers queries (`AMLE_ENGINE`), whether the cross-iteration verdict
-    /// cache is on, and the portfolio's budget / routing / cross-validation
-    /// knobs. Semantic fingerprints are
-    /// byte-identical across engines and cache settings.
+    /// answers queries, whether the cross-iteration verdict cache is on, and
+    /// whether the portfolio cross-validates its explicit answers. Semantic
+    /// fingerprints are byte-identical across engines and cache settings.
     pub oracle: OracleConfig,
 }
 
@@ -63,7 +62,7 @@ impl Default for ActiveLearnerConfig {
             max_spurious_rounds: 10,
             seed: 0xA1,
             parallel: ParallelConfig::from_env(),
-            oracle: OracleConfig::from_env(),
+            oracle: OracleConfig::default(),
         }
     }
 }
@@ -342,8 +341,8 @@ impl<'a, L: ModelLearner> ActiveLearner<'a, L> {
     /// Runs the loop starting from a user-supplied initial trace set.
     ///
     /// When `config.parallel.workers > 1` the per-iteration condition checks
-    /// are fanned out over that many scoped worker threads, each owning a
-    /// forked checker with persistent incremental sessions; results are
+    /// are fanned out over that many scoped worker threads, each building
+    /// its own oracle stack with persistent incremental sessions; results are
     /// merged in condition order and the report is byte-identical to a
     /// sequential run (see [`crate::ParallelConfig`]).
     ///
@@ -363,7 +362,11 @@ impl<'a, L: ModelLearner> ActiveLearner<'a, L> {
         // keeps them warm across refinement calls.
         let mut planner = QueryPlanner::new(oracle_config.verdict_cache);
         if workers == 1 {
-            let mut oracle = build_oracle(self.system, &oracle_config.settings());
+            let mut oracle = build_oracle(
+                self.system,
+                oracle_config.engine,
+                oracle_config.cross_validate,
+            );
             let engine = SequentialEngine::new(
                 self.system,
                 &mut *oracle,
@@ -545,9 +548,7 @@ pub(crate) fn run_refinement<L: ModelLearner, E: ConditionEngine>(
 mod tests {
     use super::*;
     use amle_expr::{Expr, Sort, Value};
-    #[allow(unused_imports)]
-    use amle_learner::ModelLearner as _;
-    use amle_learner::{HistoryLearner, LstarLearner};
+    use amle_learner::HistoryLearner;
     use amle_system::SystemBuilder;
 
     /// The Fig. 2 home climate-control cooler.
@@ -648,21 +649,6 @@ mod tests {
             let t = sim.random_trace(40, &mut rng);
             assert!(report.abstraction.accepts_trace(&t));
         }
-    }
-
-    #[test]
-    fn lstar_is_a_valid_pluggable_component() {
-        let sys = cooler();
-        let config = ActiveLearnerConfig {
-            initial_traces: 5,
-            trace_length: 6,
-            k: 4,
-            max_iterations: 10,
-            ..Default::default()
-        };
-        let mut learner = ActiveLearner::new(&sys, LstarLearner::default(), config);
-        let report = learner.run().unwrap();
-        assert!(report.alpha > 0.0);
     }
 
     #[test]

@@ -216,9 +216,9 @@ impl<'a, L: ModelLearner> Session<'a, L> {
 
         let mut report = if workers == 1 {
             let system = self.system;
-            let oracle = self
-                .oracle
-                .get_or_insert_with(|| build_oracle(system, &oracle_config.settings()));
+            let oracle = self.oracle.get_or_insert_with(|| {
+                build_oracle(system, oracle_config.engine, oracle_config.cross_validate)
+            });
             // The oracle accumulates across refinements; snapshot so the
             // report covers exactly this call.
             let checker_before = oracle.stats();

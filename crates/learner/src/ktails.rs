@@ -13,8 +13,8 @@ use std::collections::BTreeSet;
 ///
 /// `future_depth` plays the role of the k in classic k-tails: a larger depth
 /// distinguishes more states (less generalisation, larger automata), a depth
-/// of zero collapses the sample into a single state. The default of 2 is what
-/// the Table I reproduction uses.
+/// of zero collapses the sample into a single state. The default is 2; the
+/// front doors (`LearnerKind::from_name`, the ablation harness) use depth 1.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KTailsLearner {
     /// Depth of the future signature used to distinguish states.

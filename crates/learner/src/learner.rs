@@ -156,8 +156,23 @@ pub enum LearnerKind {
     KTails(crate::KTailsLearner),
     /// SAT-based exact minimal DFA identification.
     SatDfa(crate::SatDfaLearner),
-    /// Angluin's L* with a sample-backed teacher.
-    Lstar(crate::LstarLearner),
+}
+
+impl LearnerKind {
+    /// The flag spelling of every kind, in the order usage messages list
+    /// them.
+    pub const NAMES: [&'static str; 3] = ["history", "ktails", "satdfa"];
+
+    /// Builds a fresh learner from its flag spelling (`history`, `ktails`
+    /// with future depth 1, or `satdfa`).
+    pub fn from_name(name: &str) -> Option<LearnerKind> {
+        match name {
+            "history" => Some(LearnerKind::History(crate::HistoryLearner::default())),
+            "ktails" => Some(LearnerKind::KTails(crate::KTailsLearner::new(1))),
+            "satdfa" => Some(LearnerKind::SatDfa(crate::SatDfaLearner::default())),
+            _ => None,
+        }
+    }
 }
 
 impl ModelLearner for LearnerKind {
@@ -171,7 +186,6 @@ impl ModelLearner for LearnerKind {
             LearnerKind::History(l) => l.learn(vars, observables, traces),
             LearnerKind::KTails(l) => l.learn(vars, observables, traces),
             LearnerKind::SatDfa(l) => l.learn(vars, observables, traces),
-            LearnerKind::Lstar(l) => l.learn(vars, observables, traces),
         }
     }
 
@@ -185,7 +199,6 @@ impl ModelLearner for LearnerKind {
             LearnerKind::History(l) => l.learn_from_store(vars, observables, store),
             LearnerKind::KTails(l) => l.learn_from_store(vars, observables, store),
             LearnerKind::SatDfa(l) => l.learn_from_store(vars, observables, store),
-            LearnerKind::Lstar(l) => l.learn_from_store(vars, observables, store),
         }
     }
 
@@ -194,7 +207,6 @@ impl ModelLearner for LearnerKind {
             LearnerKind::History(l) => l.name(),
             LearnerKind::KTails(l) => l.name(),
             LearnerKind::SatDfa(l) => l.name(),
-            LearnerKind::Lstar(l) => l.name(),
         }
     }
 
@@ -203,7 +215,6 @@ impl ModelLearner for LearnerKind {
             LearnerKind::History(l) => l.solver_stats(),
             LearnerKind::KTails(l) => l.solver_stats(),
             LearnerKind::SatDfa(l) => l.solver_stats(),
-            LearnerKind::Lstar(l) => l.solver_stats(),
         }
     }
 
@@ -212,7 +223,6 @@ impl ModelLearner for LearnerKind {
             LearnerKind::History(l) => l.word_stats(),
             LearnerKind::KTails(l) => l.word_stats(),
             LearnerKind::SatDfa(l) => l.word_stats(),
-            LearnerKind::Lstar(l) => l.word_stats(),
         }
     }
 }
@@ -337,5 +347,26 @@ mod tests {
     #[test]
     fn learner_kind_default_is_history() {
         assert_eq!(LearnerKind::default().name(), "history");
+    }
+
+    #[test]
+    fn learner_kind_names_round_trip() {
+        let kinds = [
+            LearnerKind::History(crate::HistoryLearner::default()),
+            LearnerKind::KTails(crate::KTailsLearner::default()),
+            LearnerKind::SatDfa(crate::SatDfaLearner::default()),
+        ];
+        assert_eq!(kinds.map(|kind| kind.name()), LearnerKind::NAMES);
+        for name in LearnerKind::NAMES {
+            let kind = LearnerKind::from_name(name).expect("listed names parse");
+            assert_eq!(kind.name(), name);
+        }
+        match LearnerKind::from_name("ktails") {
+            Some(LearnerKind::KTails(learner)) => assert_eq!(learner.future_depth, 1),
+            other => panic!("`ktails` built {other:?}"),
+        }
+        for name in ["lstar", "sat-dfa", "telepathy", ""] {
+            assert!(LearnerKind::from_name(name).is_none(), "`{name}` parsed");
+        }
     }
 }

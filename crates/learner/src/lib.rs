@@ -4,7 +4,7 @@
 //!
 //! The paper only requires that, given a set of execution traces `T`, the
 //! learner returns an NFA that accepts (at least) every trace in `T`
-//! (Section II-B). This crate provides four interchangeable learners behind
+//! (Section II-B). This crate provides three interchangeable learners behind
 //! the [`ModelLearner`] trait. All of them share the same front end: concrete
 //! observations are generalised into a finite alphabet of synthesised
 //! predicates ([`AlphabetAbstraction`]), and the automaton learned over that
@@ -21,9 +21,6 @@
 //! * [`SatDfaLearner`] — exact minimal-DFA identification using the CDCL
 //!   solver from `amle-sat`, with negative evidence inferred from
 //!   well-supported prefixes (an ablation point for the greedy mergers).
-//! * [`LstarLearner`] — Angluin's L\* with a sample-backed teacher, included
-//!   as the classic query-based active-learning baseline the paper's related
-//!   work discusses.
 //!
 //! All learners guarantee the paper's contract: the returned NFA admits every
 //! input trace (checked by unit and property tests, and re-checked at runtime
@@ -36,7 +33,6 @@ mod abstraction;
 mod history;
 mod ktails;
 mod learner;
-mod lstar;
 mod pta;
 mod satdfa;
 
@@ -46,7 +42,6 @@ pub use abstraction::{
 pub use history::HistoryLearner;
 pub use ktails::KTailsLearner;
 pub use learner::{LearnError, LearnerKind, ModelLearner, WordStats};
-pub use lstar::{LstarLearner, ObservationTable};
 pub use pta::Pta;
 pub use satdfa::SatDfaLearner;
 

@@ -664,7 +664,7 @@ impl ModelLearner for SatDfaLearner {
     }
 
     fn name(&self) -> &'static str {
-        "sat-dfa"
+        "satdfa"
     }
 
     fn solver_stats(&self) -> SolverStats {

@@ -19,7 +19,7 @@ use amle_core::{
     fingerprint_digest, ActiveLearnerConfig, InternerStats, OracleKind, ParallelConfig, Session,
     SessionStats,
 };
-use amle_learner::{HistoryLearner, KTailsLearner, LearnerKind, LstarLearner, SatDfaLearner};
+use amle_learner::LearnerKind;
 use amle_system::wire;
 use amle_system::System;
 use std::io::Write as _;
@@ -48,7 +48,7 @@ pub struct SessionSpec {
     pub max_spurious_rounds: usize,
     /// Condition-engine worker count.
     pub workers: usize,
-    /// Learner kind name (`history|ktails|satdfa|lstar`).
+    /// Learner kind name (one of [`LearnerKind::NAMES`]).
     pub learner: String,
     /// Condition-oracle engine.
     pub engine: OracleKind,
@@ -177,16 +177,13 @@ impl SessionSpec {
 }
 
 /// Builds a fresh learner of the named kind.
-pub fn make_learner(name: &str) -> Result<LearnerKind, String> {
-    match name {
-        "history" => Ok(LearnerKind::History(HistoryLearner::default())),
-        "ktails" => Ok(LearnerKind::KTails(KTailsLearner::new(1))),
-        "satdfa" => Ok(LearnerKind::SatDfa(SatDfaLearner::default())),
-        "lstar" => Ok(LearnerKind::Lstar(LstarLearner::default())),
-        other => Err(format!(
-            "unknown learner `{other}` (history|ktails|satdfa|lstar)"
-        )),
-    }
+fn make_learner(name: &str) -> Result<LearnerKind, String> {
+    LearnerKind::from_name(name).ok_or_else(|| {
+        format!(
+            "unknown learner `{name}` ({})",
+            LearnerKind::NAMES.join("|")
+        )
+    })
 }
 
 /// One replayable session operation (the snapshot file's event log).
@@ -821,10 +818,13 @@ mod tests {
     fn spec_rejects_unknown_names() {
         let err = SessionSpec::from_request("NoSuchSystem".to_string(), None).unwrap_err();
         assert!(err.contains("unknown system"));
-        let config = obj([("learner", Json::from("telepathy"))]);
-        let err = SessionSpec::from_request("HomeClimateControlCooler".to_string(), Some(&config))
-            .unwrap_err();
-        assert!(err.contains("unknown learner"));
+        for learner in ["telepathy", "lstar"] {
+            let config = obj([("learner", Json::from(learner))]);
+            let err =
+                SessionSpec::from_request("HomeClimateControlCooler".to_string(), Some(&config))
+                    .unwrap_err();
+            assert!(err.contains("unknown learner"), "{learner}: {err}");
+        }
         let config = obj([("engine", Json::from("oracle-of-delphi"))]);
         let err = SessionSpec::from_request("HomeClimateControlCooler".to_string(), Some(&config))
             .unwrap_err();

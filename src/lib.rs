@@ -11,7 +11,7 @@
 //! * [`automaton`] — symbolic NFAs with predicate-labelled edges
 //!   (`amle-automaton`);
 //! * [`learner`] — pluggable passive learners: history, k-tails, SAT-based
-//!   DFA identification, L\* (`amle-learner`);
+//!   DFA identification (`amle-learner`);
 //! * [`sat`] / [`bitblast`] / [`checker`] — the CDCL solver behind the
 //!   pluggable [`sat::IncrementalSolver`] backend seam, the word-level CNF
 //!   encoder (generic over any [`sat::ClauseSink`]) and the k-induction
@@ -64,8 +64,6 @@ pub mod prelude {
         SolverStats,
     };
     pub use amle_expr::{Expr, Sort, Valuation, Value, VarId, VarSet};
-    pub use amle_learner::{
-        HistoryLearner, KTailsLearner, LstarLearner, ModelLearner, SatDfaLearner,
-    };
+    pub use amle_learner::{HistoryLearner, KTailsLearner, ModelLearner, SatDfaLearner};
     pub use amle_system::{Simulator, System, SystemBuilder, Trace, TraceSet};
 }
