@@ -7,34 +7,22 @@
 //! Prints per-benchmark wall-time / solver-time / solve-call / cache-hit /
 //! propagations-per-conflict deltas and a regression summary. Both
 //! documents must be schema 5, the one `suite --json` writes. By default
-//! the exit code is 0
-//! regardless of findings, so CI can run it as a non-blocking report step;
-//! `--fail-on-regression` exits 1 when a regression (or a fingerprint
-//! divergence) is flagged.
+//! the exit code is 0 regardless of findings; `--fail-on-regression` exits
+//! 1 when a regression (or a fingerprint divergence) is flagged, which is
+//! how CI runs it.
 //!
 //! `--threshold` is the tolerated relative wall-time increase (default 0.2,
 //! i.e. 20%); increases under an absolute floor are never flagged, so
 //! microsecond-scale benchmarks don't alarm on scheduler noise. Solver-call
 //! and cache-hit drift is flagged at any magnitude — those counters are
 //! deterministic for a fixed suite configuration.
-//!
-//! ```text
-//! perf-diff --trend <a.json> <b.json> [<c.json>...]
-//! ```
-//!
-//! Trend mode takes two or more run documents in chronological order and
-//! emits a long-format CSV trajectory on stdout — one row per benchmark per
-//! run (wall time, solver time, solve calls, cache hits, fingerprint
-//! digest), plus a `__suite__` series for suite-level wall time — instead
-//! of a pairwise diff. Exit code is always 0 unless an input fails to
-//! parse.
 
-use amle_bench::perf::{diff_runs, format_diff, format_trend, parse_suite_run};
+use amle_bench::perf::{diff_runs, format_diff, parse_suite_run};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: perf-diff <baseline.json> <candidate.json> [--threshold <ratio>] [--fail-on-regression]\n       perf-diff --trend <a.json> <b.json> [<c.json>...]"
+        "usage: perf-diff <baseline.json> <candidate.json> [--threshold <ratio>] [--fail-on-regression]"
     );
     ExitCode::from(2)
 }
@@ -44,11 +32,9 @@ fn main() -> ExitCode {
     let mut paths: Vec<&str> = Vec::new();
     let mut threshold = 0.2f64;
     let mut fail_on_regression = false;
-    let mut trend = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--trend" => trend = true,
             "--threshold" => {
                 i += 1;
                 let Some(value) = args.get(i) else {
@@ -79,24 +65,6 @@ fn main() -> ExitCode {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         parse_suite_run(&text).map_err(|e| format!("{path}: {e}"))
     };
-
-    if trend {
-        if paths.len() < 2 {
-            return usage();
-        }
-        let mut runs = Vec::with_capacity(paths.len());
-        for path in &paths {
-            match read(path) {
-                Ok(run) => runs.push(run),
-                Err(e) => {
-                    eprintln!("perf-diff: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        print!("{}", format_trend(&runs));
-        return ExitCode::SUCCESS;
-    }
 
     let [base_path, new_path] = paths.as_slice() else {
         return usage();

@@ -21,8 +21,8 @@
 //!   threads.
 //! * `--quick` — use the smaller experiment shape (15 traces of length 15)
 //!   instead of the paper's 50×50.
-//! * `--compare` — additionally run everything sequentially (1 worker,
-//!   sequential condition engine), assert that both runs' reports are
+//! * `--compare` — additionally run everything sequentially (1 suite
+//!   worker, 1 condition worker), assert that both runs' reports are
 //!   byte-identical, and print the wall-clock speedup.
 //! * `--repeat N` — run the whole suite `N` times and report the
 //!   **minimum** wall and solver time per benchmark (all deterministic
@@ -55,8 +55,8 @@
 //!   portfolio run against the kinduction baseline).
 //! * `--json <path>` — write the machine-readable per-benchmark results
 //!   (wall time, iterations, solver work, verdict-cache and interner
-//!   statistics, fingerprint digests; see `amle_bench::suite_json`) so perf
-//!   trajectories (`BENCH_*.json`) accumulate across versions.
+//!   statistics, fingerprint digests; see `amle_bench::suite_json`), which
+//!   `perf-diff` compares across versions.
 //! * `--learner history|ktails|satdfa` — the model-learning component
 //!   driven by the loop (default `history`, the paper's configuration; see
 //!   `amle_learner::LearnerKind::from_name`). `satdfa` does not finish any

@@ -220,15 +220,6 @@ fn invariant_dag_nodes(report: &RunReport) -> u64 {
     combined.dag_size() as u64
 }
 
-/// Convenience wrapper using the default learner and paper-shaped config.
-pub fn run_active_default(benchmark: &Benchmark) -> (ActiveRow, RunReport) {
-    run_active(
-        benchmark,
-        HistoryLearner::default(),
-        paper_config(benchmark),
-    )
-}
-
 /// One row of the "Random Sampling" side of Table I.
 #[derive(Debug, Clone)]
 pub struct RandomRow {
@@ -353,9 +344,8 @@ pub struct SuiteRunMeta {
 /// digest of the concatenated semantic fingerprint, and one record per
 /// benchmark with wall time, iterations, solver work, verdict-cache and
 /// interner statistics, and the per-benchmark fingerprint digest. This is
-/// what `suite --json <path>` writes, so the perf trajectory
-/// (`BENCH_*.json`) can accumulate across versions, and what the
-/// `perf-diff` binary consumes to compare two runs.
+/// what `suite --json <path>` writes and what the `perf-diff` binary
+/// consumes to compare two runs.
 ///
 /// The document is schema **5**, the only one `perf-diff` reads. Each
 /// record carries the CDCL work counters (`decisions`, `propagations`,
@@ -859,8 +849,9 @@ mod tests {
         assert_eq!(a.len(), 16);
         assert!(a.chars().all(|c| c.is_ascii_hexdigit()));
         assert_ne!(a, fingerprint_digest("alpha=1 iterations=4"));
-        // Pinned value: the digest is part of the accumulated BENCH_*.json
-        // trajectory, so accidental algorithm changes must show up here.
+        // Pinned value: the digest is compared across versions (committed CI
+        // digests, `perf-diff`), so accidental algorithm changes must show
+        // up here.
         assert_eq!(fingerprint_digest(""), "cbf29ce484222325");
     }
 

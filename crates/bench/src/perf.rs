@@ -1,4 +1,4 @@
-//! Perf-trajectory comparison of two `suite --json` documents.
+//! Perf comparison of two `suite --json` documents.
 //!
 //! The suite emits hand-rolled JSON (see [`crate::suite_json`]); this module
 //! is its matching consumer — the per-benchmark delta computation behind the
@@ -305,66 +305,6 @@ pub fn format_diff(base: &SuiteRun, new: &SuiteRun, diff: &PerfDiff) -> String {
     out
 }
 
-/// Renders a sequence of suite runs as a per-benchmark CSV trajectory —
-/// the `perf-diff --trend` output. One row per `(benchmark, run)` pair in
-/// long format (`benchmark,run,time_s,solver_time_s,solve_calls,cache_hits,
-/// fingerprint_digest`), run indices 1-based in argument order, so the
-/// series pivots trivially in any plotting tool. Benchmarks absent from a
-/// run simply have no row for that index; a final `__suite__` series
-/// carries the suite-level wall time and fingerprint digest so semantic
-/// divergence mid-trajectory is visible in the same document.
-pub fn format_trend(runs: &[SuiteRun]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("benchmark,run,time_s,solver_time_s,solve_calls,cache_hits,fingerprint_digest\n");
-    // Benchmark order of first appearance across the runs, so the series
-    // groups by benchmark rather than by file.
-    let mut order: Vec<&str> = Vec::new();
-    for run in runs {
-        for b in &run.benchmarks {
-            if !order.contains(&b.name.as_str()) {
-                order.push(&b.name);
-            }
-        }
-    }
-    for name in order {
-        for (index, run) in runs.iter().enumerate() {
-            if let Some(b) = run.benchmarks.iter().find(|b| b.name == name) {
-                let _ = writeln!(
-                    out,
-                    "{},{},{:.6},{:.6},{},{},{}",
-                    csv_escape(name),
-                    index + 1,
-                    b.time_s,
-                    b.solver_time_s,
-                    b.solve_calls,
-                    b.cache_hits,
-                    b.fingerprint_digest
-                );
-            }
-        }
-    }
-    for (index, run) in runs.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "__suite__,{},{:.6},,,,{}",
-            index + 1,
-            run.wall_time_s,
-            run.fingerprint_digest
-        );
-    }
-    out
-}
-
-/// Quotes a CSV field when it contains a delimiter, quote or newline.
-fn csv_escape(field: &str) -> String {
-    if field.contains([',', '"', '\n']) {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,50 +330,6 @@ mod tests {
         // Older schemas are rejected too, not half-read.
         assert!(parse_suite_run("{\"schema\": 4, \"benchmarks\": []}").is_err());
         assert!(parse_suite_run("{\"schema\": 6, \"benchmarks\": []}").is_err());
-    }
-
-    #[test]
-    fn trend_emits_one_row_per_benchmark_per_run() {
-        let a = parse_suite_run(&sample(1.0, 100, 7, "abc")).unwrap();
-        let b = parse_suite_run(&sample(0.8, 90, 12, "abc")).unwrap();
-        let c = parse_suite_run(&sample(0.7, 90, 12, "abc")).unwrap();
-        let csv = format_trend(&[a, b, c]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(
-            lines[0],
-            "benchmark,run,time_s,solver_time_s,solve_calls,cache_hits,fingerprint_digest"
-        );
-        // One row per (benchmark, run) plus the __suite__ series.
-        assert_eq!(lines.len(), 1 + 3 + 3);
-        assert!(lines[1].starts_with("A,1,1.000000,"));
-        assert!(lines[2].starts_with("A,2,0.800000,"));
-        assert!(lines[3].starts_with("A,3,0.700000,"));
-        assert!(lines[1].ends_with(",100,7,abc-a"));
-        assert!(lines[2].ends_with(",90,12,abc-a"));
-        assert!(lines[4].starts_with("__suite__,1,1.000000,,,,abc"));
-        assert!(lines[6].starts_with("__suite__,3,0.700000,,,,abc"));
-    }
-
-    #[test]
-    fn trend_tolerates_benchmarks_missing_from_some_runs() {
-        let a = parse_suite_run(&sample(1.0, 100, 7, "abc")).unwrap();
-        let mut b = parse_suite_run(&sample(0.9, 95, 8, "def")).unwrap();
-        b.benchmarks[0].name = "B".to_string();
-        let csv = format_trend(&[a, b]);
-        // "A" only appears in run 1, "B" only in run 2; no empty rows are
-        // fabricated for the gaps.
-        assert!(csv.contains("A,1,"));
-        assert!(!csv.contains("A,2,"));
-        assert!(csv.contains("B,2,"));
-        assert!(!csv.contains("B,1,"));
-    }
-
-    #[test]
-    fn trend_escapes_awkward_benchmark_names() {
-        let mut run = parse_suite_run(&sample(1.0, 100, 7, "abc")).unwrap();
-        run.benchmarks[0].name = "two,words \"q\"".to_string();
-        let csv = format_trend(&[run.clone(), run]);
-        assert!(csv.contains("\"two,words \"\"q\"\"\",1,"));
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl Encoder<CnfFormula> {
     pub fn cnf(&self) -> &CnfFormula {
         &self.sink
     }
-
-    /// Consumes the encoder and returns the accumulated CNF.
-    pub fn into_cnf(self) -> CnfFormula {
-        self.sink
-    }
 }
 
 impl<S: ClauseSink> Encoder<S> {
@@ -103,11 +98,6 @@ impl<S: ClauseSink> Encoder<S> {
     /// incremental solver).
     pub fn sink_mut(&mut self) -> &mut S {
         &mut self.sink
-    }
-
-    /// Consumes the encoder and returns the sink.
-    pub fn into_sink(self) -> S {
-        self.sink
     }
 
     /// The literal that is constrained to be true in every model.
@@ -543,14 +533,6 @@ impl<S: ClauseSink> Encoder<S> {
     pub fn assert_not_expr(&mut self, frame: usize, expr: &Expr) {
         let lit = self.encode_bool(frame, expr);
         self.sink.add_clause(&[!lit]);
-    }
-
-    /// Asserts that at least one of the given literals holds (adds them as a
-    /// single clause). Useful for disjunctions whose operands were encoded in
-    /// different frames, such as "the target state is hit in some frame of
-    /// the unrolling".
-    pub fn assert_any(&mut self, lits: &[Lit]) {
-        self.sink.add_clause(lits);
     }
 
     /// Asserts that variable `target` in frame `target_frame` equals the

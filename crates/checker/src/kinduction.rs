@@ -628,18 +628,6 @@ impl<'a> KInductionChecker<'a> {
         self.check_condition_disjuncts(&init, &[], outgoing)
     }
 
-    /// Checks a per-state condition (2) of the paper for one incoming
-    /// predicate `p_i`:
-    /// `v ⊨ p_i ∧ (v, v') ⊨ R ⟹ v' ⊨ ⋁ outgoing`.
-    pub fn check_state_condition(
-        &mut self,
-        incoming: &Expr,
-        blocked: &[Expr],
-        outgoing: &[Expr],
-    ) -> CheckResult {
-        self.check_condition_disjuncts(incoming, blocked, outgoing)
-    }
-
     /// The state formula `s' := ⋀ (x_i = v(x_i))` over the given variables,
     /// used both to block spurious states and to query reachability.
     ///

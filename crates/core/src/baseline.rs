@@ -1,9 +1,10 @@
 //! The passive random-sampling baseline of Section IV-C.
 
 use crate::conditions::extract_conditions;
-use crate::engine::evaluate_conditions;
+use crate::engine::{ConditionEngine, OracleConfig, ParallelConfig};
+use crate::learner_loop::ActiveLearnerConfig;
 use amle_automaton::Nfa;
-use amle_checker::KInductionChecker;
+use amle_checker::OracleKind;
 use amle_expr::VarId;
 use amle_learner::{LearnError, ModelLearner};
 use amle_system::{Simulator, System};
@@ -65,11 +66,22 @@ pub fn random_sampling_baseline<L: ModelLearner>(
     let model = learner.learn(system.vars(), observables, &traces)?;
     let time = start.elapsed();
 
+    // α is measured the paper's way: every condition solved in condition
+    // order by one k-induction checker, without the verdict cache.
     let alpha_start = Instant::now();
-    let mut checker = KInductionChecker::new(system);
+    let config = ActiveLearnerConfig {
+        observables: Some(observables.to_vec()),
+        k,
+        parallel: ParallelConfig::with_workers(1),
+        oracle: OracleConfig {
+            engine: OracleKind::KInduction,
+            verdict_cache: false,
+            cross_validate: false,
+        },
+        ..ActiveLearnerConfig::default()
+    };
     let conditions = extract_conditions(&model, &system.init_expr());
-    let evaluation =
-        evaluate_conditions(&mut checker, system.vars(), &conditions, observables, k, 10);
+    let evaluation = ConditionEngine::new(system, &config).evaluate(&conditions);
     let alpha_time = alpha_start.elapsed();
 
     Ok(BaselineReport {

@@ -1,16 +1,18 @@
 //! The condition-checking engine: a query planner over pluggable condition
 //! oracles, with a cross-iteration verdict cache and a failure-history
-//! priority order, executing sequentially or over a worker pool.
+//! priority order, solving each condition set on one oracle per worker.
 //!
 //! Checking the extracted conditions dominates the wall-clock time of an
 //! active-learning iteration. Three observations shape the engine:
 //!
 //! 1. **Conditions are mutually independent** — each is decided by its own
 //!    oracle queries, and the spurious-counterexample re-check loop of a
-//!    condition only strengthens that condition's own assumption. The engine
-//!    fans conditions out over a pool of [`std::thread::scope`] workers, each
-//!    owning a private oracle stack (built by [`amle_checker::build_oracle`])
-//!    with its own persistent sessions.
+//!    condition only strengthens that condition's own assumption. The
+//!    engine owns one oracle stack per worker (built by
+//!    [`amle_checker::build_oracle`]), each with its own persistent
+//!    sessions, for its whole lifetime. In each evaluation the calling
+//!    thread is worker 0 and [`std::thread::scope`] helpers join it, one
+//!    per further worker with work to do.
 //! 2. **Condition outcomes are pure functions of the condition.** Thanks to
 //!    canonical counterexamples, the full outcome of evaluating a condition —
 //!    verdict, counterexample transition, spurious rounds — depends only on
@@ -31,8 +33,8 @@
 //!    *assumption* produced counterexamples before is the best candidate to
 //!    fail again. The planner orders pending work by per-assumption failure
 //!    counts (ties broken by condition index), so likely-failing conditions
-//!    surface counterexamples first and the worker pool spends its early
-//!    slots where refinement progress is made.
+//!    surface counterexamples first and the workers spend their early slots
+//!    where refinement progress is made.
 //!
 //! **Determinism guarantee.** The merged [`ConditionEvaluation`] is
 //! byte-identical for every worker count (including 1), every oracle engine
@@ -42,28 +44,30 @@
 //!   canonicalised, so each condition's outcome is a pure function of the
 //!   condition and the system — across engines too (see `amle-checker`);
 //! * cached outcomes are exactly the outcomes the oracle would recompute;
-//! * workers pull work items from a shared queue (dynamic load balancing),
-//!   and results are merged back **in condition order**, so neither
-//!   scheduling, priority order nor completion order can leak into the
-//!   report.
+//! * workers pull pending slots from one shared cursor (dynamic load
+//!   balancing); outcomes are recorded in pending order and merged **in
+//!   condition order**, so neither scheduling, priority order nor
+//!   completion order can leak into the report.
 
 use crate::conditions::{Condition, ConditionKind};
+use crate::learner_loop::ActiveLearnerConfig;
 use amle_checker::{
     build_oracle, CheckResult, CheckerStats, ConditionOracle, OracleKind, SpuriousResult,
 };
 use amle_expr::{Expr, Valuation, VarId, VarSet};
 use amle_system::System;
 use std::collections::HashMap;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::panic;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// Parallelism configuration of the condition-checking engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Number of condition-checking workers. `1` checks conditions on the
-    /// calling thread; `n > 1` spawns `n` scoped workers, each with its own
-    /// persistent checker sessions.
+    /// Number of condition-checking workers, each with its own persistent
+    /// oracle. The calling thread is worker 0, so `1` checks conditions on
+    /// the calling thread alone; `n > 1` adds up to `n − 1` scoped helper
+    /// threads per evaluation.
     pub workers: usize,
 }
 
@@ -153,6 +157,20 @@ pub struct VerdictCacheStats {
     pub entries: u64,
 }
 
+impl VerdictCacheStats {
+    /// The cache work done since an earlier snapshot of the same planner:
+    /// `hits` and `misses` are differenced, and `entries` is a gauge and
+    /// passes through. This is what lets a long-lived engine attribute
+    /// per-refinement work, as [`CheckerStats::since`] does for its oracles.
+    pub fn since(&self, earlier: &VerdictCacheStats) -> VerdictCacheStats {
+        VerdictCacheStats {
+            hits: self.hits.saturating_sub(earlier.hits),
+            misses: self.misses.saturating_sub(earlier.misses),
+            entries: self.entries,
+        }
+    }
+}
+
 /// Outcome of checking the full condition set of one candidate model.
 #[derive(Debug, Clone)]
 pub(crate) struct ConditionEvaluation {
@@ -182,7 +200,7 @@ impl ConditionEvaluation {
 /// The result of fully evaluating a single condition, including its
 /// spurious-counterexample re-check rounds.
 #[derive(Debug, Clone)]
-pub(crate) enum ConditionOutcome {
+enum ConditionOutcome {
     /// The condition was proven to hold.
     Held,
     /// A valid (or inconclusive, treated-as-valid) counterexample was found
@@ -203,7 +221,7 @@ pub(crate) enum ConditionOutcome {
 /// distributes; thanks to canonical counterexample extraction its result is a
 /// pure function of `(condition, system, k, max_spurious_rounds)` — for every
 /// oracle engine.
-pub(crate) fn evaluate_one_condition(
+fn evaluate_one_condition(
     oracle: &mut (impl ConditionOracle + ?Sized),
     vars: &VarSet,
     condition: &Condition,
@@ -257,65 +275,6 @@ pub(crate) fn evaluate_one_condition(
             }
         }
     }
-}
-
-/// Folds per-condition outcomes (in condition order) into the aggregate
-/// evaluation. This is the deterministic merge point of the engine.
-pub(crate) fn merge_outcomes(
-    conditions: &[Condition],
-    outcomes: Vec<ConditionOutcome>,
-) -> ConditionEvaluation {
-    debug_assert_eq!(conditions.len(), outcomes.len());
-    let mut evaluation = ConditionEvaluation {
-        total: conditions.len(),
-        held: 0,
-        counterexamples: Vec::new(),
-        spurious: 0,
-        inconclusive: 0,
-        cache_hits: 0,
-        solved: conditions.len(),
-    };
-    for (condition, outcome) in conditions.iter().zip(outcomes) {
-        match outcome {
-            ConditionOutcome::Held => evaluation.held += 1,
-            ConditionOutcome::Counterexample {
-                from,
-                to,
-                spurious,
-                inconclusive,
-            } => {
-                evaluation.spurious += spurious;
-                if inconclusive {
-                    evaluation.inconclusive += 1;
-                }
-                evaluation
-                    .counterexamples
-                    .push((condition.clone(), from, to));
-            }
-            ConditionOutcome::Exhausted { spurious } => evaluation.spurious += spurious,
-        }
-    }
-    evaluation
-}
-
-/// Checks every extracted condition sequentially on the given oracle,
-/// without planning or caching.
-///
-/// Shared by the random-sampling baseline's α measurement and the planner
-/// tests.
-pub(crate) fn evaluate_conditions(
-    oracle: &mut (impl ConditionOracle + ?Sized),
-    vars: &VarSet,
-    conditions: &[Condition],
-    observables: &[VarId],
-    k: usize,
-    max_spurious_rounds: usize,
-) -> ConditionEvaluation {
-    let outcomes = conditions
-        .iter()
-        .map(|c| evaluate_one_condition(oracle, vars, c, observables, k, max_spurious_rounds))
-        .collect();
-    merge_outcomes(conditions, outcomes)
 }
 
 /// The semantic identity of a condition: the hypothesis automaton restricted
@@ -392,9 +351,9 @@ impl PlannedWork {
 }
 
 /// The query planner: consults and maintains the verdict cache and the
-/// failure history. Lives on the merge side of the engine (never inside a
-/// worker), so its state evolves deterministically in condition order.
-pub(crate) struct QueryPlanner {
+/// failure history. Lives on the calling thread (never inside a helper), so
+/// its state evolves identically for every worker count.
+struct QueryPlanner {
     /// `None` when the cache is disabled; the failure history stays active
     /// either way.
     cache: Option<HashMap<ConditionKey, ConditionOutcome>>,
@@ -404,7 +363,7 @@ pub(crate) struct QueryPlanner {
 }
 
 impl QueryPlanner {
-    pub fn new(cache_enabled: bool) -> QueryPlanner {
+    fn new(cache_enabled: bool) -> QueryPlanner {
         QueryPlanner {
             cache: cache_enabled.then(HashMap::new),
             failures: HashMap::new(),
@@ -479,7 +438,7 @@ impl QueryPlanner {
         }
     }
 
-    pub fn stats(&self) -> VerdictCacheStats {
+    fn stats(&self) -> VerdictCacheStats {
         VerdictCacheStats {
             hits: self.hits,
             misses: self.misses,
@@ -488,245 +447,154 @@ impl QueryPlanner {
     }
 }
 
-/// Completes a plan whose every slot has been filled.
-fn finish_evaluation(conditions: &[Condition], plan: PlannedWork) -> ConditionEvaluation {
-    let cache_hits = plan.cache_hits;
-    let outcomes: Vec<ConditionOutcome> = plan
-        .outcomes
-        .into_iter()
-        .map(|o| o.expect("every condition produced an outcome"))
-        .collect();
-    let mut evaluation = merge_outcomes(conditions, outcomes);
-    evaluation.cache_hits = cache_hits;
-    evaluation.solved = conditions.len() - cache_hits;
+/// Folds a plan whose every slot has been filled into the aggregate
+/// evaluation, in condition order. This is the deterministic merge point of
+/// the engine.
+fn merge(conditions: &[Condition], plan: PlannedWork) -> ConditionEvaluation {
+    let mut evaluation = ConditionEvaluation {
+        total: conditions.len(),
+        held: 0,
+        counterexamples: Vec::new(),
+        spurious: 0,
+        inconclusive: 0,
+        cache_hits: plan.cache_hits,
+        solved: conditions.len() - plan.cache_hits,
+    };
+    for (condition, outcome) in conditions.iter().zip(plan.outcomes) {
+        match outcome.expect("every condition produced an outcome") {
+            ConditionOutcome::Held => evaluation.held += 1,
+            ConditionOutcome::Counterexample {
+                from,
+                to,
+                spurious,
+                inconclusive,
+            } => {
+                evaluation.spurious += spurious;
+                if inconclusive {
+                    evaluation.inconclusive += 1;
+                }
+                evaluation
+                    .counterexamples
+                    .push((condition.clone(), from, to));
+            }
+            ConditionOutcome::Exhausted { spurious } => evaluation.spurious += spurious,
+        }
+    }
     evaluation
 }
 
-/// Statistics surrendered by an engine at the end of a run.
-pub(crate) struct EngineStats {
-    pub checker: CheckerStats,
-    pub cache: VerdictCacheStats,
-}
-
-/// A condition-checking engine usable by the active-learning loop: evaluates
-/// whole condition sets and surrenders its accumulated statistics at the end
-/// of the run.
-pub(crate) trait ConditionEngine {
-    fn evaluate(&mut self, conditions: &[Condition]) -> ConditionEvaluation;
-    fn finish(self) -> EngineStats;
-}
-
-/// The sequential engine: one oracle stack on the calling thread plus the
-/// planner — the paper's Fig. 1 behaviour with cached verdicts.
-///
-/// Both the oracle and the planner are **borrowed**, not owned: the caller
-/// decides their lifetime. A batch run builds both fresh and drops them with
-/// the report; a resident [`crate::Session`] keeps the same warm oracle
-/// (incremental solver sessions intact) and the same verdict cache across
-/// many refinement calls.
-pub(crate) struct SequentialEngine<'o, 'a> {
+/// The condition-checking engine: the query planner plus one oracle stack
+/// per worker, both kept for the engine's whole lifetime. A batch run
+/// builds one engine per run; a resident [`crate::Session`] keeps one warm
+/// (incremental solver sessions and verdict cache intact) across
+/// refinements.
+pub(crate) struct ConditionEngine<'a> {
     system: &'a System,
-    oracle: &'o mut (dyn ConditionOracle + 'a),
-    planner: &'o mut QueryPlanner,
+    planner: QueryPlanner,
+    /// One oracle per worker; the calling thread drives the first.
+    oracles: Vec<Box<dyn ConditionOracle + 'a>>,
     observables: Vec<VarId>,
     k: usize,
     max_spurious_rounds: usize,
 }
 
-impl<'o, 'a> SequentialEngine<'o, 'a> {
-    pub fn new(
-        system: &'a System,
-        oracle: &'o mut (dyn ConditionOracle + 'a),
-        planner: &'o mut QueryPlanner,
-        observables: Vec<VarId>,
-        k: usize,
-        max_spurious_rounds: usize,
-    ) -> Self {
-        SequentialEngine {
+impl<'a> ConditionEngine<'a> {
+    /// Builds the planner and one oracle per configured worker for `system`.
+    pub fn new(system: &'a System, config: &ActiveLearnerConfig) -> Self {
+        let OracleConfig {
+            engine,
+            verdict_cache,
+            cross_validate,
+        } = config.oracle;
+        ConditionEngine {
             system,
-            oracle,
-            planner,
-            observables,
-            k,
-            max_spurious_rounds,
+            planner: QueryPlanner::new(verdict_cache),
+            oracles: (0..config.parallel.workers.max(1))
+                .map(|_| build_oracle(system, engine, cross_validate))
+                .collect(),
+            observables: config.observables_of(system),
+            k: config.k,
+            max_spurious_rounds: config.max_spurious_rounds,
         }
     }
-}
 
-impl ConditionEngine for SequentialEngine<'_, '_> {
-    fn evaluate(&mut self, conditions: &[Condition]) -> ConditionEvaluation {
+    /// Checks a whole condition set: plans it, solves the pending
+    /// conditions, records their outcomes in pending order and merges in
+    /// condition order.
+    pub fn evaluate(&mut self, conditions: &[Condition]) -> ConditionEvaluation {
         let mut plan = self.planner.plan(conditions);
-        for (index, key) in std::mem::take(&mut plan.pending) {
-            let outcome = evaluate_one_condition(
-                &mut *self.oracle,
-                self.system.vars(),
-                &conditions[index],
-                &self.observables,
-                self.k,
-                self.max_spurious_rounds,
-            );
+        let pending = std::mem::take(&mut plan.pending);
+        let mut solved = self.solve(conditions, &pending);
+        solved.sort_unstable_by_key(|&(slot, _)| slot);
+        for ((index, key), (_, outcome)) in pending.into_iter().zip(solved) {
             self.planner.record(key, &outcome);
             plan.resolve(index, outcome);
         }
-        finish_evaluation(conditions, plan)
+        merge(conditions, plan)
     }
 
-    fn finish(self) -> EngineStats {
-        EngineStats {
-            checker: self.oracle.stats(),
-            cache: self.planner.stats(),
-        }
-    }
-}
-
-/// One unit of work: the condition's position in the extracted set plus the
-/// condition itself.
-type WorkItem = (usize, Condition);
-
-/// A message from a worker to the merge loop.
-enum PoolMessage {
-    /// One condition's outcome, tagged with its position.
-    Outcome(usize, ConditionOutcome),
-    /// The sending worker is unwinding from a panic.
-    Panicked,
-}
-
-/// Sends [`PoolMessage::Panicked`] when dropped during a panic unwind, so a
-/// dying worker fails the run loudly: without this, the merge loop would
-/// block forever on a result that will never arrive (the surviving workers
-/// keep the result channel open).
-struct PanicNotifier {
-    result_tx: mpsc::Sender<PoolMessage>,
-}
-
-impl Drop for PanicNotifier {
-    fn drop(&mut self) {
-        if thread::panicking() {
-            let _ = self.result_tx.send(PoolMessage::Panicked);
-        }
-    }
-}
-
-/// The parallel engine: a pool of scoped worker threads, each owning its own
-/// oracle stack with persistent sessions that survive across iterations.
-/// Work items are pulled from a shared queue in planner priority order; the
-/// planner itself (cache + failure history) lives on the merge side, so its
-/// state evolves identically for every worker count.
-pub(crate) struct WorkerPool<'scope, 'p> {
-    work_tx: Option<mpsc::Sender<WorkItem>>,
-    result_rx: mpsc::Receiver<PoolMessage>,
-    handles: Vec<thread::ScopedJoinHandle<'scope, CheckerStats>>,
-    planner: &'p mut QueryPlanner,
-}
-
-impl<'scope, 'p> WorkerPool<'scope, 'p> {
-    /// Spawns `workers` threads on `scope`, each building its own oracle
-    /// stack for `system`. The planner is borrowed from the caller so the
-    /// verdict cache can outlive the pool (worker oracles are rebuilt per
-    /// refinement inside their `thread::scope`, but cached verdicts — living
-    /// on the merge side — persist).
-    #[allow(clippy::too_many_arguments)] // internal seam; callers are the two refine paths
-    pub fn spawn<'env: 'scope>(
-        scope: &'scope thread::Scope<'scope, 'env>,
-        system: &'env System,
-        observables: Vec<VarId>,
-        workers: usize,
-        k: usize,
-        max_spurious_rounds: usize,
-        oracle: &OracleConfig,
-        planner: &'p mut QueryPlanner,
-    ) -> Self {
-        let (work_tx, work_rx) = mpsc::channel::<WorkItem>();
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let (result_tx, result_rx) = mpsc::channel();
-        let (engine, cross_validate) = (oracle.engine, oracle.cross_validate);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let work_rx = Arc::clone(&work_rx);
-            let result_tx = result_tx.clone();
-            let observables = observables.clone();
-            handles.push(scope.spawn(move || {
-                let _notifier = PanicNotifier {
-                    result_tx: result_tx.clone(),
+    /// Solves every pending condition, returning `(slot, outcome)` pairs.
+    /// The calling thread is worker 0 and `min(workers, pending) − 1`
+    /// scoped helpers join it; each worker pulls the next pending slot from
+    /// one shared cursor. With one worker the caller takes the slots in
+    /// planner order on one oracle. A helper's panic is re-raised on the
+    /// caller with its own payload; the other helpers drain the cursor and
+    /// the scope waits for them, so nothing hangs.
+    fn solve(
+        &mut self,
+        conditions: &[Condition],
+        pending: &[(usize, ConditionKey)],
+    ) -> Vec<(usize, ConditionOutcome)> {
+        let cursor = AtomicUsize::new(0);
+        let (vars, observables) = (self.system.vars(), &self.observables);
+        let (k, max_spurious_rounds) = (self.k, self.max_spurious_rounds);
+        let work = |oracle: &mut (dyn ConditionOracle + 'a)| {
+            let mut solved = Vec::new();
+            loop {
+                // Relaxed suffices: the cursor publishes no data. What a slot
+                // reads was written before the helpers were spawned, and
+                // what it produces comes back through `join`.
+                let slot = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&(index, _)) = pending.get(slot) else {
+                    return solved;
                 };
-                let mut oracle = build_oracle(system, engine, cross_validate);
-                let vars = system.vars();
-                loop {
-                    // Hold the queue lock only for the dequeue itself; the
-                    // expensive solving below runs unlocked.
-                    let item = match work_rx.lock().expect("queue lock poisoned").recv() {
-                        Ok(item) => item,
-                        Err(_) => break,
-                    };
-                    let (index, condition) = item;
-                    let outcome = evaluate_one_condition(
-                        &mut *oracle,
-                        vars,
-                        &condition,
-                        &observables,
-                        k,
-                        max_spurious_rounds,
-                    );
-                    if result_tx
-                        .send(PoolMessage::Outcome(index, outcome))
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-                oracle.stats()
-            }));
-        }
-        WorkerPool {
-            work_tx: Some(work_tx),
-            result_rx,
-            handles,
-            planner,
-        }
-    }
-}
-
-impl ConditionEngine for WorkerPool<'_, '_> {
-    fn evaluate(&mut self, conditions: &[Condition]) -> ConditionEvaluation {
-        let mut plan = self.planner.plan(conditions);
-        let pending = std::mem::take(&mut plan.pending);
-        let work_tx = self.work_tx.as_ref().expect("pool already finished");
-        for (index, _) in &pending {
-            work_tx
-                .send((*index, conditions[*index].clone()))
-                .expect("a worker thread panicked");
-        }
-        let mut keys: HashMap<usize, ConditionKey> = pending.into_iter().collect();
-        for _ in 0..keys.len() {
-            match self
-                .result_rx
-                .recv()
-                .expect("every condition-checking worker exited before finishing its work")
-            {
-                PoolMessage::Outcome(index, outcome) => {
-                    let key = keys.remove(&index).expect("outcome for an unplanned index");
-                    self.planner.record(key, &outcome);
-                    plan.resolve(index, outcome);
-                }
-                PoolMessage::Panicked => {
-                    panic!("a condition-checking worker panicked; aborting the run")
-                }
+                let condition = &conditions[index];
+                let outcome = evaluate_one_condition(
+                    oracle,
+                    vars,
+                    condition,
+                    observables,
+                    k,
+                    max_spurious_rounds,
+                );
+                solved.push((slot, outcome));
             }
-        }
-        finish_evaluation(conditions, plan)
+        };
+        let work = &work;
+        let helpers = self.oracles.len().min(pending.len()).saturating_sub(1);
+        let (caller, others) = self.oracles.split_first_mut().expect("at least one worker");
+        thread::scope(|scope| {
+            let handles: Vec<_> = others[..helpers]
+                .iter_mut()
+                .map(|oracle| scope.spawn(move || work(&mut **oracle)))
+                .collect();
+            let mut solved = work(&mut **caller);
+            for handle in handles {
+                solved.extend(handle.join().unwrap_or_else(|p| panic::resume_unwind(p)));
+            }
+            solved
+        })
     }
 
-    fn finish(mut self) -> EngineStats {
-        // Closing the queue lets every worker drain out and return its stats.
-        drop(self.work_tx.take());
-        let mut total = CheckerStats::default();
-        for handle in self.handles {
-            total += handle.join().expect("worker thread panicked");
-        }
-        EngineStats {
-            checker: total,
-            cache: self.planner.stats(),
-        }
+    /// Checker work accumulated by every worker's oracle so far.
+    pub fn checker_stats(&self) -> CheckerStats {
+        let stats = self.oracles.iter().map(|oracle| oracle.stats());
+        stats.fold(CheckerStats::default(), |total, s| total + s)
+    }
+
+    /// The planner's verdict-cache counters so far.
+    pub fn cache_stats(&self) -> VerdictCacheStats {
+        self.planner.stats()
     }
 }
 
@@ -756,41 +624,40 @@ mod tests {
         }
     }
 
-    /// The owned halves a [`SequentialEngine`] borrows — what a batch run
-    /// builds fresh and a resident session keeps warm.
-    fn engine_parts<'a>(
-        system: &'a System,
-        config: &OracleConfig,
-    ) -> (Box<dyn ConditionOracle + 'a>, QueryPlanner) {
-        (
-            build_oracle(system, config.engine, config.cross_validate),
-            QueryPlanner::new(config.verdict_cache),
-        )
+    /// An engine over `system` with `k = 4` and the default oracle stack, at
+    /// the worker count `AMLE_WORKERS` selects.
+    fn engine(system: &System, verdict_cache: bool) -> ConditionEngine<'_> {
+        let config = ActiveLearnerConfig {
+            k: 4,
+            oracle: OracleConfig {
+                verdict_cache,
+                ..OracleConfig::default()
+            },
+            ..ActiveLearnerConfig::default()
+        };
+        ConditionEngine::new(system, &config)
     }
 
     #[test]
-    #[should_panic(expected = "condition-checking worker panicked")]
+    #[should_panic(expected = "k-induction bound must be positive")]
     fn a_panicking_worker_fails_the_run_instead_of_hanging() {
-        // k = 0 trips the checker's bound assertion on the first violated
-        // non-initial condition, panicking inside a worker. The merge loop
-        // must surface that as a panic of its own, not block forever waiting
-        // for an outcome that will never arrive.
+        // k = 0 trips the checker's bound assertion on every violated
+        // non-initial condition. Two distinct violated conditions on two
+        // workers put one of them on a helper thread; whichever thread
+        // panics, the evaluation must fail with the checker's own message
+        // instead of blocking forever on an outcome that never arrives.
         let system = toggle_system();
-        let condition = state_condition(0, Expr::true_(), vec![Expr::false_()]);
-        let mut planner = QueryPlanner::new(true);
-        thread::scope(|scope| {
-            let mut pool = WorkerPool::spawn(
-                scope,
-                &system,
-                system.all_vars(),
-                2,
-                0,
-                10,
-                &OracleConfig::default(),
-                &mut planner,
-            );
-            let _ = pool.evaluate(std::slice::from_ref(&condition));
-        });
+        let s = system.var(system.vars().lookup("s").unwrap());
+        let config = ActiveLearnerConfig {
+            k: 0,
+            parallel: ParallelConfig::with_workers(2),
+            ..ActiveLearnerConfig::default()
+        };
+        let mut engine = ConditionEngine::new(&system, &config);
+        engine.evaluate(&[
+            state_condition(0, Expr::true_(), vec![Expr::false_()]),
+            state_condition(1, s.clone(), vec![s.not()]),
+        ]);
     }
 
     #[test]
@@ -845,15 +712,7 @@ mod tests {
         let system = toggle_system();
         let s = system.vars().lookup("s").unwrap();
         let se = system.var(s);
-        let (mut oracle, mut planner) = engine_parts(&system, &OracleConfig::default());
-        let mut engine = SequentialEngine::new(
-            &system,
-            &mut *oracle,
-            &mut planner,
-            system.all_vars(),
-            4,
-            10,
-        );
+        let mut engine = engine(&system, true);
 
         // Iteration 1: both conditions hold.
         let unchanged = state_condition(0, se.clone(), vec![Expr::true_()]);
@@ -877,10 +736,10 @@ mod tests {
         );
         assert_eq!(second.held, 1);
 
-        let stats = engine.finish();
-        assert_eq!(stats.cache.hits, 1);
-        assert_eq!(stats.cache.misses, 3);
-        assert_eq!(stats.cache.entries, 3);
+        let stats = engine.cache_stats();
+        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.misses, 3);
+        assert_eq!(stats.entries, 3);
     }
 
     /// The canonical-key pin of the interner PR: conditions whose predicates
@@ -895,15 +754,7 @@ mod tests {
         let system = toggle_system();
         let s = system.vars().lookup("s").unwrap();
         let se = system.var(s);
-        let (mut oracle, mut planner) = engine_parts(&system, &OracleConfig::default());
-        let mut engine = SequentialEngine::new(
-            &system,
-            &mut *oracle,
-            &mut planner,
-            system.all_vars(),
-            4,
-            10,
-        );
+        let mut engine = engine(&system, true);
 
         let original = state_condition(0, se.clone(), vec![se.clone(), se.not()]);
         let first = engine.evaluate(std::slice::from_ref(&original));
@@ -926,9 +777,9 @@ mod tests {
         assert_eq!(second.solved, 0);
         assert_eq!(second.held, first.held);
 
-        let stats = engine.finish();
-        assert_eq!((stats.cache.hits, stats.cache.misses), (1, 1));
-        assert_eq!(stats.cache.entries, 1);
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!(stats.entries, 1);
     }
 
     /// Semantic keying also *merges*: a condition re-extracted under a
@@ -939,15 +790,7 @@ mod tests {
         let system = toggle_system();
         let s = system.vars().lookup("s").unwrap();
         let se = system.var(s);
-        let (mut oracle, mut planner) = engine_parts(&system, &OracleConfig::default());
-        let mut engine = SequentialEngine::new(
-            &system,
-            &mut *oracle,
-            &mut planner,
-            system.all_vars(),
-            4,
-            10,
-        );
+        let mut engine = engine(&system, true);
         let at_state_0 = state_condition(0, se.clone(), vec![Expr::true_()]);
         let at_state_7 = state_condition(7, se, vec![Expr::true_()]);
         let first = engine.evaluate(std::slice::from_ref(&at_state_0));
@@ -969,29 +812,8 @@ mod tests {
             state_condition(1, se.clone(), vec![se.not()]),
         ];
 
-        let (mut cached_oracle, mut cached_planner) =
-            engine_parts(&system, &OracleConfig::default());
-        let mut cached = SequentialEngine::new(
-            &system,
-            &mut *cached_oracle,
-            &mut cached_planner,
-            system.all_vars(),
-            4,
-            10,
-        );
-        let uncached_config = OracleConfig {
-            verdict_cache: false,
-            ..OracleConfig::default()
-        };
-        let (mut uncached_oracle, mut uncached_planner) = engine_parts(&system, &uncached_config);
-        let mut uncached = SequentialEngine::new(
-            &system,
-            &mut *uncached_oracle,
-            &mut uncached_planner,
-            system.all_vars(),
-            4,
-            10,
-        );
+        let mut cached = engine(&system, true);
+        let mut uncached = engine(&system, false);
 
         for round in 0..3 {
             let a = cached.evaluate(&conditions);
@@ -1010,14 +832,12 @@ mod tests {
                 assert_eq!(b.cache_hits, 0);
             }
         }
-        let cached_stats = cached.finish();
-        let uncached_stats = uncached.finish();
         // After the first round every cached evaluation is free.
-        assert_eq!(cached_stats.cache.hits, 2 * conditions.len() as u64);
-        assert_eq!(uncached_stats.cache.hits, 0);
-        assert_eq!(uncached_stats.cache.entries, 0);
+        assert_eq!(cached.cache_stats().hits, 2 * conditions.len() as u64);
+        assert_eq!(uncached.cache_stats().hits, 0);
+        assert_eq!(uncached.cache_stats().entries, 0);
         assert!(
-            cached_stats.checker.sat_queries < uncached_stats.checker.sat_queries,
+            cached.checker_stats().sat_queries < uncached.checker_stats().sat_queries,
             "the cache must actually skip solver work"
         );
     }
@@ -1035,41 +855,20 @@ mod tests {
             state_condition(1, se.clone(), vec![Expr::true_()]),
             state_condition(2, se.clone(), vec![Expr::true_()]),
         ];
-        let (mut cached_oracle, mut cached_planner) =
-            engine_parts(&system, &OracleConfig::default());
-        let mut cached = SequentialEngine::new(
-            &system,
-            &mut *cached_oracle,
-            &mut cached_planner,
-            system.all_vars(),
-            4,
-            10,
-        );
+        let mut cached = engine(&system, true);
         let evaluation = cached.evaluate(&batch);
         assert_eq!(evaluation.held, 3, "duplicates must still get an outcome");
         assert_eq!(evaluation.solved, 1);
         assert_eq!(evaluation.cache_hits, 2);
-        let stats = cached.finish();
-        assert_eq!(stats.checker.condition_checks, 1);
-        assert_eq!((stats.cache.hits, stats.cache.misses), (2, 1));
+        assert_eq!(cached.checker_stats().condition_checks, 1);
+        let stats = cached.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
 
-        let uncached_config = OracleConfig {
-            verdict_cache: false,
-            ..OracleConfig::default()
-        };
-        let (mut uncached_oracle, mut uncached_planner) = engine_parts(&system, &uncached_config);
-        let mut uncached = SequentialEngine::new(
-            &system,
-            &mut *uncached_oracle,
-            &mut uncached_planner,
-            system.all_vars(),
-            4,
-            10,
-        );
+        let mut uncached = engine(&system, false);
         let evaluation = uncached.evaluate(&batch);
         assert_eq!(evaluation.held, 3);
         assert_eq!(evaluation.solved, 3);
-        assert_eq!(uncached.finish().checker.condition_checks, 3);
+        assert_eq!(uncached.checker_stats().condition_checks, 3);
     }
 
     /// The failure history orders pending work: an assumption that produced

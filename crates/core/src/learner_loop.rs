@@ -1,11 +1,8 @@
 //! The active model-learning loop (Fig. 1 of the paper).
 
 use crate::conditions::{extract_conditions, AssumptionMemo, Condition, ConditionKind};
-use crate::engine::{
-    ConditionEngine, OracleConfig, ParallelConfig, QueryPlanner, SequentialEngine, WorkerPool,
-};
+use crate::engine::{ConditionEngine, OracleConfig, ParallelConfig};
 use crate::report::{Invariant, IterationStats, RunReport};
-use amle_checker::build_oracle;
 use amle_expr::{Expr, Valuation, VarId};
 use amle_learner::{LearnError, ModelLearner};
 #[cfg(test)]
@@ -16,7 +13,6 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Configuration of an active-learning run.
@@ -40,15 +36,27 @@ pub struct ActiveLearnerConfig {
     pub max_spurious_rounds: usize,
     /// Seed for the random trace generator.
     pub seed: u64,
-    /// Parallelism of the condition-checking engine. The default honours the
-    /// `AMLE_WORKERS` environment variable (1 = sequential); reports are
-    /// byte-identical across worker counts.
+    /// Worker count of the condition-checking engine: the calling thread is
+    /// worker 0, and each further worker adds a helper thread and an oracle
+    /// of its own. The default honours the `AMLE_WORKERS` environment
+    /// variable (1 = the calling thread alone); reports are byte-identical
+    /// across worker counts.
     pub parallel: ParallelConfig,
     /// The condition-oracle stack and planner behaviour: which engine
     /// answers queries, whether the cross-iteration verdict cache is on, and
     /// whether the portfolio cross-validates its explicit answers. Semantic
     /// fingerprints are byte-identical across engines and cache settings.
     pub oracle: OracleConfig,
+}
+
+impl ActiveLearnerConfig {
+    /// The observable variables of a run over `system`: `observables`, or
+    /// every system variable when it is `None`.
+    pub(crate) fn observables_of(&self, system: &System) -> Vec<VarId> {
+        self.observables
+            .clone()
+            .unwrap_or_else(|| system.all_vars())
+    }
 }
 
 impl Default for ActiveLearnerConfig {
@@ -276,10 +284,7 @@ impl<'a, L: ModelLearner> ActiveLearner<'a, L> {
 
     /// The observable variables of this run.
     pub fn observables(&self) -> Vec<VarId> {
-        self.config
-            .observables
-            .clone()
-            .unwrap_or_else(|| self.system.all_vars())
+        self.config.observables_of(self.system)
     }
 
     /// Runs the loop starting from randomly generated traces.
@@ -340,84 +345,41 @@ impl<'a, L: ModelLearner> ActiveLearner<'a, L> {
 
     /// Runs the loop starting from a user-supplied initial trace set.
     ///
-    /// When `config.parallel.workers > 1` the per-iteration condition checks
-    /// are fanned out over that many scoped worker threads, each building
-    /// its own oracle stack with persistent incremental sessions; results are
-    /// merged in condition order and the report is byte-identical to a
-    /// sequential run (see [`crate::ParallelConfig`]).
+    /// The run builds one condition engine with `config.parallel.workers`
+    /// oracles and drops it with the report. The calling thread is worker
+    /// 0; with more workers, each iteration's pending conditions are shared
+    /// with scoped helper threads, and the report is byte-identical to a
+    /// one-worker run (see [`crate::ParallelConfig`]).
     ///
     /// # Errors
     ///
     /// As for [`ActiveLearner::run`].
     pub fn run_with_traces(&mut self, traces: TraceSet) -> Result<RunReport, ActiveLearnError> {
         let observables = self.observables();
-        let workers = self.config.parallel.workers.max(1);
-        let (k, max_spurious_rounds) = (self.config.k, self.config.max_spurious_rounds);
-        let oracle_config = self.config.oracle;
-        let max_iterations = self.config.max_iterations;
         let mut store = TraceStore::from_trace_set(&traces);
         drop(traces);
-        // The engine's owned halves: a batch run builds both fresh and drops
-        // them with the report. A resident `Session` owns the same pieces and
-        // keeps them warm across refinement calls.
-        let mut planner = QueryPlanner::new(oracle_config.verdict_cache);
-        if workers == 1 {
-            let mut oracle = build_oracle(
-                self.system,
-                oracle_config.engine,
-                oracle_config.cross_validate,
-            );
-            let engine = SequentialEngine::new(
-                self.system,
-                &mut *oracle,
-                &mut planner,
-                observables.clone(),
-                k,
-                max_spurious_rounds,
-            );
-            run_refinement(
-                self.system,
-                &mut self.learner,
-                &observables,
-                max_iterations,
-                &mut store,
-                engine,
-            )
-        } else {
-            let system = self.system;
-            let learner = &mut self.learner;
-            thread::scope(|scope| {
-                let engine = WorkerPool::spawn(
-                    scope,
-                    system,
-                    observables.clone(),
-                    workers,
-                    k,
-                    max_spurious_rounds,
-                    &oracle_config,
-                    &mut planner,
-                );
-                run_refinement(
-                    system,
-                    learner,
-                    &observables,
-                    max_iterations,
-                    &mut store,
-                    engine,
-                )
-            })
-        }
+        let mut engine = ConditionEngine::new(self.system, &self.config);
+        run_refinement(
+            self.system,
+            &mut self.learner,
+            &observables,
+            self.config.max_iterations,
+            &mut store,
+            &mut engine,
+        )
     }
 }
 
-/// The iteration loop of Fig. 1, generic over the condition-checking engine
-/// and running over an **externally owned** trace store.
+/// The iteration loop of Fig. 1, running over an **externally owned** trace
+/// store and condition engine.
 ///
 /// This is the shared core of the batch [`ActiveLearner`] and the resident
-/// [`crate::Session`]: the batch path builds a fresh store from its initial
-/// trace set and drops it with the report, while a session keeps the store
-/// (plus the engine's oracle and verdict cache) alive across calls, so each
-/// refinement continues from the spliced result of the previous one.
+/// [`crate::Session`]: the batch path builds a fresh store and engine and
+/// drops them with the report, while a session keeps both (the engine's
+/// per-worker oracles and its verdict cache included) alive across calls,
+/// so each refinement continues from the spliced result of the previous
+/// one. The report attributes only this call's work: learner, interner,
+/// checker and verdict-cache counters are all snapshotted at the start.
 ///
 /// The trace set lives in an interned [`TraceStore`]: the learner consumes
 /// it through [`ModelLearner::learn_from_store`] (incremental word
@@ -429,24 +391,26 @@ impl<'a, L: ModelLearner> ActiveLearner<'a, L> {
 /// the store `g` times instead of once per counterexample, and each group
 /// holds O(its prefixes + observations) memory. Both paths are pinned
 /// byte-identical to the flat-trace reference semantics.
-pub(crate) fn run_refinement<L: ModelLearner, E: ConditionEngine>(
+pub(crate) fn run_refinement<L: ModelLearner>(
     system: &System,
     learner: &mut L,
     observables: &[VarId],
     max_iterations: usize,
     store: &mut TraceStore,
-    mut engine: E,
+    engine: &mut ConditionEngine,
 ) -> Result<RunReport, ActiveLearnError> {
     let start = Instant::now();
     let mut learn_time = Duration::ZERO;
     let mut check_time = Duration::ZERO;
     let mut iteration_stats = Vec::new();
-    // The learner accumulates solver and word statistics across its
-    // lifetime; snapshot them so the report attributes only this run's
+    // The learner and the engine accumulate statistics across their
+    // lifetimes; snapshot them so the report attributes only this run's
     // work. The expression interner's counters are process-global, so a
     // delta snapshot bounds them to this run the same way.
     let learner_stats_start = learner.solver_stats();
     let word_stats_start = learner.word_stats();
+    let checker_start = engine.checker_stats();
+    let cache_start = engine.cache_stats();
     let interner_start = amle_expr::InternerStats::snapshot();
 
     let mut abstraction = None;
@@ -523,7 +487,6 @@ pub(crate) fn run_refinement<L: ModelLearner, E: ConditionEngine>(
         })
         .collect();
 
-    let engine_stats = engine.finish();
     Ok(RunReport {
         abstraction,
         alpha,
@@ -535,8 +498,8 @@ pub(crate) fn run_refinement<L: ModelLearner, E: ConditionEngine>(
         total_time: start.elapsed(),
         learn_time,
         check_time,
-        checker_stats: engine_stats.checker,
-        verdict_cache: engine_stats.cache,
+        checker_stats: engine.checker_stats().since(&checker_start),
+        verdict_cache: engine.cache_stats().since(&cache_start),
         learner_solver_stats: learner.solver_stats().since(&learner_stats_start),
         word_stats: learner.word_stats().since(&word_stats_start),
         trace_store: store.stats(),

@@ -190,7 +190,7 @@ impl RunReport {
 
 /// A short, stable digest of a fingerprint string (FNV-1a 64, rendered as
 /// 16 hex digits): compact enough to commit next to the CI workflow, to
-/// accumulate in `BENCH_*.json` trajectories and to stream over the serving
+/// carry in `suite --json` documents and to stream over the serving
 /// protocol, yet any semantic drift in the underlying report changes it.
 pub fn fingerprint_digest(fingerprint: &str) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

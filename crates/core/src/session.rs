@@ -11,8 +11,8 @@
 //! * [`Session::ingest`] folds a batch of traces into the shared store
 //!   (interned, deduplicated, insertion order preserved);
 //! * [`Session::refine`] runs the paper's Fig. 1 refinement loop over the
-//!   current store, reusing the warm oracle (sequential engine) and the
-//!   verdict cache (every engine), and returns a [`RunReport`] attributing
+//!   current store, reusing the warm condition engine (every worker's
+//!   oracle and the verdict cache), and returns a [`RunReport`] attributing
 //!   exactly this call's work;
 //! * [`Session::stats`] exposes the cumulative counters a resident process
 //!   wants to watch.
@@ -24,14 +24,13 @@
 //! engine and cache setting. The integration tests of `amle-serve` pin this
 //! differentially over a TCP boundary.
 
-use crate::engine::{QueryPlanner, SequentialEngine, VerdictCacheStats, WorkerPool};
+use crate::engine::{ConditionEngine, VerdictCacheStats};
 use crate::learner_loop::{run_refinement, ActiveLearnError, ActiveLearnerConfig};
 use crate::report::RunReport;
-use amle_checker::{build_oracle, CheckerStats, ConditionOracle};
+use amle_checker::CheckerStats;
 use amle_expr::VarId;
 use amle_learner::ModelLearner;
 use amle_system::{System, Trace, TraceStore, TraceStoreStats};
-use std::thread;
 
 /// Result of folding one trace batch into a session's store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -65,12 +64,10 @@ pub struct SessionStats {
 /// keeps them warm:
 ///
 /// * the interned [`TraceStore`] the traces accumulate in;
-/// * the query planner (verdict cache + failure history), persisted for
-///   every engine configuration;
-/// * in the sequential configuration, the [`ConditionOracle`] with its
-///   incremental solver sessions (with `workers > 1` the per-worker oracles
-///   are rebuilt per refinement inside their `thread::scope`, exactly like
-///   the batch path — the cache still persists on the merge side).
+/// * one condition engine for its whole lifetime, at every worker count:
+///   the query planner (verdict cache + failure history) and one
+///   [`ConditionOracle`](crate::ConditionOracle) per worker, each with its
+///   incremental solver sessions.
 ///
 /// `initial_traces`, `trace_length` and `seed` in the config are ignored:
 /// sessions never generate traces, they are fed them.
@@ -115,28 +112,19 @@ pub struct Session<'a, L: ModelLearner> {
     learner: L,
     config: ActiveLearnerConfig,
     store: TraceStore,
-    planner: QueryPlanner,
-    /// The warm sequential oracle, built lazily on the first sequential
-    /// refinement (a parallel-only session never needs it).
-    oracle: Option<Box<dyn ConditionOracle + 'a>>,
-    cache_total: VerdictCacheStats,
-    checker_total: CheckerStats,
+    engine: ConditionEngine<'a>,
     stats: SessionStats,
 }
 
 impl<'a, L: ModelLearner> Session<'a, L> {
     /// Creates an empty session for `system`.
     pub fn new(system: &'a System, learner: L, config: ActiveLearnerConfig) -> Self {
-        let planner = QueryPlanner::new(config.oracle.verdict_cache);
         Session {
             system,
             learner,
+            engine: ConditionEngine::new(system, &config),
             config,
             store: TraceStore::new(),
-            planner,
-            oracle: None,
-            cache_total: VerdictCacheStats::default(),
-            checker_total: CheckerStats::default(),
             stats: SessionStats::default(),
         }
     }
@@ -153,10 +141,7 @@ impl<'a, L: ModelLearner> Session<'a, L> {
 
     /// The observable variables of this session's abstraction.
     pub fn observables(&self) -> Vec<VarId> {
-        self.config
-            .observables
-            .clone()
-            .unwrap_or_else(|| self.system.all_vars())
+        self.config.observables_of(self.system)
     }
 
     /// The interned store the ingested (and spliced) traces live in.
@@ -209,67 +194,14 @@ impl<'a, L: ModelLearner> Session<'a, L> {
             });
         }
         let observables = self.observables();
-        let workers = self.config.parallel.workers.max(1);
-        let (k, max_spurious_rounds) = (self.config.k, self.config.max_spurious_rounds);
-        let max_iterations = self.config.max_iterations;
-        let oracle_config = self.config.oracle;
-
-        let mut report = if workers == 1 {
-            let system = self.system;
-            let oracle = self.oracle.get_or_insert_with(|| {
-                build_oracle(system, oracle_config.engine, oracle_config.cross_validate)
-            });
-            // The oracle accumulates across refinements; snapshot so the
-            // report covers exactly this call.
-            let checker_before = oracle.stats();
-            let engine = SequentialEngine::new(
-                self.system,
-                &mut **oracle,
-                &mut self.planner,
-                observables.clone(),
-                k,
-                max_spurious_rounds,
-            );
-            let mut report = run_refinement(
-                self.system,
-                &mut self.learner,
-                &observables,
-                max_iterations,
-                &mut self.store,
-                engine,
-            )?;
-            report.checker_stats = report.checker_stats.since(&checker_before);
-            report
-        } else {
-            let system = self.system;
-            let learner = &mut self.learner;
-            let store = &mut self.store;
-            let planner = &mut self.planner;
-            thread::scope(|scope| {
-                let engine = WorkerPool::spawn(
-                    scope,
-                    system,
-                    observables.clone(),
-                    workers,
-                    k,
-                    max_spurious_rounds,
-                    &oracle_config,
-                    planner,
-                );
-                run_refinement(system, learner, &observables, max_iterations, store, engine)
-            })?
-        };
-
-        // The planner persists across refinements; the report carries this
-        // call's delta (`entries` is a gauge and passes through).
-        let cumulative = self.planner.stats();
-        report.verdict_cache = VerdictCacheStats {
-            hits: cumulative.hits - self.cache_total.hits,
-            misses: cumulative.misses - self.cache_total.misses,
-            entries: cumulative.entries,
-        };
-        self.cache_total = cumulative;
-        self.checker_total += report.checker_stats;
+        let report = run_refinement(
+            self.system,
+            &mut self.learner,
+            &observables,
+            self.config.max_iterations,
+            &mut self.store,
+            &mut self.engine,
+        )?;
         self.stats.refinements += 1;
         Ok(report)
     }
@@ -278,8 +210,8 @@ impl<'a, L: ModelLearner> Session<'a, L> {
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             store: self.store.stats(),
-            verdict_cache: self.cache_total,
-            checker: self.checker_total,
+            verdict_cache: self.engine.cache_stats(),
+            checker: self.engine.checker_stats(),
             ..self.stats
         }
     }
@@ -360,11 +292,12 @@ mod tests {
                 report.checker_stats.sat_queries
             );
             if workers == 1 {
-                // Sequentially even the solver-internal counters are pinned;
-                // solve_time is wall-clock and legitimately jitters. (With a
-                // worker pool, which worker's incremental session answers
-                // which condition is scheduling-dependent, so clause/decision
-                // counts vary while the merged semantics cannot.)
+                // With one worker even the solver-internal counters are
+                // pinned; solve_time is wall-clock and legitimately jitters.
+                // (With more workers, which worker's incremental session
+                // answers which condition is scheduling-dependent, so
+                // clause/decision counts vary while the merged semantics
+                // cannot.)
                 let strip_time = |mut stats: CheckerStats| {
                     stats.solver.solve_time = std::time::Duration::ZERO;
                     stats
@@ -410,35 +343,40 @@ mod tests {
     #[test]
     fn second_refinement_hits_the_persisted_verdict_cache() {
         let system = cooler();
-        let mut session = Session::new(&system, HistoryLearner::default(), session_config(1));
-        session.ingest(sample_traces(&system, 15, 15, 0xA1));
-        let first = session.refine().unwrap();
-        assert!(first.converged);
-        assert!(first.verdict_cache.misses > 0);
+        for workers in [1, 4] {
+            let mut session =
+                Session::new(&system, HistoryLearner::default(), session_config(workers));
+            session.ingest(sample_traces(&system, 15, 15, 0xA1));
+            let first = session.refine().unwrap();
+            assert!(first.converged);
+            assert!(first.verdict_cache.misses > 0);
 
-        let second = session.refine().unwrap();
-        assert!(second.converged);
-        assert_eq!(second.iterations, 1, "already-converged store");
-        assert_eq!(
-            second.verdict_cache.misses, 0,
-            "the converged hypothesis re-extracts cached conditions only"
-        );
-        assert!(second.verdict_cache.hits > 0);
-        assert_eq!(
-            second.checker_stats.sat_queries, 0,
-            "a fully cached refinement must not touch the solver"
-        );
+            let second = session.refine().unwrap();
+            assert!(second.converged);
+            assert_eq!(second.iterations, 1, "already-converged store");
+            assert_eq!(
+                second.verdict_cache.misses, 0,
+                "the converged hypothesis re-extracts cached conditions only"
+            );
+            assert!(second.verdict_cache.hits > 0);
+            assert_eq!(
+                second.checker_stats.sat_queries, 0,
+                "a fully cached refinement must not touch the solver"
+            );
 
-        let stats = session.stats();
-        assert_eq!(stats.refinements, 2);
-        assert_eq!(
-            stats.verdict_cache.hits,
-            first.verdict_cache.hits + second.verdict_cache.hits
-        );
-        assert_eq!(
-            stats.checker.sat_queries,
-            first.checker_stats.sat_queries + second.checker_stats.sat_queries
-        );
+            let stats = session.stats();
+            assert_eq!(stats.refinements, 2);
+            assert_eq!(
+                stats.verdict_cache.hits,
+                first.verdict_cache.hits + second.verdict_cache.hits,
+                "{workers} worker(s)"
+            );
+            assert_eq!(
+                stats.checker.sat_queries,
+                first.checker_stats.sat_queries + second.checker_stats.sat_queries,
+                "{workers} worker(s)"
+            );
+        }
     }
 
     /// Incremental delivery with interleaved refinements still converges and

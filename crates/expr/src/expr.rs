@@ -49,23 +49,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Returns `true` for operators whose result sort is boolean.
-    pub fn is_predicate(self) -> bool {
-        matches!(
-            self,
-            BinOp::And
-                | BinOp::Or
-                | BinOp::Xor
-                | BinOp::Implies
-                | BinOp::Eq
-                | BinOp::Ne
-                | BinOp::Lt
-                | BinOp::Le
-                | BinOp::Gt
-                | BinOp::Ge
-        )
-    }
-
     /// The operator symbol used by [`std::fmt::Display`].
     pub fn symbol(self) -> &'static str {
         match self {

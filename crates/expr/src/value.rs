@@ -87,16 +87,6 @@ impl Value {
             _ => false,
         }
     }
-
-    /// The sort category of the value rendered as a short tag (for error
-    /// messages).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::Enum(_) => "enum",
-        }
-    }
 }
 
 impl fmt::Display for Value {

@@ -4,7 +4,7 @@
 //! pushed through the protocol must produce a semantic fingerprint
 //! byte-identical to [`ActiveLearner::run_with_traces`] on the concatenated
 //! batches — including after a snapshot/restore round-trip into a second
-//! daemon instance, and for both sequential and parallel condition engines.
+//! daemon instance, and at one and at several condition workers.
 
 use amle_benchmarks::{benchmark_by_name, Benchmark};
 use amle_core::{ActiveLearner, ActiveLearnerConfig, ParallelConfig};
