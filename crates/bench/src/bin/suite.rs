@@ -19,8 +19,10 @@
 //!   engine (see `amle_core::ParallelConfig`). Defaults to 1: benchmark-level
 //!   sharding already saturates the cores, and nesting both multiplies
 //!   threads.
-//! * `--quick` — use the smaller experiment shape (15 traces of length 15)
-//!   instead of the paper's 50×50.
+//! * `--quick` — use the smaller experiment shape (12 traces of length 12,
+//!   `k` capped at 5, at most 6 iterations) instead of the paper's 50×50.
+//!   This is tighter than `amle_bench::quick_config` (15×15), the ablation
+//!   shape.
 //! * `--compare` — additionally run everything sequentially (1 suite
 //!   worker, 1 condition worker), assert that both runs' reports are
 //!   byte-identical, and print the wall-clock speedup.

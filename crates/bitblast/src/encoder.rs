@@ -1,7 +1,7 @@
 //! The Tseitin bit-blasting encoder.
 
 use amle_expr::{BinOp, Expr, ExprId, ExprKind, Sort, UnOp, Valuation, Value, VarId, VarSet};
-use amle_sat::{ClauseSink, CnfFormula, Lit};
+use amle_sat::{Lit, Solver};
 use std::collections::HashMap;
 
 /// A bit-vector operand: literals in LSB-first order plus a signedness flag
@@ -31,57 +31,39 @@ impl Word {
 
 /// Incremental word-level to CNF encoder over time frames.
 ///
-/// The encoder is generic over where the clauses go: the default sink is a
-/// plain [`CnfFormula`] blob (handy for DIMACS dumps and golden tests), but
-/// any [`ClauseSink`] works — in particular an
-/// [`amle_sat::IncrementalSolver`], which is how the k-induction checker and
-/// the SAT-based learner keep one persistent solver session per workload
-/// instead of re-encoding from scratch at every query.
+/// The encoder owns the [`Solver`] its clauses go into. The k-induction
+/// checker keeps one encoder per query shape alive across queries, so each
+/// persistent session solves over everything it encoded before instead of
+/// re-encoding from scratch at every query.
 ///
 /// Boolean and word encodings are memoised per `(frame, expression)`, keyed
 /// by the expression's interned [`ExprId`] — probing is a constant-time
 /// integer lookup, and structurally identical expressions built at different
 /// sites (the refinement loop rebuilds its predicates every iteration) hit
 /// the same entry without a tree walk. Repeated queries over a persistent
-/// sink therefore reuse the Tseitin definitions they already emitted.
+/// encoder therefore reuse the Tseitin definitions they already emitted.
 ///
 /// See the [crate documentation](crate) for an overview and example.
 #[derive(Debug)]
-pub struct Encoder<S: ClauseSink = CnfFormula> {
+pub struct Encoder {
     vars: VarSet,
-    sink: S,
+    solver: Solver,
     true_lit: Lit,
     frames: HashMap<(usize, u32), Word>,
     bool_cache: HashMap<(usize, ExprId), Lit>,
     word_cache: HashMap<(usize, ExprId), Word>,
 }
 
-impl Encoder<CnfFormula> {
+impl Encoder {
     /// Creates an encoder for systems over the given variable table, writing
-    /// into a fresh [`CnfFormula`].
+    /// into a fresh [`Solver`] whose first variable is the constant true.
     pub fn new(vars: &VarSet) -> Self {
-        Encoder::with_sink(vars, CnfFormula::new())
-    }
-
-    /// The CNF accumulated so far.
-    pub fn cnf(&self) -> &CnfFormula {
-        &self.sink
-    }
-}
-
-impl<S: ClauseSink> Encoder<S> {
-    /// Creates an encoder emitting clauses directly into `sink` (a CNF
-    /// container or a live incremental solver).
-    ///
-    /// The sink should be fresh: the encoder allocates its constant-true
-    /// variable first and assumes exclusive ownership of the variable space.
-    pub fn with_sink(vars: &VarSet, mut sink: S) -> Self {
-        let t = sink.new_var();
-        let true_lit = Lit::positive(t);
-        sink.add_clause(&[true_lit]);
+        let mut solver = Solver::new();
+        let true_lit = Lit::positive(solver.new_var());
+        solver.add_clause([true_lit]);
         Encoder {
             vars: vars.clone(),
-            sink,
+            solver,
             true_lit,
             frames: HashMap::new(),
             bool_cache: HashMap::new(),
@@ -89,15 +71,15 @@ impl<S: ClauseSink> Encoder<S> {
         }
     }
 
-    /// The clause sink the encoder writes into.
-    pub fn sink(&self) -> &S {
-        &self.sink
+    /// The solver the encoder writes into.
+    pub fn solver(&self) -> &Solver {
+        &self.solver
     }
 
-    /// Mutable access to the clause sink (e.g. to solve when the sink is an
-    /// incremental solver).
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
+    /// Mutable access to the solver, to solve or to add clauses over the
+    /// encoded literals.
+    pub fn solver_mut(&mut self) -> &mut Solver {
+        &mut self.solver
     }
 
     /// The literal that is constrained to be true in every model.
@@ -111,7 +93,7 @@ impl<S: ClauseSink> Encoder<S> {
     }
 
     fn fresh_lit(&mut self) -> Lit {
-        Lit::positive(self.sink.new_var())
+        Lit::positive(self.solver.new_var())
     }
 
     /// The bit-vector of variable `id` in time frame `frame`, allocating the
@@ -145,7 +127,7 @@ impl<S: ClauseSink> Encoder<S> {
                         }
                     })
                     .collect();
-                self.sink.add_clause(&clause);
+                self.solver.add_clause(clause);
             }
         }
         self.frames.insert(key, word.clone());
@@ -173,9 +155,9 @@ impl<S: ClauseSink> Encoder<S> {
             return self.false_lit();
         }
         let out = self.fresh_lit();
-        self.sink.add_clause(&[!out, a]);
-        self.sink.add_clause(&[!out, b]);
-        self.sink.add_clause(&[out, !a, !b]);
+        self.solver.add_clause([!out, a]);
+        self.solver.add_clause([!out, b]);
+        self.solver.add_clause([out, !a, !b]);
         out
     }
 
@@ -203,10 +185,10 @@ impl<S: ClauseSink> Encoder<S> {
             return self.true_lit;
         }
         let out = self.fresh_lit();
-        self.sink.add_clause(&[!out, a, b]);
-        self.sink.add_clause(&[!out, !a, !b]);
-        self.sink.add_clause(&[out, !a, b]);
-        self.sink.add_clause(&[out, a, !b]);
+        self.solver.add_clause([!out, a, b]);
+        self.solver.add_clause([!out, !a, !b]);
+        self.solver.add_clause([out, !a, b]);
+        self.solver.add_clause([out, a, !b]);
         out
     }
 
@@ -221,10 +203,10 @@ impl<S: ClauseSink> Encoder<S> {
             return then_lit;
         }
         let out = self.fresh_lit();
-        self.sink.add_clause(&[!sel, !then_lit, out]);
-        self.sink.add_clause(&[!sel, then_lit, !out]);
-        self.sink.add_clause(&[sel, !else_lit, out]);
-        self.sink.add_clause(&[sel, else_lit, !out]);
+        self.solver.add_clause([!sel, !then_lit, out]);
+        self.solver.add_clause([!sel, then_lit, !out]);
+        self.solver.add_clause([sel, !else_lit, out]);
+        self.solver.add_clause([sel, else_lit, !out]);
         out
     }
 
@@ -522,7 +504,7 @@ impl<S: ClauseSink> Encoder<S> {
     /// Panics under the same conditions as [`Encoder::encode_bool`].
     pub fn assert_expr(&mut self, frame: usize, expr: &Expr) {
         let lit = self.encode_bool(frame, expr);
-        self.sink.add_clause(&[lit]);
+        self.solver.add_clause([lit]);
     }
 
     /// Asserts that a boolean expression does **not** hold in frame `frame`.
@@ -532,7 +514,7 @@ impl<S: ClauseSink> Encoder<S> {
     /// Panics under the same conditions as [`Encoder::encode_bool`].
     pub fn assert_not_expr(&mut self, frame: usize, expr: &Expr) {
         let lit = self.encode_bool(frame, expr);
-        self.sink.add_clause(&[!lit]);
+        self.solver.add_clause([!lit]);
     }
 
     /// Asserts that variable `target` in frame `target_frame` equals the
@@ -561,16 +543,16 @@ impl<S: ClauseSink> Encoder<S> {
         if target_sort.is_bool() {
             let target_lit = self.word(target_frame, target).bits[0];
             let expr_lit = self.encode_bool(source_frame, expr);
-            self.sink.add_clause(&[!target_lit, expr_lit]);
-            self.sink.add_clause(&[target_lit, !expr_lit]);
+            self.solver.add_clause([!target_lit, expr_lit]);
+            self.solver.add_clause([target_lit, !expr_lit]);
         } else {
             let target_word = self.word(target_frame, target);
             let expr_word = self.encode_word(source_frame, expr);
             for i in 0..target_word.width() {
                 let t = target_word.bits[i];
                 let e = expr_word.bits[i];
-                self.sink.add_clause(&[!t, e]);
-                self.sink.add_clause(&[t, !e]);
+                self.solver.add_clause([!t, e]);
+                self.solver.add_clause([t, !e]);
             }
         }
     }
@@ -587,9 +569,9 @@ impl<S: ClauseSink> Encoder<S> {
         let raw = value.to_i64();
         for (b, lit) in word.bits.iter().enumerate() {
             if (raw >> b) & 1 != 0 {
-                self.sink.add_clause(&[*lit]);
+                self.solver.add_clause([*lit]);
             } else {
-                self.sink.add_clause(&[!*lit]);
+                self.solver.add_clause([!*lit]);
             }
         }
     }
@@ -632,10 +614,9 @@ mod tests {
         (vars, x, y, b)
     }
 
-    fn solve_for(enc: &Encoder) -> (SolveResult, Vec<bool>) {
-        let mut solver = enc.cnf().to_solver();
-        let r = solver.solve();
-        (r, solver.model())
+    fn solve_for(enc: &mut Encoder) -> (SolveResult, Vec<bool>) {
+        let r = enc.solver_mut().solve();
+        (r, enc.solver().model())
     }
 
     #[test]
@@ -643,11 +624,11 @@ mod tests {
         let (vars, ..) = vars8();
         let mut enc = Encoder::new(&vars);
         enc.assert_expr(0, &Expr::int_val(3, 8).lt(&Expr::int_val(5, 8)));
-        assert_eq!(solve_for(&enc).0, SolveResult::Sat);
+        assert_eq!(solve_for(&mut enc).0, SolveResult::Sat);
 
         let mut enc = Encoder::new(&vars);
         enc.assert_expr(0, &Expr::int_val(7, 8).lt(&Expr::int_val(5, 8)));
-        assert_eq!(solve_for(&enc).0, SolveResult::Unsat);
+        assert_eq!(solve_for(&mut enc).0, SolveResult::Unsat);
     }
 
     #[test]
@@ -657,7 +638,7 @@ mod tests {
         let mut enc = Encoder::new(&vars);
         // x + 1 == 0 forces x == 255.
         enc.assert_expr(0, &xe.add(&Expr::int_val(1, 8)).eq(&Expr::int_val(0, 8)));
-        let (r, model) = solve_for(&enc);
+        let (r, model) = solve_for(&mut enc);
         assert_eq!(r, SolveResult::Sat);
         assert_eq!(enc.decode_frame(&model, 0).value(x).to_i64(), 255);
     }
@@ -671,7 +652,7 @@ mod tests {
         // x - y == 3 and y == 250 forces x == 253.
         enc.assert_expr(0, &xe.sub(&ye).eq(&Expr::int_val(3, 8)));
         enc.assert_var_value(0, y, Value::Int(250));
-        let (r, model) = solve_for(&enc);
+        let (r, model) = solve_for(&mut enc);
         assert_eq!(r, SolveResult::Sat);
         assert_eq!(enc.decode_frame(&model, 0).value(x).to_i64(), 253);
 
@@ -679,7 +660,7 @@ mod tests {
         // x * 3 == 30 has the solution x = 10 (among wrap-around solutions).
         enc.assert_expr(0, &xe.mul(&Expr::int_val(3, 8)).eq(&Expr::int_val(30, 8)));
         enc.assert_expr(0, &xe.lt(&Expr::int_val(50, 8)));
-        let (r, model) = solve_for(&enc);
+        let (r, model) = solve_for(&mut enc);
         assert_eq!(r, SolveResult::Sat);
         assert_eq!(enc.decode_frame(&model, 0).value(x).to_i64(), 10);
     }
@@ -692,7 +673,7 @@ mod tests {
         let mut enc = Encoder::new(&vars);
         // s < -5 is satisfiable with a negative s.
         enc.assert_expr(0, &se.lt(&Expr::signed_int_val(-5, 8)));
-        let (r, model) = solve_for(&enc);
+        let (r, model) = solve_for(&mut enc);
         assert_eq!(r, SolveResult::Sat);
         assert!(enc.decode_frame(&model, 0).value(s).to_i64() < -5);
 
@@ -700,7 +681,7 @@ mod tests {
         // s < -5 && s > 5 is unsatisfiable.
         enc.assert_expr(0, &se.lt(&Expr::signed_int_val(-5, 8)));
         enc.assert_expr(0, &se.gt(&Expr::signed_int_val(5, 8)));
-        assert_eq!(solve_for(&enc).0, SolveResult::Unsat);
+        assert_eq!(solve_for(&mut enc).0, SolveResult::Unsat);
     }
 
     #[test]
@@ -709,16 +690,16 @@ mod tests {
         let be = Expr::var(b, Sort::Bool);
         let mut enc = Encoder::new(&vars);
         enc.assert_expr(0, &be.or(&be.not()));
-        assert_eq!(solve_for(&enc).0, SolveResult::Sat);
+        assert_eq!(solve_for(&mut enc).0, SolveResult::Sat);
 
         let mut enc = Encoder::new(&vars);
         enc.assert_expr(0, &be.and(&be.not()));
-        assert_eq!(solve_for(&enc).0, SolveResult::Unsat);
+        assert_eq!(solve_for(&mut enc).0, SolveResult::Unsat);
 
         let mut enc = Encoder::new(&vars);
         enc.assert_expr(0, &be.implies(&Expr::false_()));
         enc.assert_expr(0, &be);
-        assert_eq!(solve_for(&enc).0, SolveResult::Unsat);
+        assert_eq!(solve_for(&mut enc).0, SolveResult::Unsat);
     }
 
     #[test]
@@ -733,11 +714,11 @@ mod tests {
         for variant in ["A", "B", "C"] {
             enc.assert_expr(0, &me.ne(&Expr::enum_val(&mode_sort, variant)));
         }
-        assert_eq!(solve_for(&enc).0, SolveResult::Unsat);
+        assert_eq!(solve_for(&mut enc).0, SolveResult::Unsat);
 
         let mut enc = Encoder::new(&vars);
         enc.assert_expr(0, &me.ne(&Expr::enum_val(&mode_sort, "A")));
-        let (r, model) = solve_for(&enc);
+        let (r, model) = solve_for(&mut enc);
         assert_eq!(r, SolveResult::Sat);
         let v = enc.decode_frame(&model, 0).value(m).to_i64();
         assert!(v == 1 || v == 2);
@@ -755,7 +736,7 @@ mod tests {
         enc.assert_var_value(0, x, Value::Int(7));
         enc.assert_var_value(0, b, Value::Bool(true));
         enc.assert_var_equals_expr_across(1, x, 0, &update);
-        let (r, model) = solve_for(&enc);
+        let (r, model) = solve_for(&mut enc);
         assert_eq!(r, SolveResult::Sat);
         assert_eq!(enc.decode_frame(&model, 1).value(x).to_i64(), 8);
         assert_eq!(enc.decode_frame(&model, 0).value(x).to_i64(), 7);
@@ -767,7 +748,7 @@ mod tests {
         let xe = Expr::var(x, Sort::int(8));
         let mut enc = Encoder::new(&vars);
         enc.assert_not_expr(0, &xe.lt(&Expr::int_val(255, 8)));
-        let (r, model) = solve_for(&enc);
+        let (r, model) = solve_for(&mut enc);
         assert_eq!(r, SolveResult::Sat);
         assert_eq!(enc.decode_frame(&model, 0).value(x).to_i64(), 255);
     }
@@ -783,7 +764,7 @@ mod tests {
         enc.assert_var_value(0, y, Value::Int(20));
         enc.assert_var_value(0, b, Value::Bool(false));
         enc.assert_expr(0, &be.ite(&xe, &ye).eq(&Expr::int_val(20, 8)));
-        assert_eq!(solve_for(&enc).0, SolveResult::Sat);
+        assert_eq!(solve_for(&mut enc).0, SolveResult::Sat);
     }
 
     #[test]
@@ -791,7 +772,7 @@ mod tests {
         let (vars, x, y, _) = vars8();
         let mut enc = Encoder::new(&vars);
         enc.assert_var_value(0, x, Value::Int(9));
-        let (_, model) = solve_for(&enc);
+        let (_, model) = solve_for(&mut enc);
         let frame = enc.decode_frame(&model, 0);
         assert_eq!(frame.value(x).to_i64(), 9);
         assert_eq!(frame.value(y).to_i64(), 0);

@@ -1,10 +1,9 @@
 //! # amle-bitblast
 //!
 //! Word-level to CNF translation (bit-blasting) of `amle-expr` expressions,
-//! emitting clauses into any [`amle_sat::ClauseSink`] — a plain
-//! [`amle_sat::CnfFormula`] container by default, or a live
-//! [`amle_sat::IncrementalSolver`] for the persistent incremental sessions
-//! used by the model checker and the SAT-based learner.
+//! emitting clauses straight into an [`amle_sat::Solver`] that the encoder
+//! owns — the persistent incremental sessions of the model checker are
+//! encoders kept alive across queries.
 //!
 //! The central type is [`Encoder`]. It manages *frames* — copies of the
 //! system variables at consecutive time steps — so that the bounded model
@@ -43,9 +42,8 @@
 //! let mut enc = Encoder::new(&vars);
 //! let query = xe.add(&Expr::int_val(1, 8)).eq(&Expr::int_val(0, 8));
 //! enc.assert_expr(0, &query);
-//! let mut solver = enc.cnf().to_solver();
-//! assert_eq!(solver.solve(), SolveResult::Sat);
-//! let model = solver.model();
+//! assert_eq!(enc.solver_mut().solve(), SolveResult::Sat);
+//! let model = enc.solver().model();
 //! let valuation = enc.decode_frame(&model, 0);
 //! assert_eq!(valuation.value(x).to_i64(), 255);
 //! ```

@@ -102,9 +102,8 @@ fn check_agreement(expr: &Expr, valuation: &Valuation) -> Result<(), TestCaseErr
     for (id, _) in vars.iter() {
         enc.assert_var_value(0, id, valuation.value(id));
     }
-    let mut solver = enc.cnf().to_solver();
-    prop_assert_eq!(solver.solve(), SolveResult::Sat);
-    let model = solver.model();
+    prop_assert_eq!(enc.solver_mut().solve(), SolveResult::Sat);
+    let model = enc.solver().model();
     let encoded_value = model[lit.var().index()] == lit.is_positive();
     prop_assert_eq!(encoded_value, expr.eval_bool(valuation));
     Ok(())
@@ -130,8 +129,7 @@ proptest! {
         let vars = var_set();
         let mut enc = Encoder::new(&vars);
         enc.assert_expr(0, &e);
-        let mut solver = enc.cnf().to_solver();
-        let encoded_sat = solver.solve() == SolveResult::Sat;
+        let encoded_sat = enc.solver_mut().solve() == SolveResult::Sat;
 
         let (ulo, uhi) = Sort::int(WIDTH).value_range();
         let (slo, shi) = Sort::signed_int(WIDTH).value_range();
@@ -169,9 +167,8 @@ proptest! {
         let vars = var_set();
         let mut enc = Encoder::new(&vars);
         enc.assert_expr(0, &e);
-        let mut solver = enc.cnf().to_solver();
-        if solver.solve() == SolveResult::Sat {
-            let valuation = enc.decode_frame(&solver.model(), 0);
+        if enc.solver_mut().solve() == SolveResult::Sat {
+            let valuation = enc.decode_frame(&enc.solver().model(), 0);
             prop_assert!(e.eval_bool(&valuation));
         }
     }

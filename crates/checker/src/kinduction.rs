@@ -36,9 +36,7 @@
 
 use amle_bitblast::Encoder;
 use amle_expr::{Expr, ExprId, Valuation, Value, VarId};
-use amle_sat::{
-    cdcl_backend, ActivationLedger, ClauseSink, IncrementalSolver, Lit, SolveResult, SolverStats,
-};
+use amle_sat::{ActivationLedger, Lit, SolveResult, SolverStats};
 use amle_system::System;
 use std::fmt;
 
@@ -89,10 +87,6 @@ pub struct CheckerStats {
     pub condition_checks: u64,
     /// Number of spurious-counterexample checks performed.
     pub spurious_checks: u64,
-    /// Total number of CNF clauses live in the backing solvers, summed over
-    /// queries (a proxy for encoding work; with incremental sessions the
-    /// per-query increment is what shrinks).
-    pub total_clauses: u64,
     /// Queries (condition + spurious) answered by the k-induction engine.
     /// With a portfolio oracle this attributes each query to the engine that
     /// actually produced the verdict.
@@ -117,7 +111,7 @@ pub struct CheckerStats {
     /// Base-session frame disjuncts answered from the activation ledger
     /// without re-encoding.
     pub frames_reused: u64,
-    /// Aggregated backend solver statistics across all sessions, including
+    /// Aggregated solver statistics across all sessions, including
     /// sessions already retired.
     pub solver: SolverStats,
 }
@@ -127,7 +121,6 @@ impl std::ops::AddAssign for CheckerStats {
         self.sat_queries += rhs.sat_queries;
         self.condition_checks += rhs.condition_checks;
         self.spurious_checks += rhs.spurious_checks;
-        self.total_clauses += rhs.total_clauses;
         self.kinduction_queries += rhs.kinduction_queries;
         self.explicit_queries += rhs.explicit_queries;
         self.explicit_work += rhs.explicit_work;
@@ -162,7 +155,6 @@ impl CheckerStats {
                 .condition_checks
                 .saturating_sub(earlier.condition_checks),
             spurious_checks: self.spurious_checks.saturating_sub(earlier.spurious_checks),
-            total_clauses: self.total_clauses.saturating_sub(earlier.total_clauses),
             kinduction_queries: self
                 .kinduction_queries
                 .saturating_sub(earlier.kinduction_queries),
@@ -182,7 +174,7 @@ impl CheckerStats {
     }
 }
 
-/// How the checker manages its SAT backend across queries.
+/// How the checker manages its solver sessions across queries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CheckerMode {
     /// One persistent solver session per query shape; per-query constraints
@@ -195,11 +187,9 @@ pub enum CheckerMode {
     FreshPerQuery,
 }
 
-/// One persistent encoder-over-solver pair. The solver is `Send` so whole
-/// checkers (and their persistent sessions) can be moved into worker
-/// threads by the parallel engine.
+/// One persistent session: an encoder and the solver it owns.
 struct Session {
-    enc: Encoder<Box<dyn IncrementalSolver + Send>>,
+    enc: Encoder,
     /// Number of transition steps already unrolled (frames `0..=unrolled`
     /// exist and are linked).
     unrolled: usize,
@@ -218,7 +208,7 @@ struct Session {
 impl Session {
     fn new(system: &System) -> Self {
         Session {
-            enc: Encoder::with_sink(system.vars(), cdcl_backend()),
+            enc: Encoder::new(system.vars()),
             unrolled: 0,
             activations: ActivationLedger::new(),
             disjuncts: ActivationLedger::new(),
@@ -248,15 +238,11 @@ impl Session {
     }
 
     fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.enc.sink_mut().solve(assumptions)
+        self.enc.solver_mut().solve_with_assumptions(assumptions)
     }
 
     fn solver_stats(&self) -> SolverStats {
-        self.enc.sink().stats()
-    }
-
-    fn num_clauses(&self) -> usize {
-        self.enc.sink().num_clauses()
+        self.enc.solver().stats()
     }
 }
 
@@ -287,7 +273,7 @@ impl fmt::Debug for KInductionChecker<'_> {
 
 impl<'a> KInductionChecker<'a> {
     /// Creates a checker for the given system with persistent incremental
-    /// sessions and the default CDCL backend.
+    /// sessions.
     pub fn new(system: &'a System) -> Self {
         Self::with_mode(system, CheckerMode::Incremental)
     }
@@ -315,17 +301,6 @@ impl<'a> KInductionChecker<'a> {
         self.mode
     }
 
-    /// The name of the SAT backend in use, read from a live session when one
-    /// exists. Every session runs [`cdcl_backend`], so it is `cdcl` before
-    /// the first query too.
-    pub fn backend_name(&self) -> &'static str {
-        [&self.condition, &self.base, &self.step]
-            .into_iter()
-            .flatten()
-            .next()
-            .map_or("cdcl", |session| session.enc.sink().backend_name())
-    }
-
     /// Statistics accumulated so far, including aggregated solver statistics
     /// across every session this checker has driven.
     pub fn stats(&self) -> CheckerStats {
@@ -334,7 +309,7 @@ impl<'a> KInductionChecker<'a> {
         stats
     }
 
-    /// Aggregated backend statistics across all (live and retired) sessions.
+    /// Aggregated solver statistics across all (live and retired) sessions.
     pub fn solver_stats(&self) -> SolverStats {
         let mut total = self.retired;
         for session in [&self.condition, &self.base, &self.step]
@@ -373,12 +348,6 @@ impl<'a> KInductionChecker<'a> {
         session
     }
 
-    /// Records one SAT query against `session` in the counters.
-    fn count_query(stats: &mut CheckerStats, session: &Session) {
-        stats.sat_queries += 1;
-        stats.total_clauses += session.num_clauses() as u64;
-    }
-
     /// Runs a condition query against a session. The session must contain
     /// the one-step transition unrolling; everything query-specific travels
     /// through assumptions. `outgoing` holds the *canonical* conclusion
@@ -409,7 +378,7 @@ impl<'a> KInductionChecker<'a> {
         }
         stats.disj_encoded += session.disjuncts.fresh() - fresh;
         stats.disj_reused += session.disjuncts.reused() - reused;
-        Self::count_query(stats, session);
+        stats.sat_queries += 1;
         match session.solve(&assumptions) {
             SolveResult::Unsat => CheckResult::Valid,
             SolveResult::Sat => {
@@ -451,7 +420,7 @@ impl<'a> KInductionChecker<'a> {
             for b in (0..word.bits().len()).rev() {
                 let bit = word.bits()[b];
                 fixed.push(!bit);
-                Self::count_query(stats, session);
+                stats.sat_queries += 1;
                 if session.solve(&fixed) == SolveResult::Unsat {
                     // The bit is forced to 1 under everything pinned so far;
                     // flip the assumption and keep going.
@@ -506,10 +475,10 @@ impl<'a> KInductionChecker<'a> {
                 .activations
                 .get_or_insert_with((state_formula.id(), frame), || {
                     let lit = enc.encode_bool(frame, state_formula);
-                    let act = Lit::positive(enc.sink_mut().new_var());
+                    let act = Lit::positive(enc.solver_mut().new_var());
                     let mut clause = vec![!act, lit];
                     clause.extend(prev);
-                    enc.sink_mut().add_clause(&clause);
+                    enc.solver_mut().add_clause(clause);
                     act
                 });
             prev = Some(act);
@@ -517,7 +486,7 @@ impl<'a> KInductionChecker<'a> {
         stats.frames_encoded += session.activations.fresh() - fresh;
         stats.frames_reused += session.activations.reused() - reused;
         let act = prev.expect("0..=k is never empty");
-        Self::count_query(stats, session);
+        stats.sat_queries += 1;
         session.solve(&[act])
     }
 
@@ -537,7 +506,7 @@ impl<'a> KInductionChecker<'a> {
             assumptions.push(!session.enc.encode_bool(frame, state_formula));
         }
         assumptions.push(session.enc.encode_bool(k, state_formula));
-        Self::count_query(stats, session);
+        stats.sat_queries += 1;
         session.solve(&assumptions)
     }
 

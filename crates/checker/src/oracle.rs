@@ -57,9 +57,6 @@ pub trait ConditionOracle: Send {
     /// Statistics accumulated by this oracle so far, including the
     /// per-engine query attribution counters.
     fn stats(&self) -> CheckerStats;
-
-    /// A short static name of the engine, for reports and tables.
-    fn engine_name(&self) -> &'static str;
 }
 
 /// The state formula `s' := ⋀ (x_i = v(x_i))` over the given variables, used
@@ -151,10 +148,12 @@ pub fn build_oracle<'a>(
 ) -> Box<dyn ConditionOracle + 'a> {
     match kind {
         OracleKind::KInduction => Box::new(KInductionChecker::new(system)),
-        OracleKind::Explicit => Box::new(
-            PortfolioOracle::new(system, DEFAULT_QUERY_BUDGET, u64::MAX, cross_validate)
-                .named("explicit"),
-        ),
+        OracleKind::Explicit => Box::new(PortfolioOracle::new(
+            system,
+            DEFAULT_QUERY_BUDGET,
+            u64::MAX,
+            cross_validate,
+        )),
         OracleKind::Portfolio => Box::new(PortfolioOracle::new(
             system,
             DEFAULT_QUERY_BUDGET,
@@ -181,10 +180,6 @@ impl ConditionOracle for KInductionChecker<'_> {
     fn stats(&self) -> CheckerStats {
         KInductionChecker::stats(self)
     }
-
-    fn engine_name(&self) -> &'static str {
-        "kinduction"
-    }
 }
 
 /// The bare explicit engine as an oracle runs **unbudgeted** (no
@@ -208,10 +203,6 @@ impl ConditionOracle for ExplicitChecker<'_> {
 
     fn stats(&self) -> CheckerStats {
         ExplicitChecker::stats(self)
-    }
-
-    fn engine_name(&self) -> &'static str {
-        "explicit"
     }
 }
 
@@ -251,7 +242,6 @@ mod tests {
         let mut explicit: Box<dyn ConditionOracle + '_> =
             Box::new(ExplicitChecker::new(&sys, 10_000));
         let mut sat: Box<dyn ConditionOracle + '_> = Box::new(KInductionChecker::new(&sys));
-        assert_eq!(explicit.engine_name(), "explicit");
         for bound in 0..8 {
             let conclusion = [ce.ne(&Expr::int_val(bound, 3))];
             assert_eq!(

@@ -34,7 +34,6 @@ pub struct PortfolioOracle<'a> {
     route_threshold: u64,
     cross_validate: bool,
     fallbacks: u64,
-    name: &'static str,
 }
 
 impl<'a> PortfolioOracle<'a> {
@@ -60,15 +59,7 @@ impl<'a> PortfolioOracle<'a> {
             route_threshold,
             cross_validate,
             fallbacks: 0,
-            name: "portfolio",
         }
-    }
-
-    /// Overrides the reported engine name (used by
-    /// [`crate::build_oracle`] to label the explicit-first stack).
-    pub fn named(mut self, name: &'static str) -> Self {
-        self.name = name;
-        self
     }
 
     /// The system under check.
@@ -139,10 +130,6 @@ impl ConditionOracle for PortfolioOracle<'_> {
         stats += self.kinduction.stats();
         stats.explicit_fallbacks += self.fallbacks;
         stats
-    }
-
-    fn engine_name(&self) -> &'static str {
-        self.name
     }
 }
 

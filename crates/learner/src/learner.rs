@@ -128,7 +128,7 @@ pub trait ModelLearner {
     /// A short human-readable name for reports.
     fn name(&self) -> &'static str;
 
-    /// Backend SAT-solver statistics accumulated by this learner, for
+    /// SAT-solver statistics accumulated by this learner, for
     /// learners that reason with SAT; others report the zero default.
     fn solver_stats(&self) -> SolverStats {
         SolverStats::default()

@@ -43,7 +43,7 @@ use crate::learner::LetterAutomaton;
 use crate::{AbstractionConfig, LearnError, LetterId, ModelLearner, Pta, WordStats};
 use amle_automaton::Nfa;
 use amle_expr::{VarId, VarSet};
-use amle_sat::{cdcl_backend, ClauseSink, IncrementalSolver, Lit, SolveResult, SolverStats, Var};
+use amle_sat::{Lit, SolveResult, Solver, SolverStats, Var};
 use amle_system::{TraceSet, TraceStore};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -63,7 +63,7 @@ pub struct SatDfaLearner {
     pub min_support: usize,
     /// Alphabet-abstraction configuration.
     pub abstraction: AbstractionConfig,
-    /// Backend solver statistics accumulated across `learn` calls.
+    /// Solver statistics accumulated across `learn` calls.
     stats: SolverStats,
     /// Word-pipeline statistics accumulated across `learn` calls.
     word_stats: WordStats,
@@ -163,7 +163,7 @@ fn inferred_negatives(
 /// are guarded by per-negative activation literals for the same reason:
 /// they can retract when new words raise a prefix's support.
 struct FoldSession {
-    solver: Box<dyn IncrementalSolver>,
+    solver: Solver,
     /// Encoded PTA edges as `(node, letter_index, child)`.
     edges: Vec<(usize, usize, usize)>,
     /// `x[node][state]`: PTA node is mapped to automaton state.
@@ -192,9 +192,9 @@ impl std::fmt::Debug for FoldSession {
 }
 
 impl FoldSession {
-    fn new(solver: Box<dyn IncrementalSolver>) -> Self {
+    fn new() -> Self {
         FoldSession {
-            solver,
+            solver: Solver::new(),
             edges: Vec::new(),
             x: Vec::new(),
             y: Vec::new(),
@@ -214,7 +214,7 @@ impl FoldSession {
             for t1 in 0..self.n {
                 for t2 in (t1 + 1)..self.n {
                     self.solver
-                        .add_clause(&[Lit::negative(row[t1]), Lit::negative(row[t2])]);
+                        .add_clause([Lit::negative(row[t1]), Lit::negative(row[t2])]);
                 }
             }
             self.y[s].push(row);
@@ -231,14 +231,14 @@ impl FoldSession {
         for s1 in 0..self.n {
             for s2 in (s1 + 1)..self.n {
                 self.solver
-                    .add_clause(&[Lit::negative(vars[s1]), Lit::negative(vars[s2])]);
+                    .add_clause([Lit::negative(vars[s1]), Lit::negative(vars[s2])]);
             }
         }
         for size in 1..=self.n {
             let mut clause = Vec::with_capacity(size + 1);
             clause.push(!self.acts[size - 1]);
             clause.extend(vars[..size].iter().map(|v| Lit::positive(*v)));
-            self.solver.add_clause(&clause);
+            self.solver.add_clause(clause);
         }
         self.x.push(vars);
     }
@@ -249,12 +249,12 @@ impl FoldSession {
     fn add_edge(&mut self, node: usize, a: usize, child: usize) {
         for s in 0..self.n {
             for t in 0..self.n {
-                self.solver.add_clause(&[
+                self.solver.add_clause([
                     Lit::negative(self.x[node][s]),
                     Lit::negative(self.x[child][t]),
                     Lit::positive(self.y[s][a][t]),
                 ]);
-                self.solver.add_clause(&[
+                self.solver.add_clause([
                     Lit::negative(self.x[node][s]),
                     Lit::negative(self.y[s][a][t]),
                     Lit::positive(self.x[child][t]),
@@ -271,7 +271,7 @@ impl FoldSession {
         let act = Lit::positive(self.solver.new_var());
         for s in 0..self.n {
             for t in 0..self.n {
-                self.solver.add_clause(&[
+                self.solver.add_clause([
                     !act,
                     Lit::negative(self.x[node][s]),
                     Lit::negative(self.y[s][a][t]),
@@ -294,7 +294,7 @@ impl FoldSession {
             self.x[node].push(v);
             for s1 in 0..m {
                 self.solver
-                    .add_clause(&[Lit::negative(self.x[node][s1]), Lit::negative(v)]);
+                    .add_clause([Lit::negative(self.x[node][s1]), Lit::negative(v)]);
             }
         }
         // New transition variables: extend existing rows with target m, then
@@ -312,7 +312,7 @@ impl FoldSession {
 
         // Symmetry breaking: the root maps to state 0, permanently.
         if m == 0 && !self.x.is_empty() {
-            self.solver.add_clause(&[Lit::positive(self.x[0][0])]);
+            self.solver.add_clause([Lit::positive(self.x[0][0])]);
         }
 
         // Determinism of y: pairs involving the new target in old rows, and
@@ -320,7 +320,7 @@ impl FoldSession {
         for s in 0..m {
             for a in 0..self.num_letters {
                 for t1 in 0..m {
-                    self.solver.add_clause(&[
+                    self.solver.add_clause([
                         Lit::negative(self.y[s][a][t1]),
                         Lit::negative(self.y[s][a][m]),
                     ]);
@@ -330,7 +330,7 @@ impl FoldSession {
         for a in 0..self.num_letters {
             for t1 in 0..n {
                 for t2 in (t1 + 1)..n {
-                    self.solver.add_clause(&[
+                    self.solver.add_clause([
                         Lit::negative(self.y[m][a][t1]),
                         Lit::negative(self.y[m][a][t2]),
                     ]);
@@ -346,12 +346,12 @@ impl FoldSession {
                     if s != m && t != m {
                         continue;
                     }
-                    self.solver.add_clause(&[
+                    self.solver.add_clause([
                         Lit::negative(self.x[node][s]),
                         Lit::negative(self.x[child][t]),
                         Lit::positive(self.y[s][a][t]),
                     ]);
-                    self.solver.add_clause(&[
+                    self.solver.add_clause([
                         Lit::negative(self.x[node][s]),
                         Lit::negative(self.y[s][a][t]),
                         Lit::positive(self.x[child][t]),
@@ -371,7 +371,7 @@ impl FoldSession {
                     if s != m && t != m {
                         continue;
                     }
-                    self.solver.add_clause(&[
+                    self.solver.add_clause([
                         !act,
                         Lit::negative(self.x[node][s]),
                         Lit::negative(self.y[s][a][t]),
@@ -386,7 +386,7 @@ impl FoldSession {
             let mut clause = Vec::with_capacity(n + 1);
             clause.push(!act);
             clause.extend(self.x[node][..n].iter().map(|v| Lit::positive(*v)));
-            self.solver.add_clause(&clause);
+            self.solver.add_clause(clause);
         }
         self.acts.push(act);
         self.n = n;
@@ -404,7 +404,7 @@ impl FoldSession {
         let mut assumptions = Vec::with_capacity(1 + active.len());
         assumptions.push(self.acts[size - 1]);
         assumptions.extend(active.iter().map(|key| self.negative_acts[key]));
-        if self.solver.solve(&assumptions) != SolveResult::Sat {
+        if self.solver.solve_with_assumptions(&assumptions) != SolveResult::Sat {
             return None;
         }
         // Extract only transitions witnessed by a PTA edge so the automaton
@@ -412,7 +412,7 @@ impl FoldSession {
         // be read before further clauses are added.
         let state_of = |node: usize| -> usize {
             (0..size)
-                .find(|s| self.solver.model_value(self.x[node][*s]) == Some(true))
+                .find(|s| self.solver.value(self.x[node][*s]) == Some(true))
                 .expect("every node has a state")
         };
         let mut transitions = BTreeSet::new();
@@ -451,7 +451,7 @@ impl SatSession {
         SatSession {
             min_support,
             pta: Pta::new(),
-            fold: FoldSession::new(cdcl_backend()),
+            fold: FoldSession::new(),
             words_done: 0,
             last_negatives: BTreeSet::new(),
             found_size: 0,

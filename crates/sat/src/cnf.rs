@@ -5,9 +5,9 @@ use crate::{Lit, Solver, Var};
 /// A formula in conjunctive normal form: a variable counter plus a clause
 /// list.
 ///
-/// `CnfFormula` is the hand-off format between the bit-blaster (which builds
-/// formulas) and the solver (which decides them). It can also be loaded from
-/// and saved to DIMACS for debugging.
+/// The property tests build random formulas as `CnfFormula`s, hand them to a
+/// fresh [`Solver`] with [`CnfFormula::to_solver`] and check its verdicts and
+/// models against brute-force enumeration with [`CnfFormula::evaluate`].
 ///
 /// # Example
 ///
@@ -41,16 +41,10 @@ impl CnfFormula {
         v
     }
 
-    /// Allocates `n` fresh variables and returns them in order.
-    pub fn new_vars(&mut self, n: usize) -> Vec<Var> {
-        (0..n).map(|_| self.new_var()).collect()
-    }
-
     /// Adds a clause (a disjunction of literals).
     ///
     /// Clauses over variables that have not been allocated yet grow the
-    /// variable counter automatically, so formulas built from multiple
-    /// encoders stay consistent.
+    /// variable counter automatically, as [`Solver::add_clause`] does.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
         let clause: Vec<Lit> = lits.into_iter().collect();
         for lit in &clause {
@@ -69,11 +63,6 @@ impl CnfFormula {
     /// Number of clauses.
     pub fn num_clauses(&self) -> usize {
         self.clauses.len()
-    }
-
-    /// The clause list.
-    pub fn clauses(&self) -> &[Vec<Lit>] {
-        &self.clauses
     }
 
     /// Builds a fresh [`Solver`] loaded with this formula.
@@ -105,14 +94,6 @@ impl CnfFormula {
                 .iter()
                 .any(|lit| assignment[lit.var().index()] == lit.is_positive())
         })
-    }
-}
-
-impl Extend<Vec<Lit>> for CnfFormula {
-    fn extend<T: IntoIterator<Item = Vec<Lit>>>(&mut self, iter: T) {
-        for clause in iter {
-            self.add_clause(clause);
-        }
     }
 }
 
@@ -156,24 +137,5 @@ mod tests {
             .map(|i| solver.value(Var::from_index(i)).unwrap())
             .collect();
         assert!(cnf.evaluate(&model));
-    }
-
-    #[test]
-    fn extend_with_clauses() {
-        let mut cnf = CnfFormula::new();
-        let x = cnf.new_var();
-        cnf.extend(vec![vec![Lit::positive(x)], vec![Lit::negative(x)]]);
-        assert_eq!(cnf.num_clauses(), 2);
-        let mut solver = cnf.to_solver();
-        assert_eq!(solver.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn new_vars_bulk() {
-        let mut cnf = CnfFormula::new();
-        let vars = cnf.new_vars(5);
-        assert_eq!(vars.len(), 5);
-        assert_eq!(cnf.num_vars(), 5);
-        assert_eq!(vars[4].index(), 4);
     }
 }

@@ -1,6 +1,6 @@
 //! Activation-literal bookkeeping for incremental sessions.
 //!
-//! Consumers of [`crate::IncrementalSolver`] express retractable constraints
+//! Long-lived [`crate::Solver`] sessions express retractable constraints
 //! through activation literals: a clause `¬act ∨ C` is added once and `C`
 //! bites only in queries that assume `act`. The pattern recurs in every
 //! long-lived session — per-`(formula, bound)` reachability disjunctions,
@@ -11,8 +11,7 @@
 //!
 //! [`ActivationLedger`] packages exactly that. It does not talk to the
 //! solver itself: the caller's closure allocates the literal and adds the
-//! guarded clauses, so the ledger composes with any [`crate::ClauseSink`]
-//! without borrowing it.
+//! guarded clauses, so the ledger never borrows the solver.
 
 use crate::Lit;
 use std::collections::HashMap;
@@ -84,7 +83,7 @@ impl<K: Hash + Eq> ActivationLedger<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClauseSink, IncrementalSolver, SolveResult, Solver};
+    use crate::{SolveResult, Solver};
 
     #[test]
     fn ledger_allocates_once_and_counts() {
@@ -112,32 +111,32 @@ mod tests {
         // neither leaves the solver free, and a constraint once retracted
         // never contaminates later queries.
         fn guard(solver: &mut Solver, lit: Lit) -> Lit {
-            let act = Lit::positive(ClauseSink::new_var(solver));
-            ClauseSink::add_clause(solver, &[!act, lit]);
+            let act = Lit::positive(solver.new_var());
+            solver.add_clause([!act, lit]);
             act
         }
         let mut solver = Solver::new();
-        let x = ClauseSink::new_var(&mut solver);
+        let x = solver.new_var();
         let mut ledger: ActivationLedger<&'static str> = ActivationLedger::new();
         let force_true = ledger.get_or_insert_with("x", || guard(&mut solver, Lit::positive(x)));
         let force_false =
             ledger.get_or_insert_with("not-x", || guard(&mut solver, Lit::negative(x)));
         assert_eq!(
-            IncrementalSolver::solve(&mut solver, &[force_true]),
+            solver.solve_with_assumptions(&[force_true]),
             SolveResult::Sat
         );
-        assert_eq!(solver.model_value(x), Some(true));
+        assert_eq!(solver.value(x), Some(true));
         assert_eq!(
-            IncrementalSolver::solve(&mut solver, &[force_false]),
+            solver.solve_with_assumptions(&[force_false]),
             SolveResult::Sat
         );
-        assert_eq!(solver.model_value(x), Some(false));
+        assert_eq!(solver.value(x), Some(false));
         assert_eq!(
-            IncrementalSolver::solve(&mut solver, &[force_true, force_false]),
+            solver.solve_with_assumptions(&[force_true, force_false]),
             SolveResult::Unsat
         );
         // Both constraints retracted: the solver is free again.
-        assert_eq!(IncrementalSolver::solve(&mut solver, &[]), SolveResult::Sat);
+        assert_eq!(solver.solve(), SolveResult::Sat);
         assert_eq!(ledger.fresh(), 2);
     }
 }

@@ -4,8 +4,9 @@
 //! the reasoning engine behind the bit-blasted bounded model checker and the
 //! SAT-based automaton identification in the model learner. Every
 //! condition-check and spurious-counterexample query of the paper (Fig. 3a
-//! and 3b, Section III-B) bottoms out in [`Solver::solve`] calls issued
-//! through the incremental backend seam.
+//! and 3b, Section III-B) bottoms out in a
+//! [`Solver::solve_with_assumptions`] call on a [`Solver`] that the
+//! `amle-bitblast` encoder writes its clauses into.
 //!
 //! Features:
 //!
@@ -14,10 +15,12 @@
 //! * VSIDS-style variable activities with phase saving,
 //! * Luby restarts,
 //! * LBD-tiered learnt-clause database reduction,
-//! * solving under assumptions (incremental use),
-//! * a pluggable backend seam ([`IncrementalSolver`] / [`ClauseSink`]) so the
-//!   checker and learner can keep one solver session alive across queries,
-//! * a plain [`CnfFormula`] container and DIMACS import/export for testing.
+//! * incremental solving under assumptions: clauses may be added between
+//!   solves, so the checker and the learner each keep one solver alive
+//!   across queries and select per-query constraints with activation
+//!   literals ([`ActivationLedger`]),
+//! * a plain [`CnfFormula`] container, the brute-force reference of the
+//!   property tests.
 //!
 //! The solver is deliberately dependency-free and single-threaded: the CNF
 //! instances produced by the pipeline (condition checks with one or two
@@ -43,15 +46,11 @@
 #![deny(missing_docs)]
 
 mod cnf;
-mod dimacs;
-mod incremental;
 mod ledger;
 mod lit;
 mod solver;
 
 pub use cnf::CnfFormula;
-pub use dimacs::{parse_dimacs, write_dimacs, ParseDimacsError};
-pub use incremental::{cdcl_backend, ClauseSink, IncrementalSolver};
 pub use ledger::ActivationLedger;
 pub use lit::{Lit, Var};
 pub use solver::{SolveResult, Solver, SolverStats};

@@ -76,28 +76,6 @@ impl Lit {
     pub fn from_code(code: usize) -> Self {
         Lit(code as u32)
     }
-
-    /// Converts to the DIMACS convention: 1-based variable index, negative
-    /// numbers for negated literals.
-    pub fn to_dimacs(self) -> i64 {
-        let v = i64::from(self.var().0) + 1;
-        if self.is_positive() {
-            v
-        } else {
-            -v
-        }
-    }
-
-    /// Builds a literal from a DIMACS-convention integer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is zero.
-    pub fn from_dimacs(value: i64) -> Self {
-        assert!(value != 0, "DIMACS literal must be non-zero");
-        let var = Var((value.unsigned_abs() - 1) as u32);
-        Lit::new(var, value > 0)
-    }
 }
 
 impl Not for Lit {
@@ -136,21 +114,6 @@ mod tests {
         assert_eq!(Lit::from_code(p.code()), p);
         assert_eq!(Lit::new(v, true), p);
         assert_eq!(Lit::new(v, false), n);
-    }
-
-    #[test]
-    fn dimacs_round_trips() {
-        let v = Var::from_index(4);
-        assert_eq!(Lit::positive(v).to_dimacs(), 5);
-        assert_eq!(Lit::negative(v).to_dimacs(), -5);
-        assert_eq!(Lit::from_dimacs(5), Lit::positive(v));
-        assert_eq!(Lit::from_dimacs(-5), Lit::negative(v));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn dimacs_zero_rejected() {
-        let _ = Lit::from_dimacs(0);
     }
 
     #[test]

@@ -119,15 +119,6 @@ proptest! {
         let again = s1.solve();
         prop_assert_eq!(again, s2.solve());
     }
-
-    #[test]
-    fn dimacs_round_trip_preserves_satisfiability(cnf in arb_cnf(6, 16)) {
-        let text = crate::write_dimacs(&cnf);
-        let reparsed = crate::parse_dimacs(&text).unwrap();
-        let mut s1 = cnf.to_solver();
-        let mut s2 = reparsed.to_solver();
-        prop_assert_eq!(s1.solve(), s2.solve());
-    }
 }
 
 // Differential tests of the CDCL core against exhaustive enumeration; a

@@ -368,16 +368,11 @@ impl Solver {
 
     /// The value of a variable in the most recent satisfying model.
     ///
-    /// Returns `None` for variables that were never assigned (possible only
-    /// before the first successful [`Solver::solve`] call, or for variables
-    /// added afterwards).
-    ///
-    /// Only meaningful while [`Solver::has_model`] is true: an Unsat solve or
-    /// an incremental [`Solver::add_clause`] discards the model, after which
-    /// this returns the residual top-level assignment, not model values. The
-    /// [`crate::IncrementalSolver`] trait methods perform this check.
+    /// Returns `None` when no model is available ([`Solver::has_model`] is
+    /// false: an Unsat solve or an incremental [`Solver::add_clause`]
+    /// discards the model) and for variables allocated after the solve.
     pub fn value(&self, var: Var) -> Option<bool> {
-        if var.index() >= self.num_vars() {
+        if !self.model_valid || var.index() >= self.num_vars() {
             return None;
         }
         self.lit_value(Lit::positive(var))
@@ -390,10 +385,9 @@ impl Solver {
     }
 
     /// The most recent satisfying model as a dense vector indexed by
-    /// variable. Unassigned variables default to `false`.
-    ///
-    /// As with [`Solver::value`], only meaningful while [`Solver::has_model`]
-    /// is true; read the model before growing the formula.
+    /// variable. Unassigned variables default to `false`, and so does every
+    /// variable when no model is available; read the model before growing
+    /// the formula.
     pub fn model(&self) -> Vec<bool> {
         (0..self.num_vars())
             .map(|i| self.value(Var::from_index(i)).unwrap_or(false))
@@ -910,6 +904,21 @@ mod tests {
             assert_eq!(s.solve_with_assumptions(&[!first]), SolveResult::Sat);
             assert_eq!(s.value(v[0]), Some(false));
         }
+    }
+
+    #[test]
+    fn clauses_can_be_added_after_solving() {
+        let (mut s, v) = solver_with_vars(2);
+        assert!(s.add_clause([lit(&v, 1), lit(&v, 2)]));
+        assert_eq!(s.solve(), SolveResult::Sat);
+        // Growing the formula after a solve must not trip level-0 invariants.
+        assert!(s.add_clause([lit(&v, -1)]));
+        // ¬a forces b through (a ∨ b), so ¬b empties out under top-level
+        // simplification and the solver reports unsatisfiability eagerly.
+        assert!(!s.add_clause([lit(&v, -2)]));
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        // The level-0 residue (¬a) is not a model.
+        assert_eq!(s.value(v[0]), None);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub const DEFAULT_REQUEST_TIMEOUT_MS: u64 = 120_000;
 pub struct SessionSpec {
     /// Benchmark name of the system under learning.
     pub system: String,
-    /// k-induction bound; `None` uses the benchmark's own `k`.
+    /// k-induction bound, at least 1; `None` uses the benchmark's own `k`.
     pub k: Option<usize>,
     /// Iteration budget per `refine` call.
     pub max_iterations: usize,
@@ -101,6 +101,9 @@ impl SessionSpec {
             }
         };
         spec.k = field_usize("k")?;
+        if spec.k == Some(0) {
+            return Err("`k` must be a positive integer".to_string());
+        }
         if let Some(n) = field_usize("max_iterations")? {
             spec.max_iterations = n.max(1);
         }

@@ -504,6 +504,30 @@ fn protocol_errors_are_reported_not_fatal() {
         .unwrap()
         .contains("unknown system"));
 
+    // A zero k-induction bound is refused at `open`; the connection and the
+    // daemon keep serving.
+    let zero_k = client.send(&req(
+        "open",
+        [
+            ("session", Json::from("z")),
+            ("system", Json::from(COOLER)),
+            (
+                "config",
+                [("k".to_string(), Json::from(0usize))]
+                    .into_iter()
+                    .collect(),
+            ),
+        ],
+    ));
+    assert_eq!(zero_k.get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(zero_k.get("retriable"), Some(&Json::Bool(false)));
+    assert!(zero_k
+        .get("error")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .contains("`k`"));
+
     client.send_ok(&req(
         "open",
         [("session", Json::from("s")), ("system", Json::from(COOLER))],

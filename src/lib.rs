@@ -12,10 +12,10 @@
 //!   (`amle-automaton`);
 //! * [`learner`] — pluggable passive learners: history, k-tails, SAT-based
 //!   DFA identification (`amle-learner`);
-//! * [`sat`] / [`bitblast`] / [`checker`] — the CDCL solver behind the
-//!   pluggable [`sat::IncrementalSolver`] backend seam, the word-level CNF
-//!   encoder (generic over any [`sat::ClauseSink`]) and the k-induction
-//!   model checker with persistent incremental solver sessions;
+//! * [`sat`] / [`bitblast`] / [`checker`] — the incremental CDCL
+//!   [`sat::Solver`], the word-level CNF encoder that writes into one, and
+//!   the k-induction model checker with persistent incremental solver
+//!   sessions;
 //! * [`active`] — the active-learning loop, completeness conditions,
 //!   invariants and the random-sampling baseline (`amle-core`);
 //! * [`benchmarks`] — the Stateflow-style evaluation suite
