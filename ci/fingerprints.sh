@@ -2,7 +2,7 @@
 # Checks one suite family's semantic fingerprint against its committed digest
 # and across oracle engines, worker counts and verdict-cache settings.
 #
-# usage: bash ci/fingerprints.sh <quick|circuit|table1>
+# usage: bash ci/fingerprints.sh <quick|circuit|table1|ktails>
 #
 # `quick` (the default quick suite) and `circuit` (the gate-level circuit
 # family) run the same four steps:
@@ -13,7 +13,8 @@
 #   4. --no-cache under portfolio, diffed against step 1.
 # The quick kinduction run also writes suite-quick.json for perf-diff.
 # `table1` regenerates the paper-shape Table I fingerprint and checks its
-# digest.
+# digest. `ktails` runs the quick Table I benchmarks with the k-tails learner
+# and checks their digest, so the loop is pinned under a second learner.
 #
 # The fingerprint files (fp-*.txt) and suite-quick.json are written to the
 # repository root, where the digests expect them.
@@ -44,8 +45,13 @@ case "$family" in
         sha256sum -c ci/table1-paper.fingerprint.sha256
         exit 0
         ;;
+    ktails)
+        suite --quick --table1-only --learner ktails --dump-fingerprint fp-ktails.txt
+        sha256sum -c ci/ktails-quick.fingerprint.sha256
+        exit 0
+        ;;
     *)
-        echo "usage: $0 <quick|circuit|table1>" >&2
+        echo "usage: $0 <quick|circuit|table1|ktails>" >&2
         exit 2
         ;;
 esac

@@ -57,6 +57,21 @@ impl ActiveLearnerConfig {
             .clone()
             .unwrap_or_else(|| system.all_vars())
     }
+
+    /// Rejects the bounds no refinement can run with: a zero iteration
+    /// budget leaves no model to report, and a zero k-induction bound
+    /// cannot decide a spurious counterexample. Both [`ActiveLearner`] and
+    /// [`crate::Session`] check this before any work.
+    pub(crate) fn check_bounds(&self) -> Result<(), ActiveLearnError> {
+        for (field, value) in [("max_iterations", self.max_iterations), ("k", self.k)] {
+            if value == 0 {
+                return Err(ActiveLearnError::BadConfig {
+                    reason: format!("{field} must be positive"),
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Default for ActiveLearnerConfig {
@@ -325,8 +340,10 @@ impl<'a, L: ModelLearner> ActiveLearner<'a, L> {
     ///
     /// # Errors
     ///
-    /// Returns [`ActiveLearnError::BadConfig`] for unusable configurations and
-    /// [`ActiveLearnError::Learner`] when the model-learning component fails.
+    /// Returns [`ActiveLearnError::BadConfig`] for unusable configurations
+    /// (a zero `initial_traces`, `trace_length`, `max_iterations` or `k`)
+    /// and [`ActiveLearnError::Learner`] when the model-learning component
+    /// fails.
     pub fn run(&mut self) -> Result<RunReport, ActiveLearnError> {
         if self.config.initial_traces == 0 || self.config.trace_length == 0 {
             return Err(ActiveLearnError::BadConfig {
@@ -355,6 +372,7 @@ impl<'a, L: ModelLearner> ActiveLearner<'a, L> {
     ///
     /// As for [`ActiveLearner::run`].
     pub fn run_with_traces(&mut self, traces: TraceSet) -> Result<RunReport, ActiveLearnError> {
+        self.config.check_bounds()?;
         let observables = self.observables();
         let mut store = TraceStore::from_trace_set(&traces);
         drop(traces);
@@ -710,15 +728,35 @@ mod tests {
     #[test]
     fn bad_config_is_rejected() {
         let sys = cooler();
-        let config = ActiveLearnerConfig {
-            initial_traces: 0,
-            ..Default::default()
+        let bad = |result: Result<RunReport, ActiveLearnError>| match result {
+            Err(ActiveLearnError::BadConfig { reason }) => reason,
+            other => panic!("expected BadConfig, got {other:?}"),
         };
-        let mut learner = ActiveLearner::new(&sys, HistoryLearner::default(), config);
-        assert!(matches!(
-            learner.run(),
-            Err(ActiveLearnError::BadConfig { .. })
-        ));
+        let mut zeroed = [quick_config(), quick_config(), quick_config()];
+        zeroed[0].initial_traces = 0;
+        zeroed[1].max_iterations = 0;
+        zeroed[2].k = 0;
+        let fields = ["initial_traces", "max_iterations", "k"];
+        for (field, config) in fields.into_iter().zip(zeroed) {
+            let mut learner = ActiveLearner::new(&sys, HistoryLearner::default(), config);
+            let reason = bad(learner.run());
+            assert!(reason.contains(field), "`{field}` unnamed in: {reason}");
+        }
+
+        // A session checks the same bounds when it refines.
+        let config = ActiveLearnerConfig {
+            max_iterations: 0,
+            ..quick_config()
+        };
+        let mut session = crate::Session::new(&sys, HistoryLearner::default(), config);
+        let mut rng = StdRng::seed_from_u64(5);
+        session.ingest(
+            Simulator::new(&sys)
+                .random_traces(3, 5, &mut rng)
+                .iter()
+                .cloned(),
+        );
+        assert!(bad(session.refine()).contains("max_iterations"));
     }
 
     #[test]

@@ -185,9 +185,11 @@ impl<'a, L: ModelLearner> Session<'a, L> {
     /// # Errors
     ///
     /// [`ActiveLearnError::BadConfig`] when no traces have been ingested
-    /// yet, [`ActiveLearnError::Learner`] when the model-learning component
+    /// yet or the config's `max_iterations` or `k` is zero,
+    /// [`ActiveLearnError::Learner`] when the model-learning component
     /// fails.
     pub fn refine(&mut self) -> Result<RunReport, ActiveLearnError> {
+        self.config.check_bounds()?;
         if self.store.is_empty() {
             return Err(ActiveLearnError::BadConfig {
                 reason: "refine requires at least one ingested trace".to_string(),

@@ -13,12 +13,10 @@
 
 use crate::abstraction::{AbstractionUpdate, IncrementalAbstraction};
 use crate::learner::LetterAutomaton;
-use crate::{
-    AbstractionConfig, AlphabetAbstraction, LearnError, LetterId, ModelLearner, WordStats,
-};
+use crate::{LearnError, LetterId, ModelLearner, WordStats};
 use amle_automaton::Nfa;
 use amle_expr::{VarId, VarSet};
-use amle_system::{TraceSet, TraceStore};
+use amle_system::TraceStore;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Passive learner whose states are bounded observation histories.
@@ -28,20 +26,17 @@ use std::collections::{BTreeMap, BTreeSet};
 /// histories, which can capture counter-like sequencing at the cost of more
 /// states.
 ///
-/// The store-backed path ([`ModelLearner::learn_from_store`]) is
-/// **incremental**: the history quotient is a left fold over the sample
-/// words, so when the alphabet is stable between iterations the learner
-/// keeps its state map and transition set and folds in only the words of
-/// newly added traces. The result is byte-identical to a from-scratch fold
+/// Learning is **incremental**: the history quotient is a left fold over
+/// the sample words, so when the alphabet is stable between iterations the
+/// learner keeps its state map and transition set and folds in only the
+/// words of newly added traces. The result is byte-identical to a from-scratch fold
 /// (state ids depend only on first-encounter order, which appending
 /// preserves); only the cost changes.
 #[derive(Debug, Clone)]
 pub struct HistoryLearner {
     /// Number of trailing letters that identify a state.
     pub history_depth: usize,
-    /// Alphabet-abstraction configuration.
-    pub abstraction: AbstractionConfig,
-    /// Incremental state for the store-backed path.
+    /// Incremental state of the last learned store.
     cache: Option<HistoryCache>,
     /// Accumulated word-pipeline statistics.
     stats: WordStats,
@@ -51,16 +46,16 @@ pub struct HistoryLearner {
 /// statistics are ignored.
 impl PartialEq for HistoryLearner {
     fn eq(&self, other: &Self) -> bool {
-        self.history_depth == other.history_depth && self.abstraction == other.abstraction
+        self.history_depth == other.history_depth
     }
 }
 
 impl Eq for HistoryLearner {}
 
-/// The incremental fold state of the store-backed path.
+/// The incremental fold state of the last learned store.
 #[derive(Debug, Clone)]
 struct HistoryCache {
-    /// Depth the fold was built with; a config change invalidates it.
+    /// Depth the fold was built with; a depth change invalidates it.
     depth: usize,
     inc: IncrementalAbstraction,
     /// Number of cached words already folded into the quotient.
@@ -70,10 +65,10 @@ struct HistoryCache {
 }
 
 impl HistoryCache {
-    fn fresh(depth: usize, config: AbstractionConfig) -> Self {
+    fn fresh(depth: usize) -> Self {
         HistoryCache {
             depth,
-            inc: IncrementalAbstraction::new(config),
+            inc: IncrementalAbstraction::default(),
             words_done: 0,
             state_ids: BTreeMap::from([(Vec::new(), 0)]),
             transitions: BTreeSet::new(),
@@ -91,7 +86,6 @@ impl Default for HistoryLearner {
     fn default() -> Self {
         HistoryLearner {
             history_depth: 1,
-            abstraction: AbstractionConfig::default(),
             cache: None,
             stats: WordStats::default(),
         }
@@ -121,62 +115,16 @@ fn fold_word(
 }
 
 impl HistoryLearner {
-    /// Creates a learner with the given history depth and default abstraction
-    /// configuration.
+    /// Creates a learner with the given history depth.
     pub fn new(history_depth: usize) -> Self {
         HistoryLearner {
             history_depth,
             ..Default::default()
         }
     }
-
-    pub(crate) fn learn_letter_automaton(&self, words: &[Vec<LetterId>]) -> LetterAutomaton {
-        let depth = self.history_depth.max(1);
-        // State identity: the (at most `depth`-long) suffix of the access
-        // word. The empty suffix is the initial state.
-        let mut state_ids: BTreeMap<Vec<LetterId>, usize> = BTreeMap::new();
-        state_ids.insert(Vec::new(), 0);
-        let mut transitions = BTreeSet::new();
-        for word in words {
-            fold_word(depth, &mut state_ids, &mut transitions, word);
-        }
-        LetterAutomaton {
-            num_states: state_ids.len(),
-            initial: 0,
-            transitions,
-        }
-    }
 }
 
 impl ModelLearner for HistoryLearner {
-    fn learn(
-        &mut self,
-        vars: &VarSet,
-        observables: &[VarId],
-        traces: &TraceSet,
-    ) -> Result<Nfa, LearnError> {
-        if traces.is_empty() {
-            return Err(LearnError::NoTraces);
-        }
-        let abstraction =
-            AlphabetAbstraction::from_traces(vars, observables, traces, self.abstraction);
-        let words: Vec<Vec<LetterId>> = traces
-            .iter()
-            .map(|t| {
-                abstraction
-                    .word_of(t.observations())
-                    .expect("abstraction was built from these traces")
-            })
-            .collect();
-        self.stats.words_encoded += words.len() as u64;
-        let letter_automaton = self.learn_letter_automaton(&words);
-        debug_assert!(
-            words.iter().all(|w| letter_automaton.accepts_word(w)),
-            "history quotient must accept every sample word"
-        );
-        Ok(letter_automaton.to_nfa(&abstraction))
-    }
-
     fn learn_from_store(
         &mut self,
         vars: &VarSet,
@@ -187,11 +135,8 @@ impl ModelLearner for HistoryLearner {
             return Err(LearnError::NoTraces);
         }
         let depth = self.history_depth.max(1);
-        let config = self.abstraction;
-        let reusable =
-            matches!(&self.cache, Some(c) if c.depth == depth && c.inc.config() == config);
-        if !reusable {
-            self.cache = Some(HistoryCache::fresh(depth, config));
+        if !matches!(&self.cache, Some(c) if c.depth == depth) {
+            self.cache = Some(HistoryCache::fresh(depth));
         }
         let cache = self.cache.as_mut().expect("cache just ensured");
         let update = cache.inc.update(vars, observables, store);
@@ -231,7 +176,7 @@ impl ModelLearner for HistoryLearner {
 mod tests {
     use super::*;
     use amle_expr::{Expr, Sort, Value};
-    use amle_system::{Simulator, SystemBuilder};
+    use amle_system::{Simulator, SystemBuilder, TraceSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -300,7 +245,6 @@ mod tests {
 
     #[test]
     fn store_path_matches_flat_path_and_reuses_words() {
-        use amle_system::TraceStore;
         let sys = cooler();
         let sim = Simulator::new(&sys);
         let mut rng = StdRng::seed_from_u64(21);
@@ -354,9 +298,16 @@ mod tests {
     #[test]
     fn learner_name_and_depth_zero_behaves_like_depth_one() {
         assert_eq!(HistoryLearner::default().name(), "history");
-        let words = vec![vec![LetterId(0), LetterId(1)]];
-        let a0 = HistoryLearner::new(0).learn_letter_automaton(&words);
-        let a1 = HistoryLearner::new(1).learn_letter_automaton(&words);
-        assert_eq!(a0.num_states, a1.num_states);
+        let sys = cooler();
+        let sim = Simulator::new(&sys);
+        let mut rng = StdRng::seed_from_u64(8);
+        let traces = sim.random_traces(6, 6, &mut rng);
+        let observables = sys.all_vars();
+        let learn = |depth| {
+            HistoryLearner::new(depth)
+                .learn(sys.vars(), &observables, &traces)
+                .unwrap()
+        };
+        assert_eq!(learn(0), learn(1));
     }
 }

@@ -2,10 +2,10 @@
 //! k-future (k-tails) state merging on the prefix-tree acceptor.
 
 use crate::learner::LetterAutomaton;
-use crate::{AbstractionConfig, AlphabetAbstraction, LearnError, ModelLearner, Pta};
+use crate::{IncrementalAbstraction, LearnError, LetterId, ModelLearner, Pta};
 use amle_automaton::Nfa;
 use amle_expr::{VarId, VarSet};
-use amle_system::TraceSet;
+use amle_system::TraceStore;
 use std::collections::BTreeSet;
 
 /// Passive learner that merges prefix-tree states with identical bounded
@@ -15,41 +15,31 @@ use std::collections::BTreeSet;
 /// distinguishes more states (less generalisation, larger automata), a depth
 /// of zero collapses the sample into a single state. The default is 2; the
 /// front doors (`LearnerKind::from_name`, the ablation harness) use depth 1.
+///
+/// The quotient is recomputed on every call, so each call abstracts the
+/// store with a fresh [`IncrementalAbstraction`] and keeps nothing between
+/// calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KTailsLearner {
     /// Depth of the future signature used to distinguish states.
     pub future_depth: usize,
-    /// Alphabet-abstraction configuration.
-    pub abstraction: AbstractionConfig,
 }
 
 impl Default for KTailsLearner {
     fn default() -> Self {
-        KTailsLearner {
-            future_depth: 2,
-            abstraction: AbstractionConfig::default(),
-        }
+        KTailsLearner { future_depth: 2 }
     }
 }
 
 impl KTailsLearner {
-    /// Creates a learner with the given future depth and default abstraction
-    /// configuration.
+    /// Creates a learner with the given future depth.
     pub fn new(future_depth: usize) -> Self {
-        KTailsLearner {
-            future_depth,
-            ..Default::default()
-        }
+        KTailsLearner { future_depth }
     }
 
-    /// Learns the intermediate letter automaton (exposed for tests and the
-    /// SAT-learner ablation).
-    pub(crate) fn learn_letter_automaton(
-        &self,
-        abstraction: &AlphabetAbstraction,
-        words: &[Vec<crate::LetterId>],
-    ) -> LetterAutomaton {
-        let _ = abstraction;
+    /// Learns the intermediate letter automaton: the k-future quotient of the
+    /// words' prefix-tree acceptor.
+    fn learn_letter_automaton(&self, words: &[Vec<LetterId>]) -> LetterAutomaton {
         let pta = Pta::from_words(words.iter().map(|w| w.as_slice()));
         let classes = pta.kfuture_classes(self.future_depth);
 
@@ -84,31 +74,24 @@ impl KTailsLearner {
 }
 
 impl ModelLearner for KTailsLearner {
-    fn learn(
+    fn learn_from_store(
         &mut self,
         vars: &VarSet,
         observables: &[VarId],
-        traces: &TraceSet,
+        store: &TraceStore,
     ) -> Result<Nfa, LearnError> {
-        if traces.is_empty() {
+        if store.is_empty() {
             return Err(LearnError::NoTraces);
         }
-        let abstraction =
-            AlphabetAbstraction::from_traces(vars, observables, traces, self.abstraction);
-        let words: Vec<Vec<crate::LetterId>> = traces
-            .iter()
-            .map(|t| {
-                abstraction
-                    .word_of(t.observations())
-                    .expect("abstraction was built from these traces")
-            })
-            .collect();
-        let letter_automaton = self.learn_letter_automaton(&abstraction, &words);
+        let mut inc = IncrementalAbstraction::default();
+        inc.update(vars, observables, store);
+        let words = inc.words();
+        let letter_automaton = self.learn_letter_automaton(words);
         debug_assert!(
             words.iter().all(|w| letter_automaton.accepts_word(w)),
             "k-tails quotient must accept every sample word"
         );
-        Ok(letter_automaton.to_nfa(&abstraction))
+        Ok(letter_automaton.to_nfa(inc.abstraction()))
     }
 
     fn name(&self) -> &'static str {
@@ -120,7 +103,7 @@ impl ModelLearner for KTailsLearner {
 mod tests {
     use super::*;
     use amle_expr::{Expr, Sort, Value};
-    use amle_system::{Simulator, SystemBuilder};
+    use amle_system::{Simulator, SystemBuilder, TraceSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -85,44 +85,47 @@ impl Add for WordStats {
 /// of execution traces, return an NFA that admits (at least) every trace in
 /// the set. The active-learning loop in `amle-core` treats implementations of
 /// this trait as interchangeable black boxes.
+///
+/// The learners of this crate all learn from an interned [`TraceStore`]:
+/// each abstracts the stored traces into letters with an
+/// [`IncrementalAbstraction`](crate::IncrementalAbstraction) and learns an
+/// automaton over their words.
 pub trait ModelLearner {
-    /// Learns an NFA over the observable variables from the given traces.
+    /// Learns an NFA over the observable variables from the traces of an
+    /// interned store.
     ///
-    /// # Errors
-    ///
-    /// Returns [`LearnError::NoTraces`] when the trace set is empty and
-    /// [`LearnError::SearchExhausted`] when the learner's bounded search fails.
-    fn learn(
-        &mut self,
-        vars: &VarSet,
-        observables: &[VarId],
-        traces: &TraceSet,
-    ) -> Result<Nfa, LearnError>;
-
-    /// Learns from an interned [`TraceStore`] instead of a flat trace set.
-    ///
-    /// This is the entry point the active-learning loop uses every
+    /// This is the entry point the active-learning loop calls every
     /// iteration. Incremental learners ([`crate::HistoryLearner`],
     /// [`crate::SatDfaLearner`]) recognise a store they have seen before
     /// (same [`TraceStore::store_id`], grown append-only) and only process
-    /// the traces added since the previous call; the default implementation
-    /// simply materialises the store (cloning every observation of every
-    /// trace, O(total observations) per call) and delegates to
-    /// [`learn`](ModelLearner::learn). The learned model is identical either
-    /// way — incrementality is a cost optimisation, not a semantic change —
-    /// but learners expected on the refinement loop's hot path should
-    /// override this.
+    /// the traces added since the previous call. The learned model is the
+    /// same either way: incrementality changes the cost, not the result.
     ///
     /// # Errors
     ///
-    /// As for [`learn`](ModelLearner::learn).
+    /// Returns [`LearnError::NoTraces`] when the store is empty and
+    /// [`LearnError::SearchExhausted`] when the learner's bounded search fails.
     fn learn_from_store(
         &mut self,
         vars: &VarSet,
         observables: &[VarId],
         store: &TraceStore,
+    ) -> Result<Nfa, LearnError>;
+
+    /// Learns from a flat trace set by interning it into a temporary
+    /// [`TraceStore`] and calling
+    /// [`learn_from_store`](ModelLearner::learn_from_store).
+    ///
+    /// # Errors
+    ///
+    /// As for [`learn_from_store`](ModelLearner::learn_from_store).
+    fn learn(
+        &mut self,
+        vars: &VarSet,
+        observables: &[VarId],
+        traces: &TraceSet,
     ) -> Result<Nfa, LearnError> {
-        self.learn(vars, observables, &store.to_trace_set())
+        self.learn_from_store(vars, observables, &TraceStore::from_trace_set(traces))
     }
 
     /// A short human-readable name for reports.
@@ -176,19 +179,6 @@ impl LearnerKind {
 }
 
 impl ModelLearner for LearnerKind {
-    fn learn(
-        &mut self,
-        vars: &VarSet,
-        observables: &[VarId],
-        traces: &TraceSet,
-    ) -> Result<Nfa, LearnError> {
-        match self {
-            LearnerKind::History(l) => l.learn(vars, observables, traces),
-            LearnerKind::KTails(l) => l.learn(vars, observables, traces),
-            LearnerKind::SatDfa(l) => l.learn(vars, observables, traces),
-        }
-    }
-
     fn learn_from_store(
         &mut self,
         vars: &VarSet,
@@ -284,11 +274,11 @@ impl LetterAutomaton {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AbstractionConfig;
+    use crate::IncrementalAbstraction;
     use amle_expr::{Sort, Valuation, Value};
     use amle_system::Trace;
 
-    fn letters_fixture() -> (VarSet, AlphabetAbstraction, Vec<LetterId>) {
+    fn letters_fixture() -> (AlphabetAbstraction, Vec<LetterId>) {
         let mut vars = VarSet::new();
         let b = vars.declare("b", Sort::Bool).unwrap();
         let mut traces = TraceSet::new();
@@ -296,18 +286,15 @@ mod tests {
         v0.set(b, Value::Bool(false));
         let mut v1 = Valuation::zeroed(&vars);
         v1.set(b, Value::Bool(true));
-        traces.insert(Trace::new(vec![v0.clone(), v1.clone(), v0.clone()]));
-        let abs =
-            AlphabetAbstraction::from_traces(&vars, &[b], &traces, AbstractionConfig::default());
-        let word = abs
-            .word_of(traces.traces()[0].observations())
-            .expect("letters exist");
-        (vars, abs, word)
+        traces.insert(Trace::new(vec![v0.clone(), v1, v0]));
+        let mut inc = IncrementalAbstraction::default();
+        inc.update(&vars, &[b], &TraceStore::from_trace_set(&traces));
+        (inc.abstraction().clone(), inc.words()[0].clone())
     }
 
     #[test]
     fn letter_automaton_round_trip() {
-        let (_, abs, word) = letters_fixture();
+        let (abs, word) = letters_fixture();
         // Single-state automaton with self loops on both letters.
         let mut la = LetterAutomaton {
             num_states: 1,
@@ -325,7 +312,7 @@ mod tests {
 
     #[test]
     fn letter_automaton_rejects_by_dead_end() {
-        let (_, _abs, word) = letters_fixture();
+        let (_, word) = letters_fixture();
         let la = LetterAutomaton {
             num_states: 1,
             initial: 0,

@@ -5,11 +5,13 @@
 //! The paper only requires that, given a set of execution traces `T`, the
 //! learner returns an NFA that accepts (at least) every trace in `T`
 //! (Section II-B). This crate provides three interchangeable learners behind
-//! the [`ModelLearner`] trait. All of them share the same front end: concrete
-//! observations are generalised into a finite alphabet of synthesised
-//! predicates ([`AlphabetAbstraction`]), and the automaton learned over that
-//! alphabet is translated back into a symbolic NFA whose edge guards are the
-//! letters' predicates — producing models like Fig. 2 of the paper.
+//! the [`ModelLearner`] trait. All of them learn from an interned
+//! [`TraceStore`](amle_system::TraceStore) through the same front end: an
+//! [`IncrementalAbstraction`] generalises the stored observations into a
+//! finite alphabet of synthesised predicates ([`AlphabetAbstraction`]) and
+//! converts every trace into an abstract word, and the automaton learned
+//! over those words is translated back into a symbolic NFA whose edge guards
+//! are the letters' predicates — producing models like Fig. 2 of the paper.
 //!
 //! * [`HistoryLearner`] — the default: states are bounded observation
 //!   histories (depth 1 gives one state per abstract letter plus an initial
@@ -36,9 +38,7 @@ mod learner;
 mod pta;
 mod satdfa;
 
-pub use abstraction::{
-    AbstractionConfig, AbstractionUpdate, AlphabetAbstraction, IncrementalAbstraction, LetterId,
-};
+pub use abstraction::{AbstractionUpdate, AlphabetAbstraction, IncrementalAbstraction, LetterId};
 pub use history::HistoryLearner;
 pub use ktails::KTailsLearner;
 pub use learner::{LearnError, LearnerKind, ModelLearner, WordStats};

@@ -4,9 +4,9 @@
 //! and whatever the learner configuration, the returned NFA admits every
 //! training trace.
 
-use crate::{KTailsLearner, ModelLearner, SatDfaLearner};
+use crate::{KTailsLearner, LearnerKind, ModelLearner, SatDfaLearner};
 use amle_expr::{Expr, Sort, Value};
-use amle_system::{Simulator, System, SystemBuilder, TraceSet};
+use amle_system::{Simulator, System, SystemBuilder, TraceSet, TraceStore};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -83,6 +83,36 @@ proptest! {
         let nfa = learner.learn(sys.vars(), &observables, &traces).unwrap();
         for trace in traces.iter() {
             prop_assert!(nfa.accepts_trace(trace));
+        }
+    }
+
+    // The contract on a store that grows between two calls of one learner:
+    // every learner admits every stored trace, before and after a splice
+    // of two stored observations onto a stored prefix.
+    #[test]
+    fn every_learner_admits_a_spliced_store(
+        threshold in 20i64..100,
+        seed in 0u64..30,
+        cut in 0usize..7,
+        from in 0usize..6,
+        to in 0usize..6,
+    ) {
+        let sys = controller(threshold, 4);
+        let observables = sys.all_vars();
+        for name in LearnerKind::NAMES {
+            let mut store = TraceStore::from_trace_set(&training_set(&sys, 4, 6, seed));
+            let mut learner = LearnerKind::from_name(name).unwrap();
+            let first = learner.learn_from_store(sys.vars(), &observables, &store).unwrap();
+            for trace in store.traces() {
+                prop_assert!(first.accepts_trace(&store.materialize(trace)), "{}", name);
+            }
+            let (head, tail) = (store.traces().next().unwrap(), store.traces().last().unwrap());
+            let (prefix, ids) = (store.prefix(head, cut), store.obs_ids(tail));
+            store.splice(prefix, ids[from], ids[to]);
+            let grown = learner.learn_from_store(sys.vars(), &observables, &store).unwrap();
+            for trace in store.traces() {
+                prop_assert!(grown.accepts_trace(&store.materialize(trace)), "{}", name);
+            }
         }
     }
 

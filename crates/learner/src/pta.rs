@@ -90,30 +90,6 @@ impl Pta {
         self.support[node]
     }
 
-    /// The word spelled by the path from the root to `node`.
-    pub fn word_of_node(&self, node: usize) -> Vec<LetterId> {
-        // Parent pointers are not stored; reconstruct by search. The PTA is
-        // small and this is only used for diagnostics and negative-example
-        // construction.
-        let mut result = Vec::new();
-        self.find_path(0, node, &mut result);
-        result
-    }
-
-    fn find_path(&self, current: usize, target: usize, path: &mut Vec<LetterId>) -> bool {
-        if current == target {
-            return true;
-        }
-        for (letter, child) in &self.children[current] {
-            path.push(*letter);
-            if self.find_path(*child, target, path) {
-                return true;
-            }
-            path.pop();
-        }
-        false
-    }
-
     /// Partition of the nodes by equality of their depth-`k` futures
     /// (k-tails). Returns one class index per node; nodes with equal class
     /// index have identical future behaviour up to depth `k`.
@@ -162,15 +138,6 @@ mod tests {
         assert_eq!(pta.num_nodes(), 6);
         assert_eq!(pta.children(pta.root()).len(), 2);
         assert_eq!(pta.support(pta.root()), 3);
-    }
-
-    #[test]
-    fn word_reconstruction() {
-        let words = [vec![l(0), l(1), l(2)]];
-        let pta = Pta::from_words(words.iter().map(|w| w.as_slice()));
-        let deepest = pta.num_nodes() - 1;
-        assert_eq!(pta.word_of_node(deepest), vec![l(0), l(1), l(2)]);
-        assert_eq!(pta.word_of_node(pta.root()), Vec::<LetterId>::new());
     }
 
     #[test]

@@ -19,12 +19,11 @@
 //!
 //! ## Incremental encoding across refinement iterations
 //!
-//! On the store-backed path ([`crate::ModelLearner::learn_from_store`]) the
-//! learner keeps one folding session alive across the whole active-learning
-//! run. Each iteration only the *new* abstract words are folded into the
-//! prefix tree and clause-encoded; the mapping, determinism and consistency
-//! clauses of everything already encoded — and the clauses the solver learnt
-//! refuting earlier sizes — are reused:
+//! The learner keeps one folding session alive across the whole
+//! active-learning run. Each iteration only the *new* abstract words are
+//! folded into the prefix tree and clause-encoded; the mapping, determinism
+//! and consistency clauses of everything already encoded — and the clauses
+//! the solver learnt refuting earlier sizes — are reused:
 //!
 //! * the skeleton clause sets are monotone in the number of PTA nodes, edges
 //!   and automaton states, so a delta only ever *adds* clauses;
@@ -40,20 +39,22 @@
 
 use crate::abstraction::{AbstractionUpdate, IncrementalAbstraction};
 use crate::learner::LetterAutomaton;
-use crate::{AbstractionConfig, LearnError, LetterId, ModelLearner, Pta, WordStats};
+use crate::{LearnError, LetterId, ModelLearner, Pta, WordStats};
 use amle_automaton::Nfa;
 use amle_expr::{VarId, VarSet};
 use amle_sat::{Lit, SolveResult, Solver, SolverStats, Var};
-use amle_system::{TraceSet, TraceStore};
+use amle_system::TraceStore;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// SAT-based minimal-DFA learner.
 ///
 /// The size search is **incremental**: one solver session is kept alive
-/// across the growing automaton sizes, and — on the store-backed path —
-/// across refinement iterations too (see the module-level docs). Clauses
-/// learnt while refuting size `n` keep pruning the search at size `n + 1`
-/// and in later iterations.
+/// across the growing automaton sizes and across refinement iterations too
+/// (see the module-level docs). Clauses learnt while refuting size `n` keep
+/// pruning the search at size `n + 1` and in later iterations. The session
+/// outlives each call: even a flat [`ModelLearner::learn`] keeps its
+/// temporary store's encoding until the next call or until the learner is
+/// dropped.
 #[derive(Debug)]
 pub struct SatDfaLearner {
     /// Maximum number of automaton states to try before giving up.
@@ -61,14 +62,12 @@ pub struct SatDfaLearner {
     /// Minimum number of sample words that must pass through a prefix before
     /// missing extensions of that prefix are treated as negative evidence.
     pub min_support: usize,
-    /// Alphabet-abstraction configuration.
-    pub abstraction: AbstractionConfig,
     /// Solver statistics accumulated across `learn` calls.
     stats: SolverStats,
     /// Word-pipeline statistics accumulated across `learn` calls.
     word_stats: WordStats,
-    /// Incrementally maintained alphabet + words for the store-backed path.
-    inc: Option<IncrementalAbstraction>,
+    /// Incrementally maintained alphabet + words of the last learned store.
+    inc: IncrementalAbstraction,
     /// The persistent folding session (valid while the alphabet is stable).
     session: Option<SatSession>,
 }
@@ -77,9 +76,7 @@ pub struct SatDfaLearner {
 /// ignored.
 impl PartialEq for SatDfaLearner {
     fn eq(&self, other: &Self) -> bool {
-        self.max_states == other.max_states
-            && self.min_support == other.min_support
-            && self.abstraction == other.abstraction
+        self.max_states == other.max_states && self.min_support == other.min_support
     }
 }
 
@@ -92,10 +89,9 @@ impl Clone for SatDfaLearner {
         SatDfaLearner {
             max_states: self.max_states,
             min_support: self.min_support,
-            abstraction: self.abstraction,
             stats: self.stats,
             word_stats: self.word_stats,
-            inc: None,
+            inc: IncrementalAbstraction::default(),
             session: None,
         }
     }
@@ -106,10 +102,9 @@ impl Default for SatDfaLearner {
         SatDfaLearner {
             max_states: 16,
             min_support: 3,
-            abstraction: AbstractionConfig::default(),
             stats: SolverStats::default(),
             word_stats: WordStats::default(),
-            inc: None,
+            inc: IncrementalAbstraction::default(),
             session: None,
         }
     }
@@ -121,6 +116,14 @@ impl SatDfaLearner {
         SatDfaLearner {
             max_states,
             ..Default::default()
+        }
+    }
+
+    /// Drops the folding session, harvesting its outstanding solver
+    /// statistics first.
+    fn discard_session(&mut self) {
+        if let Some(session) = self.session.take() {
+            self.stats += session.fold.solver.stats().since(&session.harvested);
         }
     }
 
@@ -429,7 +432,7 @@ impl FoldSession {
     }
 }
 
-/// The persistent cross-iteration state of the store-backed path.
+/// The persistent cross-iteration folding state.
 #[derive(Debug)]
 struct SatSession {
     /// Configuration snapshot; a mismatch invalidates the session.
@@ -460,10 +463,8 @@ impl SatSession {
     }
 }
 
-impl SatDfaLearner {
-    /// The store-backed learning path shared by `learn` (on a temporary
-    /// store) and `learn_from_store`.
-    fn learn_incremental(
+impl ModelLearner for SatDfaLearner {
+    fn learn_from_store(
         &mut self,
         vars: &VarSet,
         observables: &[VarId],
@@ -472,17 +473,7 @@ impl SatDfaLearner {
         if store.is_empty() {
             return Err(LearnError::NoTraces);
         }
-        let config = self.abstraction;
-        let inc_reusable = matches!(&self.inc, Some(i) if i.config() == config);
-        if !inc_reusable {
-            self.inc = Some(IncrementalAbstraction::new(config));
-            self.discard_session();
-        }
-        let update = self
-            .inc
-            .as_mut()
-            .expect("abstraction cache just ensured")
-            .update(vars, observables, store);
+        let update = self.inc.update(vars, observables, store);
         let alphabet_stable = matches!(update, AbstractionUpdate::Incremental { .. });
         let session_reusable = alphabet_stable
             && matches!(&self.session, Some(s) if s.min_support == self.min_support);
@@ -491,9 +482,8 @@ impl SatDfaLearner {
             self.session = Some(SatSession::fresh(self.min_support));
         }
         let min_support = self.min_support;
-        let inc = self.inc.as_ref().expect("abstraction cache exists");
-        let abstraction = inc.abstraction();
-        let words = inc.words();
+        let abstraction = self.inc.abstraction();
+        let words = self.inc.words();
         let num_letters = abstraction.num_letters();
         let session = self.session.as_mut().expect("session just ensured");
 
@@ -620,49 +610,6 @@ impl SatDfaLearner {
         }
     }
 
-    /// Drops the folding session, harvesting its outstanding solver
-    /// statistics first.
-    fn discard_session(&mut self) {
-        if let Some(session) = self.session.take() {
-            self.stats += session.fold.solver.stats().since(&session.harvested);
-        }
-    }
-}
-
-impl ModelLearner for SatDfaLearner {
-    fn learn(
-        &mut self,
-        vars: &VarSet,
-        observables: &[VarId],
-        traces: &TraceSet,
-    ) -> Result<Nfa, LearnError> {
-        if traces.is_empty() {
-            return Err(LearnError::NoTraces);
-        }
-        // A flat trace set carries no identity to be incremental against:
-        // restart from a temporary store (the next store-backed call resets
-        // again, so behaviour stays run-deterministic).
-        self.inc = None;
-        self.discard_session();
-        let store = TraceStore::from_trace_set(traces);
-        let result = self.learn_incremental(vars, observables, &store);
-        // The session and word cache reference the dropped temporary store
-        // and can never be reused — free them (harvesting solver stats)
-        // rather than holding the full encoding until the next call.
-        self.inc = None;
-        self.discard_session();
-        result
-    }
-
-    fn learn_from_store(
-        &mut self,
-        vars: &VarSet,
-        observables: &[VarId],
-        store: &TraceStore,
-    ) -> Result<Nfa, LearnError> {
-        self.learn_incremental(vars, observables, store)
-    }
-
     fn name(&self) -> &'static str {
         "satdfa"
     }
@@ -680,7 +627,7 @@ impl ModelLearner for SatDfaLearner {
 mod tests {
     use super::*;
     use amle_expr::{Sort, Value};
-    use amle_system::{Simulator, SystemBuilder};
+    use amle_system::{Simulator, SystemBuilder, TraceSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -34,6 +34,11 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 /// Default per-request deadline in milliseconds.
 pub const DEFAULT_REQUEST_TIMEOUT_MS: u64 = 120_000;
 
+/// Largest condition-engine worker count a session may ask for. The actor
+/// builds one oracle per worker up front, so the count is refused above
+/// this bound rather than clamped or left to exhaust memory.
+pub const MAX_WORKERS: usize = 64;
+
 /// The configuration of one protocol session, parsed from the `open` verb's
 /// `config` object (and embedded verbatim in snapshot files).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,7 +51,7 @@ pub struct SessionSpec {
     pub max_iterations: usize,
     /// Spurious-counterexample bound per condition.
     pub max_spurious_rounds: usize,
-    /// Condition-engine worker count.
+    /// Condition-engine worker count, 1 to [`MAX_WORKERS`].
     pub workers: usize,
     /// Learner kind name (one of [`LearnerKind::NAMES`]).
     pub learner: String,
@@ -111,6 +116,9 @@ impl SessionSpec {
             spec.max_spurious_rounds = n.max(1);
         }
         if let Some(n) = field_usize("workers")? {
+            if n > MAX_WORKERS {
+                return Err(format!("`workers` must be at most {MAX_WORKERS}"));
+            }
             spec.workers = n.max(1);
         }
         if let Some(n) = field_usize("queue_capacity")? {
@@ -832,6 +840,17 @@ mod tests {
         let err = SessionSpec::from_request("HomeClimateControlCooler".to_string(), Some(&config))
             .unwrap_err();
         assert!(err.contains("unknown engine"));
+    }
+
+    #[test]
+    fn spec_refuses_workers_above_the_cap() {
+        let open = |workers: usize| {
+            let config = obj([("workers", Json::from(workers))]);
+            SessionSpec::from_request("HomeClimateControlCooler".to_string(), Some(&config))
+        };
+        assert_eq!(open(MAX_WORKERS).unwrap().workers, MAX_WORKERS);
+        let err = open(MAX_WORKERS + 1).unwrap_err();
+        assert!(err.contains("`workers`"), "{err}");
     }
 
     #[test]

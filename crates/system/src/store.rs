@@ -227,8 +227,8 @@ impl TraceStore {
     }
 
     /// Materialises every stored trace into a flat [`TraceSet`], in
-    /// insertion order. Used by non-incremental learners and by the
-    /// differential tests that pin store/flat equivalence.
+    /// insertion order. Used by the tests, among them the differential
+    /// tests that pin store/flat equivalence.
     pub fn to_trace_set(&self) -> TraceSet {
         self.traces().map(|t| self.materialize(t)).collect()
     }
