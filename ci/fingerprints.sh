@@ -8,7 +8,9 @@
 # family) run the same four steps:
 #   1. kinduction with --compare (a 1-worker re-run must be byte-identical),
 #      dumped to the file the committed digest names, then `sha256sum -c`;
-#   2. portfolio with --compare, diffed against step 1;
+#   2. portfolio with --compare and --cross-validate, diffed against step 1:
+#      every query the portfolio routes to the explicit engine is answered
+#      again by k-induction and the two answers are asserted equal;
 #   3. --no-cache under kinduction, diffed against step 1;
 #   4. --no-cache under portfolio, diffed against step 1.
 # The quick kinduction run also writes suite-quick.json for perf-diff.
@@ -60,7 +62,7 @@ suite "${flags[@]}" --compare --engine kinduction \
     --dump-fingerprint "$baseline" "${json[@]}"
 sha256sum -c "$digest"
 
-suite "${flags[@]}" --compare --engine portfolio \
+suite "${flags[@]}" --compare --engine portfolio --cross-validate \
     --dump-fingerprint "fp-$family-portfolio.txt"
 diff "$baseline" "fp-$family-portfolio.txt"
 

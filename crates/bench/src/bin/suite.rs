@@ -9,7 +9,7 @@
 //!       [--circuit-file <path>] [--only <substring>]
 //!       [--dump-fingerprint <path>] [--json <path>]
 //!       [--learner history|ktails|satdfa]
-//!       [--engine kinduction|explicit|portfolio] [--no-cache]
+//!       [--engine kinduction|portfolio] [--no-cache]
 //!       [--cross-validate]
 //! ```
 //!
@@ -63,9 +63,12 @@
 //!   driven by the loop (default `history`, the paper's configuration; see
 //!   `amle_learner::LearnerKind::from_name`). `satdfa` does not finish any
 //!   quick Table I benchmark within 20 s; pair it with `--only`.
-//! * `--engine kinduction|explicit|portfolio` — which condition-oracle
-//!   stack answers the checking queries (see `amle_core::OracleConfig`).
-//!   Fingerprints are byte-identical across engines.
+//! * `--engine kinduction|portfolio` — the routing threshold of the
+//!   condition oracle (see `amle_checker::OracleKind::route_threshold`):
+//!   `kinduction` (the default, the paper's configuration) answers every
+//!   query by k-induction, `portfolio` routes queries on small input/state
+//!   products to the explicit-state engine. Fingerprints are byte-identical
+//!   across engines.
 //! * `--no-cache` — disable the cross-iteration verdict cache (enabled by
 //!   default; fingerprints are byte-identical either way).
 //! * `--cross-validate` — portfolio cross-validation: every explicitly
@@ -112,7 +115,7 @@ fn usage() -> ExitCode {
          \x20            [--circuit-file <path>] [--only <substring>]\n\
          \x20            [--dump-fingerprint <path>] [--json <path>]\n\
          \x20            [--learner {}]\n\
-         \x20            [--engine kinduction|explicit|portfolio] [--no-cache]\n\
+         \x20            [--engine kinduction|portfolio] [--no-cache]\n\
          \x20            [--cross-validate]",
         LearnerKind::NAMES.join("|")
     );
@@ -182,7 +185,7 @@ fn parse_options() -> Result<Options, ExitCode> {
                 match OracleKind::from_name(&name) {
                     Some(engine) => options.oracle.engine = engine,
                     None => {
-                        eprintln!("unknown engine `{name}` (kinduction|explicit|portfolio)");
+                        eprintln!("unknown engine `{name}` (kinduction|portfolio)");
                         return Err(usage());
                     }
                 }

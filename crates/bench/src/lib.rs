@@ -324,8 +324,7 @@ pub use amle_core::fingerprint_digest;
 /// Run-level context recorded in the machine-readable suite output.
 #[derive(Debug, Clone)]
 pub struct SuiteRunMeta {
-    /// The condition-oracle engine name (`kinduction`, `explicit`,
-    /// `portfolio`).
+    /// The condition-oracle engine name (`kinduction` or `portfolio`).
     pub engine: String,
     /// The model-learner name (one of `amle_learner::LearnerKind::NAMES`).
     pub learner: String,
@@ -709,11 +708,11 @@ mod tests {
 
     #[test]
     fn portfolio_engine_matches_kinduction_and_fills_the_oracle_columns() {
-        let b = benchmark_by_name("HomeClimateControlCooler").unwrap();
-        // Explicit-first portfolio (unbounded routing threshold) so the
-        // explicit engine actually answers queries on this small system.
+        let b = benchmark_by_name("CountEvents").unwrap();
+        // CountEvents' condition cost (256) is far below the routing
+        // threshold, so the portfolio's explicit engine answers queries.
         let mut config = quick_config(&b);
-        config.oracle.engine = amle_core::OracleKind::Explicit;
+        config.oracle.engine = amle_core::OracleKind::Portfolio;
         let (row, report) = run_active(&b, HistoryLearner::default(), config);
         let (_, baseline) = run_active(&b, HistoryLearner::default(), quick_config(&b));
         assert_eq!(
@@ -725,7 +724,7 @@ mod tests {
         assert!(row.explicit_work > 0);
         let table = format_oracle_table(&[row]);
         assert!(table.contains("exQ"));
-        assert!(table.contains("HomeClimateControlCooler"));
+        assert!(table.contains("CountEvents"));
     }
 
     #[test]

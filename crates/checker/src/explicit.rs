@@ -42,9 +42,8 @@ use amle_expr::{Expr, Sort, Valuation, Value, VarId};
 use amle_system::System;
 use std::collections::{HashMap, HashSet};
 
-/// Default per-query work budget of the explicit engine, used by
-/// [`ExplicitChecker::new`] and by both portfolio stacks of
-/// [`crate::build_oracle`].
+/// Default per-query work budget of the explicit engine: the budget the
+/// learning loop gives every [`crate::PortfolioOracle`] it builds.
 pub const DEFAULT_QUERY_BUDGET: u64 = 1 << 18;
 
 /// The admissible values of one variable as inclusive runs of *raw* (bit
@@ -251,9 +250,9 @@ impl ReachCache {
     }
 }
 
-/// Explicit-state oracle over a [`System`]: streamed condition checks,
-/// k-induction-shaped spurious checks and classic fixpoint reachability,
-/// all under deterministic work budgets.
+/// Explicit-state engine over a [`System`]: streamed condition checks and
+/// k-induction-shaped spurious checks under deterministic work budgets,
+/// plus classic fixpoint reachability.
 ///
 /// See the module-level documentation above for the engine's guarantees and its
 /// exact-agreement relationship with [`crate::KInductionChecker`].
@@ -263,40 +262,21 @@ pub struct ExplicitChecker<'a> {
     /// Cap on interned states for the legacy fixpoint queries
     /// ([`ExplicitChecker::reachable_states`] and friends).
     max_states: usize,
-    /// Work budget for one budgeted query (used by the unbudgeted
-    /// [`crate::ConditionOracle`] entry points via `u64::MAX`).
-    query_budget: u64,
     stats: CheckerStats,
     reach: ReachCache,
 }
 
 impl<'a> ExplicitChecker<'a> {
     /// Creates an explicit checker with a cap on the number of distinct
-    /// states the fixpoint queries may intern, and the default per-query
-    /// work budget.
+    /// states the fixpoint queries may intern. Budgeted queries take their
+    /// work budget per call.
     pub fn new(system: &'a System, max_states: usize) -> Self {
-        Self::with_budget(system, max_states, DEFAULT_QUERY_BUDGET)
-    }
-
-    /// Creates an explicit checker with an explicit per-query work budget.
-    pub fn with_budget(system: &'a System, max_states: usize, query_budget: u64) -> Self {
         ExplicitChecker {
             system,
             max_states,
-            query_budget,
             stats: CheckerStats::default(),
             reach: ReachCache::default(),
         }
-    }
-
-    /// The system under check.
-    pub fn system(&self) -> &System {
-        self.system
-    }
-
-    /// The per-query work budget of this checker.
-    pub fn query_budget(&self) -> u64 {
-        self.query_budget
     }
 
     /// Statistics accumulated so far. `explicit_work` counts charged work
@@ -356,19 +336,12 @@ impl<'a> ExplicitChecker<'a> {
     }
 
     /// Estimated work of one condition check: frame-0 valuations × input
-    /// assignments, saturating.
+    /// assignments, saturating. A spurious check with bound `k` is
+    /// dominated by its step case, up to `k` expansions of the same space.
     pub fn estimate_condition_cost(&self) -> u64 {
         let f0 = self.frame0_assignments().size() as u128;
         let inp = self.input_assignments().size() as u128;
         u64::try_from(f0.saturating_mul(inp)).unwrap_or(u64::MAX)
-    }
-
-    /// Estimated work of one spurious check with bound `k` (dominated by
-    /// the step case: up to `k` expansions of the full valuation space).
-    pub fn estimate_spurious_cost(&self, k: usize) -> u64 {
-        let f0 = self.frame0_assignments().size() as u128;
-        let inp = self.input_assignments().size() as u128;
-        u64::try_from(f0.saturating_mul(inp).saturating_mul(k.max(1) as u128)).unwrap_or(u64::MAX)
     }
 
     /// Condition check (Fig. 3a) under a work budget, deciding exactly the
@@ -466,8 +439,9 @@ impl<'a> ExplicitChecker<'a> {
         Some(result)
     }
 
-    /// Condition check with an effectively unbounded budget (the
-    /// [`crate::ConditionOracle`] entry point).
+    /// Condition check with an effectively unbounded budget: the reference
+    /// the k-induction tests compare against.
+    #[cfg(test)]
     pub(crate) fn check_condition_unbudgeted(
         &mut self,
         assumption: &Expr,
@@ -480,6 +454,7 @@ impl<'a> ExplicitChecker<'a> {
     }
 
     /// Spurious check with an effectively unbounded budget.
+    #[cfg(test)]
     pub(crate) fn check_spurious_unbudgeted(
         &mut self,
         state_formula: &Expr,
@@ -853,7 +828,8 @@ mod tests {
                     &mut budget,
                 )
                 .unwrap();
-            let sat_result = sat.check_condition(&Expr::true_(), &[], &conclusion);
+            let sat_result =
+                sat.check_condition(&Expr::true_(), &[], std::slice::from_ref(&conclusion));
             assert_eq!(
                 explicit_result, sat_result,
                 "engines disagree for bound {bound}"
@@ -870,7 +846,7 @@ mod tests {
         for target in 0..8 {
             let mut state = sys.initial_valuation();
             state.set(c, Value::Int(target));
-            let formula = sat.state_formula(&state, &[c]);
+            let formula = crate::state_formula(sys.vars(), &state, &[c]);
             for k in [1, 2, 8] {
                 let mut budget = u64::MAX;
                 let explicit_verdict = explicit

@@ -81,8 +81,6 @@ pub enum SpuriousResult {
 /// columns of the evaluation tables).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckerStats {
-    /// Number of SAT queries issued.
-    pub sat_queries: u64,
     /// Number of condition checks performed.
     pub condition_checks: u64,
     /// Number of spurious-counterexample checks performed.
@@ -94,7 +92,7 @@ pub struct CheckerStats {
     /// Queries (condition + spurious) answered by the explicit-state engine.
     pub explicit_queries: u64,
     /// Concrete work units (state and transition evaluations) spent by the
-    /// explicit-state engine — its analogue of `sat_queries`.
+    /// explicit-state engine — its analogue of `solver.solve_calls`.
     pub explicit_work: u64,
     /// Queries the portfolio routed to the explicit engine whose work budget
     /// ran out, forcing a k-induction re-run.
@@ -118,7 +116,6 @@ pub struct CheckerStats {
 
 impl std::ops::AddAssign for CheckerStats {
     fn add_assign(&mut self, rhs: CheckerStats) {
-        self.sat_queries += rhs.sat_queries;
         self.condition_checks += rhs.condition_checks;
         self.spurious_checks += rhs.spurious_checks;
         self.kinduction_queries += rhs.kinduction_queries;
@@ -150,7 +147,6 @@ impl CheckerStats {
     /// after.
     pub fn since(&self, earlier: &CheckerStats) -> CheckerStats {
         CheckerStats {
-            sat_queries: self.sat_queries.saturating_sub(earlier.sat_queries),
             condition_checks: self
                 .condition_checks
                 .saturating_sub(earlier.condition_checks),
@@ -291,11 +287,6 @@ impl<'a> KInductionChecker<'a> {
         }
     }
 
-    /// The system under check.
-    pub fn system(&self) -> &System {
-        self.system
-    }
-
     /// The session mode of this checker.
     pub fn mode(&self) -> CheckerMode {
         self.mode
@@ -378,11 +369,10 @@ impl<'a> KInductionChecker<'a> {
         }
         stats.disj_encoded += session.disjuncts.fresh() - fresh;
         stats.disj_reused += session.disjuncts.reused() - reused;
-        stats.sat_queries += 1;
         match session.solve(&assumptions) {
             SolveResult::Unsat => CheckResult::Valid,
             SolveResult::Sat => {
-                let (from, to) = Self::canonical_transition(stats, session, system, assumptions);
+                let (from, to) = Self::canonical_transition(session, system, assumptions);
                 CheckResult::Violated { from, to }
             }
         }
@@ -408,7 +398,6 @@ impl<'a> KInductionChecker<'a> {
     /// worker count (the probe set is static, so even the per-counterexample
     /// solve count is deterministic).
     fn canonical_transition(
-        stats: &mut CheckerStats,
         session: &mut Session,
         system: &System,
         mut fixed: Vec<Lit>,
@@ -420,7 +409,6 @@ impl<'a> KInductionChecker<'a> {
             for b in (0..word.bits().len()).rev() {
                 let bit = word.bits()[b];
                 fixed.push(!bit);
-                stats.sat_queries += 1;
                 if session.solve(&fixed) == SolveResult::Unsat {
                     // The bit is forced to 1 under everything pinned so far;
                     // flip the assumption and keep going.
@@ -486,7 +474,6 @@ impl<'a> KInductionChecker<'a> {
         stats.frames_encoded += session.activations.fresh() - fresh;
         stats.frames_reused += session.activations.reused() - reused;
         let act = prev.expect("0..=k is never empty");
-        stats.sat_queries += 1;
         session.solve(&[act])
     }
 
@@ -494,7 +481,6 @@ impl<'a> KInductionChecker<'a> {
     /// `¬state` on frames `0..k`, one more transition, `state` on frame `k` —
     /// expressed entirely through assumptions.
     fn step_query(
-        stats: &mut CheckerStats,
         session: &mut Session,
         system: &System,
         state_formula: &Expr,
@@ -506,7 +492,6 @@ impl<'a> KInductionChecker<'a> {
             assumptions.push(!session.enc.encode_bool(frame, state_formula));
         }
         assumptions.push(session.enc.encode_bool(k, state_formula));
-        stats.sat_queries += 1;
         session.solve(&assumptions)
     }
 
@@ -546,22 +531,14 @@ impl<'a> KInductionChecker<'a> {
     /// `blocked` holds the state formulas `s'` of counterexamples already
     /// proven spurious; they strengthen the assumption to `r ∧ ¬s'` exactly as
     /// in Section III-C of the paper.
+    ///
+    /// The conclusion `s` is handed over as its disjuncts `⋁ outgoing'`, the
+    /// structured form the learning loop produces (a single conclusion is
+    /// passed with [`std::slice::from_ref`]). This is what makes the
+    /// conclusion incremental: each canonical disjunct is encoded into the
+    /// condition session at most once (see the module documentation), so a
+    /// growing outgoing set costs only its delta.
     pub fn check_condition(
-        &mut self,
-        assumption: &Expr,
-        blocked: &[Expr],
-        conclusion: &Expr,
-    ) -> CheckResult {
-        self.check_condition_disjuncts(assumption, blocked, std::slice::from_ref(conclusion))
-    }
-
-    /// [`KInductionChecker::check_condition`] with the conclusion handed
-    /// over as its disjuncts `⋁ outgoing'`, the structured form the
-    /// learning loop produces. This is what makes the conclusion
-    /// incremental: each canonical disjunct is encoded into the condition
-    /// session at most once (see the module documentation), so a growing
-    /// outgoing set costs only its delta.
-    pub fn check_condition_disjuncts(
         &mut self,
         assumption: &Expr,
         blocked: &[Expr],
@@ -588,21 +565,6 @@ impl<'a> KInductionChecker<'a> {
                 Self::condition_query(stats, session, system, &assumption, &blocked, &outgoing)
             },
         )
-    }
-
-    /// Checks the initial-state condition (1) of the paper:
-    /// `v ⊨ Init ∧ (v, v') ⊨ R ⟹ v' ⊨ ⋁ outgoing`.
-    pub fn check_initial_condition(&mut self, outgoing: &[Expr]) -> CheckResult {
-        let init = self.system.init_expr();
-        self.check_condition_disjuncts(&init, &[], outgoing)
-    }
-
-    /// The state formula `s' := ⋀ (x_i = v(x_i))` over the given variables,
-    /// used both to block spurious states and to query reachability.
-    ///
-    /// Delegates to the engine-independent [`crate::state_formula`].
-    pub fn state_formula(&self, state: &Valuation, over: &[VarId]) -> Expr {
-        crate::oracle::state_formula(self.system.vars(), state, over)
     }
 
     /// Spurious-counterexample check (Fig. 3b): decides by k-induction with
@@ -645,7 +607,7 @@ impl<'a> KInductionChecker<'a> {
             &mut self.retired,
             &mut self.step,
             || Self::step_session(system),
-            |stats, session| Self::step_query(stats, session, system, state_formula, k),
+            |_, session| Self::step_query(session, system, state_formula, k),
         );
         if step == SolveResult::Unsat {
             SpuriousResult::Spurious
@@ -658,6 +620,7 @@ impl<'a> KInductionChecker<'a> {
 mod tests {
     use super::*;
     use crate::explicit::ExplicitChecker;
+    use crate::oracle::state_formula;
     use amle_expr::{Sort, Value};
     use amle_system::SystemBuilder;
 
@@ -694,10 +657,10 @@ mod tests {
         let assumption = c.le(&Expr::int_val(5, 4));
         let conclusion = c.le(&Expr::int_val(5, 4));
         assert!(checker
-            .check_condition(&assumption, &[], &conclusion)
+            .check_condition(&assumption, &[], std::slice::from_ref(&conclusion))
             .is_valid());
         assert_eq!(checker.stats().condition_checks, 1);
-        assert!(checker.stats().sat_queries >= 1);
+        assert!(checker.stats().solver.solve_calls >= 1);
     }
 
     #[test]
@@ -709,7 +672,7 @@ mod tests {
         let c = var_expr(&sys, "c");
         let assumption = Expr::true_();
         let conclusion = c.ne(&Expr::int_val(3, 4));
-        match checker.check_condition(&assumption, &[], &conclusion) {
+        match checker.check_condition(&assumption, &[], &[conclusion]) {
             CheckResult::Valid => panic!("condition should be violated"),
             CheckResult::Violated { from, to } => {
                 assert!(
@@ -728,7 +691,7 @@ mod tests {
         let mut checker = KInductionChecker::new(&sys);
         let c = var_expr(&sys, "c");
         // Without blocking, "next c != 3" is violated (from c = 2).
-        let conclusion = c.ne(&Expr::int_val(3, 4));
+        let conclusion = [c.ne(&Expr::int_val(3, 4))];
         let unblocked = checker.check_condition(&Expr::true_(), &[], &conclusion);
         assert!(!unblocked.is_valid());
         // Blocking both offending pre-states (c = 2 with the counter enabled
@@ -744,12 +707,13 @@ mod tests {
         let sys = saturating_counter();
         let mut checker = KInductionChecker::new(&sys);
         let c = var_expr(&sys, "c");
+        let init = sys.init_expr();
         // From Init (c = 0), one step leads to c = 0 or c = 1.
         let outgoing = vec![c.eq(&Expr::int_val(0, 4)), c.eq(&Expr::int_val(1, 4))];
-        assert!(checker.check_initial_condition(&outgoing).is_valid());
+        assert!(checker.check_condition(&init, &[], &outgoing).is_valid());
         // Claiming the successor is always exactly 1 is violated (en = false).
         let too_strong = vec![c.eq(&Expr::int_val(1, 4))];
-        assert!(!checker.check_initial_condition(&too_strong).is_valid());
+        assert!(!checker.check_condition(&init, &[], &too_strong).is_valid());
     }
 
     #[test]
@@ -763,7 +727,7 @@ mod tests {
         let mut ghost = sys.initial_valuation();
         ghost.set(c_id, Value::Int(0));
         ghost.set(flag_id, Value::Bool(true));
-        let formula = checker.state_formula(&ghost, &[c_id, flag_id]);
+        let formula = state_formula(sys.vars(), &ghost, &[c_id, flag_id]);
         assert_eq!(
             checker.check_spurious(&formula, 8),
             SpuriousResult::Spurious
@@ -778,7 +742,7 @@ mod tests {
         let c_id = sys.vars().lookup("c").unwrap();
         let mut target = sys.initial_valuation();
         target.set(c_id, Value::Int(3));
-        let formula = checker.state_formula(&target, &[c_id]);
+        let formula = state_formula(sys.vars(), &target, &[c_id]);
         assert_eq!(
             checker.check_spurious(&formula, 5),
             SpuriousResult::Reachable
@@ -794,7 +758,7 @@ mod tests {
         // cannot find it and the step case cannot exclude it.
         let mut target = sys.initial_valuation();
         target.set(c_id, Value::Int(5));
-        let formula = checker.state_formula(&target, &[c_id]);
+        let formula = state_formula(sys.vars(), &target, &[c_id]);
         let result = checker.check_spurious(&formula, 2);
         assert_ne!(result, SpuriousResult::Spurious);
         // With a sufficiently large bound the base case finds the path.
@@ -807,10 +771,9 @@ mod tests {
     #[test]
     fn state_formula_mentions_only_requested_variables() {
         let sys = saturating_counter();
-        let checker = KInductionChecker::new(&sys);
         let c_id = sys.vars().lookup("c").unwrap();
         let v = sys.initial_valuation();
-        let formula = checker.state_formula(&v, &[c_id]);
+        let formula = state_formula(sys.vars(), &v, &[c_id]);
         assert_eq!(formula.free_vars().len(), 1);
     }
 
@@ -842,19 +805,20 @@ mod tests {
         let c = var_expr(&sys, "c");
         let d0 = c.eq(&Expr::int_val(0, 4));
         let d1 = c.eq(&Expr::int_val(1, 4));
+        let init = sys.init_expr();
 
         let mut warm = KInductionChecker::new(&sys);
         assert!(warm
-            .check_initial_condition(&[d0.clone(), d1.clone()])
+            .check_condition(&init, &[], &[d0.clone(), d1.clone()])
             .is_valid());
         let stats = warm.stats();
         assert_eq!(stats.disj_encoded, 2);
         assert_eq!(stats.disj_reused, 0);
 
         // Retracted d1: its clauses stay in the solver but are not assumed.
-        let weakened = warm.check_initial_condition(std::slice::from_ref(&d0));
+        let weakened = warm.check_condition(&init, &[], std::slice::from_ref(&d0));
         let mut cold = KInductionChecker::new(&sys);
-        let reference = cold.check_initial_condition(std::slice::from_ref(&d0));
+        let reference = cold.check_condition(&init, &[], std::slice::from_ref(&d0));
         assert!(!reference.is_valid(), "weakened condition must be violated");
         assert_eq!(weakened, reference, "stale disjunct influenced a verdict");
         let stats = warm.stats();
@@ -863,7 +827,7 @@ mod tests {
 
         // Re-adding the retracted disjunct reuses both ledger entries and
         // restores the original verdict.
-        assert!(warm.check_initial_condition(&[d0, d1]).is_valid());
+        assert!(warm.check_condition(&init, &[], &[d0, d1]).is_valid());
         let stats = warm.stats();
         assert_eq!(stats.disj_encoded, 2);
         assert_eq!(stats.disj_reused, 3);
@@ -894,10 +858,10 @@ mod tests {
             &[],
         ];
         for outgoing in queries {
-            let result = delta.check_initial_condition(outgoing);
+            let result = delta.check_condition(&init, &[], outgoing);
             assert_eq!(
                 result,
-                full.check_initial_condition(outgoing),
+                full.check_condition(&init, &[], outgoing),
                 "fresh sessions disagree on {outgoing:?}"
             );
             assert_eq!(
@@ -908,8 +872,8 @@ mod tests {
         }
         // Same number of solver queries either way — only encoding differs.
         assert_eq!(
-            delta.stats().sat_queries,
-            full.stats().sat_queries,
+            delta.stats().solver.solve_calls,
+            full.stats().solver.solve_calls,
             "delta encoding changed the query count"
         );
     }
@@ -926,7 +890,7 @@ mod tests {
         let mut ghost = sys.initial_valuation();
         ghost.set(c_id, Value::Int(0));
         ghost.set(flag_id, Value::Bool(true));
-        let formula = checker.state_formula(&ghost, &[c_id, flag_id]);
+        let formula = state_formula(sys.vars(), &ghost, &[c_id, flag_id]);
 
         assert_eq!(
             checker.check_spurious(&formula, 4),
@@ -973,10 +937,10 @@ mod tests {
         let mut ghost = sys.initial_valuation();
         ghost.set(c_id, Value::Int(0));
         ghost.set(flag_id, Value::Bool(true));
-        let unreachable = delta.state_formula(&ghost, &[c_id, flag_id]);
+        let unreachable = state_formula(sys.vars(), &ghost, &[c_id, flag_id]);
         let mut target = sys.initial_valuation();
         target.set(c_id, Value::Int(3));
-        let reachable = delta.state_formula(&target, &[c_id]);
+        let reachable = state_formula(sys.vars(), &target, &[c_id]);
 
         let queries = [
             (&unreachable, 2),
@@ -1000,8 +964,8 @@ mod tests {
             );
         }
         assert_eq!(
-            delta.stats().sat_queries,
-            full.stats().sat_queries,
+            delta.stats().solver.solve_calls,
+            full.stats().solver.solve_calls,
             "base chaining changed the query count"
         );
         // The chain amortises: by the end reuse dominates fresh encodes.
@@ -1018,7 +982,7 @@ mod tests {
     fn counterexamples_are_canonical_across_sessions_and_forks() {
         let sys = saturating_counter();
         let c = var_expr(&sys, "c");
-        let conclusion = c.ne(&Expr::int_val(3, 4));
+        let conclusion = [c.ne(&Expr::int_val(3, 4))];
 
         // A fresh checker answering the query cold.
         let mut cold = KInductionChecker::new(&sys);
@@ -1028,8 +992,10 @@ mod tests {
         // queries first (different learnt clauses and saved phases).
         let mut warm = KInductionChecker::new(&sys);
         let side = c.le(&Expr::int_val(5, 4));
-        assert!(warm.check_condition(&side, &[], &side).is_valid());
-        let _ = warm.check_condition(&Expr::true_(), &[], &c.ne(&Expr::int_val(1, 4)));
+        assert!(warm
+            .check_condition(&side, &[], std::slice::from_ref(&side))
+            .is_valid());
+        let _ = warm.check_condition(&Expr::true_(), &[], &[c.ne(&Expr::int_val(1, 4))]);
         let warmed = warm.check_condition(&Expr::true_(), &[], &conclusion);
 
         // And the fresh-per-query oracle.

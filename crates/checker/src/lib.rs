@@ -20,8 +20,8 @@
 //!   the result is inconclusive and the paper's rule is to treat the
 //!   counterexample as valid but record it.
 //!
-//! Both query shapes are answered behind the pluggable [`ConditionOracle`]
-//! trait by three interchangeable engines:
+//! Both query shapes are answered by one oracle type,
+//! [`PortfolioOracle`], which owns two engines:
 //!
 //! * [`KInductionChecker`] — the incremental SAT engine above;
 //! * [`ExplicitChecker`] — a production-grade explicit-state engine that
@@ -29,12 +29,14 @@
 //!   cartesian product), interns its reachability frontier, runs under
 //!   deterministic work budgets, and decides **exactly** the same formulas
 //!   as the SAT engine — including byte-identical canonical
-//!   counterexamples;
-//! * [`PortfolioOracle`] — routes each query by its estimated concrete
-//!   size, falls back to k-induction when the explicit budget runs out,
-//!   and offers a cross-validation mode asserting engine agreement.
+//!   counterexamples.
 //!
-//! [`build_oracle`] assembles the stack of one [`OracleKind`].
+//! The portfolio routes each query by its estimated concrete size, falls
+//! back to k-induction when the explicit budget runs out, and offers a
+//! cross-validation mode asserting engine agreement. An [`OracleKind`] only
+//! sets its routing threshold ([`OracleKind::route_threshold`]): 0 for the
+//! paper's k-induction-only configuration, [`DEFAULT_ROUTE_THRESHOLD`] for
+//! the portfolio.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -46,9 +48,7 @@ mod portfolio;
 
 pub use explicit::{ExplicitChecker, Odometer, DEFAULT_QUERY_BUDGET};
 pub use kinduction::{CheckResult, CheckerMode, CheckerStats, KInductionChecker, SpuriousResult};
-pub use oracle::{
-    build_oracle, state_formula, ConditionOracle, OracleKind, DEFAULT_ROUTE_THRESHOLD,
-};
+pub use oracle::{state_formula, OracleKind, DEFAULT_ROUTE_THRESHOLD};
 pub use portfolio::PortfolioOracle;
 
 #[cfg(test)]

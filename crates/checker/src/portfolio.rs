@@ -20,18 +20,25 @@
 
 use crate::explicit::ExplicitChecker;
 use crate::kinduction::{CheckResult, CheckerStats, KInductionChecker, SpuriousResult};
-use crate::oracle::ConditionOracle;
 use amle_expr::Expr;
 use amle_system::System;
 
-/// A [`ConditionOracle`] routing each query between an [`ExplicitChecker`]
+/// The condition oracle: routes each query between an [`ExplicitChecker`]
 /// and a [`KInductionChecker`] by estimated concrete cost.
+///
+/// With a routing threshold of 0 nothing is routed to the explicit engine
+/// (every estimate is at least 1), so the portfolio makes exactly the bare
+/// k-induction checker's solver calls; [`crate::OracleKind::route_threshold`]
+/// names the two thresholds the learning loop uses.
 #[derive(Debug)]
 pub struct PortfolioOracle<'a> {
     explicit: ExplicitChecker<'a>,
     kinduction: KInductionChecker<'a>,
     explicit_budget: u64,
     route_threshold: u64,
+    /// Estimated work of one condition check on this system; a spurious
+    /// check with bound `k` is estimated at `k` times as much.
+    condition_cost: u64,
     cross_validate: bool,
     fallbacks: u64,
 }
@@ -41,19 +48,19 @@ impl<'a> PortfolioOracle<'a> {
     ///
     /// `explicit_budget` bounds the work one explicitly-routed query may
     /// spend before falling back to k-induction; `route_threshold` is the
-    /// largest estimated concrete cost still routed to the explicit engine
-    /// (`u64::MAX` yields the explicit-first stack of
-    /// [`crate::OracleKind::Explicit`]); `cross_validate` additionally
-    /// answers every explicitly-routed query with k-induction and asserts
-    /// agreement.
+    /// largest estimated concrete cost still routed to the explicit engine;
+    /// `cross_validate` additionally answers every explicitly-routed query
+    /// with k-induction and asserts agreement.
     pub fn new(
         system: &'a System,
         explicit_budget: u64,
         route_threshold: u64,
         cross_validate: bool,
     ) -> Self {
+        let explicit = ExplicitChecker::new(system, usize::MAX);
         PortfolioOracle {
-            explicit: ExplicitChecker::with_budget(system, usize::MAX, explicit_budget),
+            condition_cost: explicit.estimate_condition_cost(),
+            explicit,
             kinduction: KInductionChecker::new(system),
             explicit_budget,
             route_threshold,
@@ -62,26 +69,19 @@ impl<'a> PortfolioOracle<'a> {
         }
     }
 
-    /// The system under check.
-    pub fn system(&self) -> &System {
-        self.kinduction.system()
-    }
-
-    /// Number of explicitly-routed queries whose budget ran out, forcing a
-    /// k-induction re-run.
-    pub fn fallbacks(&self) -> u64 {
-        self.fallbacks
-    }
-}
-
-impl ConditionOracle for PortfolioOracle<'_> {
-    fn check_condition(
+    /// Checks a completeness condition (Fig. 3a): is there a transition from
+    /// a state satisfying `assumption` (and none of the `blocked` state
+    /// formulas) whose successor violates the conclusion `⋁ outgoing'`?
+    ///
+    /// The conclusion travels as its disjunct list, so the k-induction
+    /// checker encodes only the disjuncts its session has not seen yet.
+    pub fn check_condition(
         &mut self,
         assumption: &Expr,
         blocked: &[Expr],
         outgoing: &[Expr],
     ) -> CheckResult {
-        if self.explicit.estimate_condition_cost() <= self.route_threshold {
+        if self.condition_cost <= self.route_threshold {
             let mut budget = self.explicit_budget;
             if let Some(result) =
                 self.explicit
@@ -90,7 +90,7 @@ impl ConditionOracle for PortfolioOracle<'_> {
                 if self.cross_validate {
                     let reference = self
                         .kinduction
-                        .check_condition_disjuncts(assumption, blocked, outgoing);
+                        .check_condition(assumption, blocked, outgoing);
                     assert_eq!(
                         result, reference,
                         "explicit and k-induction engines disagree on a condition check"
@@ -101,11 +101,13 @@ impl ConditionOracle for PortfolioOracle<'_> {
             self.fallbacks += 1;
         }
         self.kinduction
-            .check_condition_disjuncts(assumption, blocked, outgoing)
+            .check_condition(assumption, blocked, outgoing)
     }
 
-    fn check_spurious(&mut self, state_formula: &Expr, k: usize) -> SpuriousResult {
-        if self.explicit.estimate_spurious_cost(k) <= self.route_threshold {
+    /// Spurious-counterexample check (Fig. 3b): decides with bound `k`
+    /// whether the state characterised by `state_formula` is unreachable.
+    pub fn check_spurious(&mut self, state_formula: &Expr, k: usize) -> SpuriousResult {
+        if self.condition_cost.saturating_mul(k.max(1) as u64) <= self.route_threshold {
             let mut budget = self.explicit_budget;
             if let Some(result) =
                 self.explicit
@@ -125,7 +127,9 @@ impl ConditionOracle for PortfolioOracle<'_> {
         self.kinduction.check_spurious(state_formula, k)
     }
 
-    fn stats(&self) -> CheckerStats {
+    /// Statistics accumulated by both engines so far, including the
+    /// per-engine query attribution counters and the budget fallbacks.
+    pub fn stats(&self) -> CheckerStats {
         let mut stats = self.explicit.stats();
         stats += self.kinduction.stats();
         stats.explicit_fallbacks += self.fallbacks;
@@ -136,6 +140,7 @@ impl ConditionOracle for PortfolioOracle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OracleKind;
     use amle_expr::{Sort, Value};
     use amle_system::SystemBuilder;
 
@@ -178,7 +183,7 @@ mod tests {
         assert!(stats.explicit_queries > 0);
         // Cross-validation runs both engines on every query.
         assert_eq!(stats.kinduction_queries, stats.explicit_queries);
-        assert_eq!(oracle.fallbacks(), 0);
+        assert_eq!(stats.explicit_fallbacks, 0);
     }
 
     #[test]
@@ -192,7 +197,6 @@ mod tests {
         assert!(oracle
             .check_condition(&conclusion, &[], std::slice::from_ref(&conclusion))
             .is_valid());
-        assert_eq!(oracle.fallbacks(), 1);
         let stats = oracle.stats();
         assert_eq!(stats.explicit_fallbacks, 1);
         assert_eq!(stats.kinduction_queries, 1);
@@ -207,17 +211,43 @@ mod tests {
         let sys = saturating_counter();
         let c = sys.vars().lookup("c").unwrap();
         let ce = sys.var(c);
-        // Threshold 0: nothing is small enough for the explicit engine.
-        let mut oracle = PortfolioOracle::new(&sys, u64::MAX, 0, false);
-        let conclusion = ce.le(&Expr::int_val(5, 4));
-        assert!(oracle
-            .check_condition(&conclusion, &[], std::slice::from_ref(&conclusion))
-            .is_valid());
+        // The k-induction kind's threshold: nothing is small enough for the
+        // explicit engine, so the portfolio is the paper's bare checker.
+        let threshold = OracleKind::KInduction.route_threshold();
+        let mut oracle = PortfolioOracle::new(&sys, u64::MAX, threshold, false);
+        let mut bare = KInductionChecker::new(&sys);
+        for bound in 0..8 {
+            let conclusion = [ce.ne(&Expr::int_val(bound, 4))];
+            let answer = oracle.check_condition(&Expr::true_(), &[], &conclusion);
+            assert_eq!(
+                answer,
+                bare.check_condition(&Expr::true_(), &[], &conclusion),
+                "bound {bound}"
+            );
+            if let CheckResult::Violated { from, .. } = answer {
+                let formula = crate::oracle::state_formula(sys.vars(), &from, &[c]);
+                for k in [1, 3, 6] {
+                    assert_eq!(
+                        oracle.check_spurious(&formula, k),
+                        bare.check_spurious(&formula, k),
+                        "bound {bound}, k {k}"
+                    );
+                }
+            }
+        }
+        let zero_time = |mut stats: CheckerStats| {
+            stats.solver.solve_time = Default::default();
+            stats
+        };
         let stats = oracle.stats();
+        assert_eq!(zero_time(stats), zero_time(bare.stats()));
         assert_eq!(stats.explicit_queries, 0);
         assert_eq!(stats.explicit_work, 0);
-        assert_eq!(stats.kinduction_queries, 1);
-        assert_eq!(oracle.fallbacks(), 0, "routing misses are not fallbacks");
+        assert!(stats.spurious_checks > 0);
+        assert_eq!(
+            stats.explicit_fallbacks, 0,
+            "routing misses are not fallbacks"
+        );
     }
 
     #[test]
@@ -228,9 +258,9 @@ mod tests {
         let mut portfolio = PortfolioOracle::new(&sys, u64::MAX, u64::MAX, false);
         let mut sat = KInductionChecker::new(&sys);
         for bound in 0..8 {
-            let conclusion = ce.ne(&Expr::int_val(bound, 4));
+            let conclusion = [ce.ne(&Expr::int_val(bound, 4))];
             assert_eq!(
-                portfolio.check_condition(&Expr::true_(), &[], std::slice::from_ref(&conclusion)),
+                portfolio.check_condition(&Expr::true_(), &[], &conclusion),
                 sat.check_condition(&Expr::true_(), &[], &conclusion),
                 "bound {bound}"
             );

@@ -1,7 +1,7 @@
 //! Property-based cross-validation of the SAT-based checker against the
 //! explicit-state oracle and against trace semantics.
 
-use crate::{CheckResult, ExplicitChecker, KInductionChecker, SpuriousResult};
+use crate::{state_formula, CheckResult, ExplicitChecker, KInductionChecker, SpuriousResult};
 use amle_expr::{Expr, Sort, Value};
 use amle_system::{System, SystemBuilder};
 use proptest::prelude::*;
@@ -36,7 +36,7 @@ proptest! {
         let ce = sys.var(c);
         let mut checker = KInductionChecker::new(&sys);
         // "The counter is never `bound` after one step" — may or may not hold.
-        let conclusion = ce.ne(&Expr::int_val(bound, 4));
+        let conclusion = [ce.ne(&Expr::int_val(bound, 4))];
         match checker.check_condition(&Expr::true_(), &[], &conclusion) {
             CheckResult::Valid => {}
             CheckResult::Violated { from, to } => {
@@ -59,7 +59,7 @@ proptest! {
         for bound in 0..n + 2 {
             let conclusion = ce.lt(&Expr::int_val(bound.min(15), 4));
             let sat_valid = sat_checker
-                .check_condition(&Expr::true_(), &[], &conclusion)
+                .check_condition(&Expr::true_(), &[], std::slice::from_ref(&conclusion))
                 .is_valid();
             if sat_valid {
                 prop_assert_eq!(
@@ -81,7 +81,7 @@ proptest! {
         let mut state = sys.initial_valuation();
         state.set(c, Value::Int(target.min(15)));
         state.set(flag, Value::Bool(target >= threshold && target < n));
-        let formula = sat_checker.state_formula(&state, &[c, flag]);
+        let formula = state_formula(sys.vars(), &state, &[c, flag]);
         // A bound of 2*n exceeds the diameter of this system.
         let verdict = sat_checker.check_spurious(&formula, (2 * n) as usize);
         let truly_reachable = explicit.is_reachable(&formula).unwrap();
@@ -110,13 +110,13 @@ proptest! {
             explicit
                 .check_condition_budgeted(&Expr::true_(), &[], std::slice::from_ref(&conclusion), &mut budget)
                 .unwrap(),
-            sat_checker.check_condition(&Expr::true_(), &[], &conclusion)
+            sat_checker.check_condition(&Expr::true_(), &[], std::slice::from_ref(&conclusion))
         );
 
         let mut state = sys.initial_valuation();
         state.set(c, Value::Int(bound.min(15)));
         state.set(flag, Value::Bool(bound >= threshold));
-        let formula = sat_checker.state_formula(&state, &[c, flag]);
+        let formula = state_formula(sys.vars(), &state, &[c, flag]);
         for k in [1usize, 3, (2 * n) as usize] {
             let mut budget = u64::MAX;
             prop_assert_eq!(

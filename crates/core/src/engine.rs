@@ -1,6 +1,6 @@
-//! The condition-checking engine: a query planner over pluggable condition
-//! oracles, with a cross-iteration verdict cache and a failure-history
-//! priority order, solving each condition set on one oracle per worker.
+//! The condition-checking engine: a query planner over condition oracles,
+//! with a cross-iteration verdict cache and a failure-history priority
+//! order, solving each condition set on one oracle per worker.
 //!
 //! Checking the extracted conditions dominates the wall-clock time of an
 //! active-learning iteration. Three observations shape the engine:
@@ -8,8 +8,8 @@
 //! 1. **Conditions are mutually independent** — each is decided by its own
 //!    oracle queries, and the spurious-counterexample re-check loop of a
 //!    condition only strengthens that condition's own assumption. The
-//!    engine owns one oracle stack per worker (built by
-//!    [`amle_checker::build_oracle`]), each with its own persistent
+//!    engine owns one [`PortfolioOracle`] per worker, routing at the
+//!    configured engine's threshold, each with its own persistent
 //!    sessions, for its whole lifetime. In each evaluation the calling
 //!    thread is worker 0 and [`std::thread::scope`] helpers join it, one
 //!    per further worker with work to do.
@@ -52,7 +52,7 @@
 use crate::conditions::{Condition, ConditionKind};
 use crate::learner_loop::ActiveLearnerConfig;
 use amle_checker::{
-    build_oracle, CheckResult, CheckerStats, ConditionOracle, OracleKind, SpuriousResult,
+    CheckResult, CheckerStats, OracleKind, PortfolioOracle, SpuriousResult, DEFAULT_QUERY_BUDGET,
 };
 use amle_expr::{Expr, Valuation, VarId, VarSet};
 use amle_system::System;
@@ -122,11 +122,12 @@ impl ParallelConfig {
     }
 }
 
-/// Which oracle stack answers the loop's queries and how the planner treats
+/// How the loop's oracles route their queries and how the planner treats
 /// repeated conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OracleConfig {
-    /// The condition-oracle engine (see [`OracleKind`]).
+    /// The condition-oracle engine: it sets the routing threshold of every
+    /// worker's [`PortfolioOracle`] (see [`OracleKind::route_threshold`]).
     pub engine: OracleKind,
     /// Whether the cross-iteration verdict cache is consulted. Reports are
     /// byte-identical either way; the cache only skips re-solving.
@@ -222,7 +223,7 @@ enum ConditionOutcome {
 /// pure function of `(condition, system, k, max_spurious_rounds)` — for every
 /// oracle engine.
 fn evaluate_one_condition(
-    oracle: &mut (impl ConditionOracle + ?Sized),
+    oracle: &mut PortfolioOracle<'_>,
     vars: &VarSet,
     condition: &Condition,
     observables: &[VarId],
@@ -483,8 +484,8 @@ fn merge(conditions: &[Condition], plan: PlannedWork) -> ConditionEvaluation {
     evaluation
 }
 
-/// The condition-checking engine: the query planner plus one oracle stack
-/// per worker, both kept for the engine's whole lifetime. A batch run
+/// The condition-checking engine: the query planner plus one oracle per
+/// worker, both kept for the engine's whole lifetime. A batch run
 /// builds one engine per run; a resident [`crate::Session`] keeps one warm
 /// (incremental solver sessions and verdict cache intact) across
 /// refinements.
@@ -492,7 +493,7 @@ pub(crate) struct ConditionEngine<'a> {
     system: &'a System,
     planner: QueryPlanner,
     /// One oracle per worker; the calling thread drives the first.
-    oracles: Vec<Box<dyn ConditionOracle + 'a>>,
+    oracles: Vec<PortfolioOracle<'a>>,
     observables: Vec<VarId>,
     k: usize,
     max_spurious_rounds: usize,
@@ -506,11 +507,14 @@ impl<'a> ConditionEngine<'a> {
             verdict_cache,
             cross_validate,
         } = config.oracle;
+        let threshold = engine.route_threshold();
         ConditionEngine {
             system,
             planner: QueryPlanner::new(verdict_cache),
             oracles: (0..config.parallel.workers.max(1))
-                .map(|_| build_oracle(system, engine, cross_validate))
+                .map(|_| {
+                    PortfolioOracle::new(system, DEFAULT_QUERY_BUDGET, threshold, cross_validate)
+                })
                 .collect(),
             observables: config.observables_of(system),
             k: config.k,
@@ -548,7 +552,7 @@ impl<'a> ConditionEngine<'a> {
         let cursor = AtomicUsize::new(0);
         let (vars, observables) = (self.system.vars(), &self.observables);
         let (k, max_spurious_rounds) = (self.k, self.max_spurious_rounds);
-        let work = |oracle: &mut (dyn ConditionOracle + 'a)| {
+        let work = |oracle: &mut PortfolioOracle<'a>| {
             let mut solved = Vec::new();
             loop {
                 // Relaxed suffices: the cursor publishes no data. What a slot
@@ -576,9 +580,9 @@ impl<'a> ConditionEngine<'a> {
         thread::scope(|scope| {
             let handles: Vec<_> = others[..helpers]
                 .iter_mut()
-                .map(|oracle| scope.spawn(move || work(&mut **oracle)))
+                .map(|oracle| scope.spawn(move || work(oracle)))
                 .collect();
-            let mut solved = work(&mut **caller);
+            let mut solved = work(caller);
             for handle in handles {
                 solved.extend(handle.join().unwrap_or_else(|p| panic::resume_unwind(p)));
             }
@@ -837,7 +841,7 @@ mod tests {
         assert_eq!(uncached.cache_stats().hits, 0);
         assert_eq!(uncached.cache_stats().entries, 0);
         assert!(
-            cached.checker_stats().sat_queries < uncached.checker_stats().sat_queries,
+            cached.checker_stats().solver.solve_calls < uncached.checker_stats().solver.solve_calls,
             "the cache must actually skip solver work"
         );
     }

@@ -655,11 +655,6 @@ mod tests {
         // The checking phase issues SAT queries through the incremental
         // backend, so aggregated solve calls must be visible in the report.
         assert!(report.checker_stats.solver.solve_calls > 0);
-        assert!(report.checker_stats.sat_queries > 0);
-        assert_eq!(
-            report.checker_stats.solver.solve_calls,
-            report.checker_stats.sat_queries
-        );
         assert!(report.solver_stats().solve_calls >= report.checker_stats.solver.solve_calls);
         // The history learner does not use SAT.
         assert_eq!(report.learner_solver_stats.solve_calls, 0);

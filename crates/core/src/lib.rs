@@ -74,7 +74,7 @@ pub use session::{IngestOutcome, Session, SessionStats};
 // The interned trace container the loop accumulates its traces in, and the
 // statistics types surfaced through `RunReport` — re-exported so harnesses
 // need not depend on the system/learner/checker/sat crates directly.
-pub use amle_checker::{CheckerStats, ConditionOracle, OracleKind};
+pub use amle_checker::{CheckerStats, OracleKind};
 pub use amle_expr::InternerStats;
 pub use amle_learner::WordStats;
 pub use amle_sat::SolverStats;

@@ -66,8 +66,7 @@ pub struct SessionStats {
 /// * the interned [`TraceStore`] the traces accumulate in;
 /// * one condition engine for its whole lifetime, at every worker count:
 ///   the query planner (verdict cache + failure history) and one
-///   [`ConditionOracle`](crate::ConditionOracle) per worker, each with its
-///   incremental solver sessions.
+///   oracle per worker, each with its incremental solver sessions.
 ///
 /// `initial_traces`, `trace_length` and `seed` in the config are ignored:
 /// sessions never generate traces, they are fed them.
@@ -290,8 +289,8 @@ mod tests {
             );
             assert_eq!(batch.verdict_cache, report.verdict_cache);
             assert_eq!(
-                batch.checker_stats.sat_queries,
-                report.checker_stats.sat_queries
+                batch.checker_stats.solver.solve_calls,
+                report.checker_stats.solver.solve_calls
             );
             if workers == 1 {
                 // With one worker even the solver-internal counters are
@@ -362,7 +361,7 @@ mod tests {
             );
             assert!(second.verdict_cache.hits > 0);
             assert_eq!(
-                second.checker_stats.sat_queries, 0,
+                second.checker_stats.solver.solve_calls, 0,
                 "a fully cached refinement must not touch the solver"
             );
 
@@ -374,8 +373,8 @@ mod tests {
                 "{workers} worker(s)"
             );
             assert_eq!(
-                stats.checker.sat_queries,
-                first.checker_stats.sat_queries + second.checker_stats.sat_queries,
+                stats.checker.solver.solve_calls,
+                first.checker_stats.solver.solve_calls + second.checker_stats.solver.solve_calls,
                 "{workers} worker(s)"
             );
         }

@@ -1,4 +1,4 @@
-//! Differential tests of the pluggable oracle portfolio and the
+//! Differential tests of the oracle portfolio's routing and the
 //! cross-iteration verdict cache.
 //!
 //! For every benchmark of the full suite, an active-learning run must
@@ -13,6 +13,7 @@
 //! cache only skips work it would have recomputed identically.
 
 use amle_benchmarks::{circuit_benchmarks, full_suite, Benchmark};
+use amle_checker::DEFAULT_ROUTE_THRESHOLD;
 use amle_core::{
     ActiveLearner, ActiveLearnerConfig, OracleConfig, OracleKind, ParallelConfig, RunReport,
 };
@@ -131,15 +132,16 @@ fn circuit_fingerprints_identical_across_engines_cache_and_workers() {
 
 #[test]
 fn explicit_first_portfolio_matches_kinduction_on_small_systems() {
-    // Small input/state products are the explicit engine's home turf; the
-    // explicit-first stack (an unbounded routing threshold) forces every
-    // query through it (with k-induction rescuing budget exhaustions), and
+    // Small input/state products are the explicit engine's home turf: on
+    // every benchmark the portfolio routes to it, the portfolio answers
+    // explicit-first (with k-induction rescuing budget exhaustions), and
     // cross-validation additionally asserts per-query agreement inside the
     // portfolio.
     let small: Vec<Benchmark> = full_suite()
         .into_iter()
         .filter(|b| {
-            amle_checker::ExplicitChecker::new(&b.system, 0).estimate_condition_cost() <= 50_000
+            amle_checker::ExplicitChecker::new(&b.system, 0).estimate_condition_cost()
+                <= DEFAULT_ROUTE_THRESHOLD
         })
         .collect();
     assert!(
@@ -149,12 +151,11 @@ fn explicit_first_portfolio_matches_kinduction_on_small_systems() {
     for benchmark in small {
         let vars = benchmark.system.vars();
         let baseline = run(&benchmark, 1, kinduction());
-        let explicit_first = OracleConfig {
-            engine: OracleKind::Explicit,
+        let cross_validated = OracleConfig {
             cross_validate: true,
-            ..OracleConfig::default()
+            ..portfolio()
         };
-        let report = run(&benchmark, 1, explicit_first);
+        let report = run(&benchmark, 1, cross_validated);
         assert_eq!(
             baseline.semantic_fingerprint(vars),
             report.semantic_fingerprint(vars),

@@ -76,8 +76,8 @@ fn four_workers_match_one_worker_on_every_benchmark() {
             benchmark.name
         );
         assert_eq!(
-            sequential.checker_stats.sat_queries, parallel.checker_stats.sat_queries,
-            "{}: SAT query counts differ",
+            sequential.checker_stats.solver.solve_calls, parallel.checker_stats.solver.solve_calls,
+            "{}: solve-call counts differ",
             benchmark.name
         );
 

@@ -2,7 +2,7 @@
 //! k-future (k-tails) state merging on the prefix-tree acceptor.
 
 use crate::learner::LetterAutomaton;
-use crate::{IncrementalAbstraction, LearnError, LetterId, ModelLearner, Pta};
+use crate::{IncrementalAbstraction, LearnError, LetterId, ModelLearner, Pta, WordStats};
 use amle_automaton::Nfa;
 use amle_expr::{VarId, VarSet};
 use amle_system::TraceStore;
@@ -18,23 +18,28 @@ use std::collections::BTreeSet;
 ///
 /// The quotient is recomputed on every call, so each call abstracts the
 /// store with a fresh [`IncrementalAbstraction`] and keeps nothing between
-/// calls.
+/// calls but its word counters: every call encodes one word per stored
+/// trace and reuses none.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KTailsLearner {
     /// Depth of the future signature used to distinguish states.
     pub future_depth: usize,
+    stats: WordStats,
 }
 
 impl Default for KTailsLearner {
     fn default() -> Self {
-        KTailsLearner { future_depth: 2 }
+        KTailsLearner::new(2)
     }
 }
 
 impl KTailsLearner {
     /// Creates a learner with the given future depth.
     pub fn new(future_depth: usize) -> Self {
-        KTailsLearner { future_depth }
+        KTailsLearner {
+            future_depth,
+            stats: WordStats::default(),
+        }
     }
 
     /// Learns the intermediate letter automaton: the k-future quotient of the
@@ -86,6 +91,7 @@ impl ModelLearner for KTailsLearner {
         let mut inc = IncrementalAbstraction::default();
         inc.update(vars, observables, store);
         let words = inc.words();
+        self.stats.words_encoded += words.len() as u64;
         let letter_automaton = self.learn_letter_automaton(words);
         debug_assert!(
             words.iter().all(|w| letter_automaton.accepts_word(w)),
@@ -96,6 +102,10 @@ impl ModelLearner for KTailsLearner {
 
     fn name(&self) -> &'static str {
         "ktails"
+    }
+
+    fn word_stats(&self) -> WordStats {
+        self.stats
     }
 }
 

@@ -4,7 +4,7 @@
 //! and whatever the learner configuration, the returned NFA admits every
 //! training trace.
 
-use crate::{KTailsLearner, LearnerKind, ModelLearner, SatDfaLearner};
+use crate::{KTailsLearner, LearnerKind, ModelLearner, SatDfaLearner, WordStats};
 use amle_expr::{Expr, Sort, Value};
 use amle_system::{Simulator, System, SystemBuilder, TraceSet, TraceStore};
 use proptest::prelude::*;
@@ -88,7 +88,8 @@ proptest! {
 
     // The contract on a store that grows between two calls of one learner:
     // every learner admits every stored trace, before and after a splice
-    // of two stored observations onto a stored prefix.
+    // of two stored observations onto a stored prefix, and accounts one
+    // word, encoded or reused, per stored trace on every call.
     #[test]
     fn every_learner_admits_a_spliced_store(
         threshold in 20i64..100,
@@ -102,14 +103,19 @@ proptest! {
         for name in LearnerKind::NAMES {
             let mut store = TraceStore::from_trace_set(&training_set(&sys, 4, 6, seed));
             let mut learner = LearnerKind::from_name(name).unwrap();
+            let words = |stats: WordStats| stats.words_encoded + stats.words_reused;
             let first = learner.learn_from_store(sys.vars(), &observables, &store).unwrap();
+            prop_assert_eq!(words(learner.word_stats()), store.len() as u64, "{}", name);
             for trace in store.traces() {
                 prop_assert!(first.accepts_trace(&store.materialize(trace)), "{}", name);
             }
             let (head, tail) = (store.traces().next().unwrap(), store.traces().last().unwrap());
             let (prefix, ids) = (store.prefix(head, cut), store.obs_ids(tail));
             store.splice(prefix, ids[from], ids[to]);
+            let before = learner.word_stats();
             let grown = learner.learn_from_store(sys.vars(), &observables, &store).unwrap();
+            let added = learner.word_stats().since(&before);
+            prop_assert_eq!(words(added), store.len() as u64, "{}", name);
             for trace in store.traces() {
                 prop_assert!(grown.accepts_trace(&store.materialize(trace)), "{}", name);
             }

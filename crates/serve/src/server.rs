@@ -1,11 +1,11 @@
 //! The TCP serving shell: accept loop, session registry, graceful shutdown.
 //!
-//! Protocol: newline-delimited JSON. Each request is one line, one object
-//! with an `"op"` field; each response is one line, `{"ok":true,...}` or
-//! `{"ok":false,"error":...,"retriable":...}`. Connections that subscribed
-//! to a session additionally receive `{"event":"refinement",...}` lines
-//! interleaved between responses (all writes to a connection go through one
-//! mutex, so lines never shear).
+//! Protocol: newline-delimited JSON. Each request is one line of at most
+//! [`MAX_REQUEST_BYTES`], one object with an `"op"` field; each response is
+//! one line, `{"ok":true,...}` or `{"ok":false,"error":...,"retriable":...}`.
+//! Connections that subscribed to a session additionally receive
+//! `{"event":"refinement",...}` lines interleaved between responses (all
+//! writes to a connection go through one mutex, so lines never shear).
 //!
 //! Threading model: one thread per connection (blocking reads), one *actor*
 //! thread per session (see [`crate::session_actor`]). Connection threads
@@ -25,13 +25,19 @@ use crate::session_actor::{
     SessionSpec,
 };
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Largest request line the daemon reads, newline excluded: more than a
+/// hundred times a 50×50 trace batch. A longer line is answered with a
+/// non-retriable error and its connection is closed, so a peer that never
+/// sends a newline cannot grow the daemon's memory without bound.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 
 /// Shared state of one daemon instance.
 struct Shared {
@@ -142,17 +148,39 @@ fn write_line(writer: &EventSink, line: &str) -> bool {
 }
 
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(clone) => BufReader::new(clone),
         Err(_) => return,
     };
     let writer: EventSink = Arc::new(Mutex::new(stream));
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let limit = MAX_REQUEST_BYTES as u64 + 1;
+    let mut bytes = Vec::new();
+    loop {
+        bytes.clear();
+        match (&mut reader).take(limit).read_until(b'\n', &mut bytes) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if bytes.last() == Some(&b'\n') {
+            bytes.pop();
+            if bytes.last() == Some(&b'\r') {
+                bytes.pop();
+            }
+        } else if bytes.len() > MAX_REQUEST_BYTES {
+            let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+            write_line(&writer, &error_response(message, false).render());
+            if let Ok(stream) = writer.lock() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&bytes) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        match process_request(&line, &shared, &writer) {
+        match process_request(line, &shared, &writer) {
             Some(response) => {
                 if !write_line(&writer, &response.render()) {
                     break;

@@ -39,13 +39,20 @@ pub const DEFAULT_REQUEST_TIMEOUT_MS: u64 = 120_000;
 /// this bound rather than clamped or left to exhaust memory.
 pub const MAX_WORKERS: usize = 64;
 
+/// Largest k-induction bound a session may ask for, about ten times the
+/// largest benchmark `k`. The checker encodes `k` transition frames per
+/// spurious check, so the bound is refused above this cap rather than left
+/// to exhaust memory.
+pub const MAX_K: usize = 256;
+
 /// The configuration of one protocol session, parsed from the `open` verb's
 /// `config` object (and embedded verbatim in snapshot files).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionSpec {
     /// Benchmark name of the system under learning.
     pub system: String,
-    /// k-induction bound, at least 1; `None` uses the benchmark's own `k`.
+    /// k-induction bound, 1 to [`MAX_K`]; `None` uses the benchmark's own
+    /// `k`.
     pub k: Option<usize>,
     /// Iteration budget per `refine` call.
     pub max_iterations: usize,
@@ -106,8 +113,8 @@ impl SessionSpec {
             }
         };
         spec.k = field_usize("k")?;
-        if spec.k == Some(0) {
-            return Err("`k` must be a positive integer".to_string());
+        if matches!(spec.k, Some(k) if k == 0 || k > MAX_K) {
+            return Err(format!("`k` must be between 1 and {MAX_K}"));
         }
         if let Some(n) = field_usize("max_iterations")? {
             spec.max_iterations = n.max(1);
@@ -134,9 +141,8 @@ impl SessionSpec {
         }
         if let Some(v) = config.get("engine") {
             let name = v.as_str().ok_or("`engine` must be a string")?;
-            spec.engine = OracleKind::from_name(name).ok_or_else(|| {
-                format!("unknown engine `{name}` (kinduction|explicit|portfolio)")
-            })?;
+            spec.engine = OracleKind::from_name(name)
+                .ok_or_else(|| format!("unknown engine `{name}` (kinduction|portfolio)"))?;
         }
         if let Some(v) = config.get("no_cache") {
             spec.verdict_cache = !v.as_bool().ok_or("`no_cache` must be a boolean")?;
@@ -619,7 +625,6 @@ fn stats_json(stats: &SessionStats) -> [(&'static str, Json); 3] {
         (
             "checker",
             obj([
-                ("sat_queries", Json::from(stats.checker.sat_queries)),
                 (
                     "condition_checks",
                     Json::from(stats.checker.condition_checks),
@@ -843,14 +848,17 @@ mod tests {
     }
 
     #[test]
-    fn spec_refuses_workers_above_the_cap() {
-        let open = |workers: usize| {
-            let config = obj([("workers", Json::from(workers))]);
+    fn spec_refuses_workers_and_k_above_their_caps() {
+        let open = |key: &str, value: usize| {
+            let config = obj([(key, Json::from(value))]);
             SessionSpec::from_request("HomeClimateControlCooler".to_string(), Some(&config))
         };
-        assert_eq!(open(MAX_WORKERS).unwrap().workers, MAX_WORKERS);
-        let err = open(MAX_WORKERS + 1).unwrap_err();
+        assert_eq!(open("workers", MAX_WORKERS).unwrap().workers, MAX_WORKERS);
+        let err = open("workers", MAX_WORKERS + 1).unwrap_err();
         assert!(err.contains("`workers`"), "{err}");
+        assert_eq!(open("k", MAX_K).unwrap().k, Some(MAX_K));
+        let err = open("k", MAX_K + 1).unwrap_err();
+        assert!(err.contains("`k`"), "{err}");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use amle_benchmarks::{benchmark_by_name, Benchmark};
 use amle_core::{ActiveLearner, ActiveLearnerConfig, ParallelConfig};
 use amle_serve::json::{parse_json, Json};
+use amle_serve::server::MAX_REQUEST_BYTES;
 use amle_serve::Server;
 use amle_system::{wire, Simulator, Trace, TraceSet};
 use rand::rngs::StdRng;
@@ -576,6 +577,34 @@ fn protocol_errors_are_reported_not_fatal() {
         .as_str()
         .unwrap()
         .contains("columns"));
+
+    // A request line over the cap gets an error on its own connection,
+    // which closes; the daemon keeps serving the others. Exactly cap + 1
+    // bytes leave the server nothing unread, so the reply is not lost to a
+    // reset, and the read timeout turns a daemon that keeps reading into a
+    // failure instead of a hang.
+    let mut flooder = Client::connect(addr);
+    flooder
+        .stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set read timeout");
+    flooder
+        .stream
+        .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+        .expect("write oversized request");
+    let oversized = flooder.read_line();
+    assert_eq!(oversized.get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(oversized.get("retriable"), Some(&Json::Bool(false)));
+    assert!(oversized
+        .get("error")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .contains("exceeds"));
+    assert_eq!(
+        client.send_ok(&req("ping", [])).get("pong"),
+        Some(&Json::Bool(true))
+    );
 
     client.send_ok(&req("shutdown", []));
     server.join().expect("server thread").expect("server io");

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .filter(|inv| {
             checker
-                .check_condition(&inv.assumption, &[], &inv.conclusion)
+                .check_condition(&inv.assumption, &[], std::slice::from_ref(&inv.conclusion))
                 .is_valid()
         })
         .count();

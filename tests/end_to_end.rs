@@ -79,7 +79,11 @@ fn invariants_of_a_converged_run_hold_on_the_implementation() {
         // re-check may need the same blocking; converged runs of this
         // benchmark need none.
         assert!(checker
-            .check_condition(&invariant.assumption, &[], &invariant.conclusion)
+            .check_condition(
+                &invariant.assumption,
+                &[],
+                std::slice::from_ref(&invariant.conclusion)
+            )
             .is_valid());
     }
 }
