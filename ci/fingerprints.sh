@@ -14,8 +14,10 @@
 #   3. --no-cache under kinduction, diffed against step 1;
 #   4. --no-cache under portfolio, diffed against step 1.
 # The quick kinduction run also writes suite-quick.json for perf-diff.
-# `table1` regenerates the paper-shape Table I fingerprint and checks its
-# digest. `ktails` runs the quick Table I benchmarks with the k-tails learner
+# `table1` regenerates the paper-shape Table I fingerprint under kinduction,
+# checks its digest, and diffs a portfolio run with --cross-validate against
+# it, so every query routed to the explicit engine at the paper's 50x50
+# shape is answered again by k-induction. `ktails` runs the quick Table I benchmarks with the k-tails learner
 # and checks their digest, so the loop is pinned under a second learner.
 #
 # The fingerprint files (fp-*.txt) and suite-quick.json are written to the
@@ -45,6 +47,9 @@ case "$family" in
     table1)
         suite --table1-only --dump-fingerprint fp-table1.txt
         sha256sum -c ci/table1-paper.fingerprint.sha256
+        suite --table1-only --engine portfolio --cross-validate \
+            --dump-fingerprint fp-table1-portfolio.txt
+        diff fp-table1.txt fp-table1-portfolio.txt
         exit 0
         ;;
     ktails)

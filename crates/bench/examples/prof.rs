@@ -51,12 +51,11 @@ fn main() {
             .unwrap_or(0)
     );
     println!(
-        "  cache: hits={} misses={} entries={}; engines: kiQ={} exQ={} fallb={}",
+        "  cache: hits={} misses={} entries={}; engines: kiQ={} exQ={}",
         report.verdict_cache.hits,
         report.verdict_cache.misses,
         report.verdict_cache.entries,
         report.checker_stats.kinduction_queries,
-        report.checker_stats.explicit_queries,
-        report.checker_stats.explicit_fallbacks
+        report.checker_stats.explicit_queries
     );
 }

@@ -32,7 +32,9 @@
 //!   Min-of-N is what `perf-diff` regression gating should consume: on a
 //!   busy machine a single run's wall time flaps by tens of milliseconds,
 //!   while the minimum estimates the noise-free cost.
-//! * `--table1-only` — restrict the suite to the Table I benchmarks.
+//! * `--table1-only` — restrict the suite to the Table I benchmarks; without
+//!   `--quick` this is the paper's Table I experiment (its "Our Algorithm"
+//!   columns at the paper's 50×50 shape).
 //! * `--stress` — extend the suite with the non-converging splicing-stress
 //!   family (`SynthSpliceStorm…`), which exercises the interned trace store
 //!   and the incremental word pipeline hardest.
@@ -368,9 +370,12 @@ fn main() -> ExitCode {
         println!("{circuit_table}");
     }
     let converged = rows.iter().filter(|r| (r.alpha - 1.0).abs() < 1e-9).count();
+    let exact = rows.iter().filter(|r| (r.d - 1.0).abs() < 1e-9).count();
     println!(
-        "summary: {}/{} benchmarks reached alpha = 1; wall-clock {:.2}s with {} worker(s)",
+        "summary: {}/{} benchmarks reached alpha = 1, {}/{} reached d = 1; wall-clock {:.2}s with {} worker(s)",
         converged,
+        rows.len(),
+        exact,
         rows.len(),
         parallel_time.as_secs_f64(),
         options.workers

@@ -2,8 +2,8 @@
 //!
 //! The benchmark harness that regenerates the paper's evaluation artefacts:
 //!
-//! * `table1` — the "Our Algorithm" columns of Table I (`|X|`, `k`, `i`, `d`,
-//!   `N`, `α`, `T`, `%Tm`) for every benchmark in the suite;
+//! * `suite --table1-only` — the "Our Algorithm" columns of Table I (`|X|`,
+//!   `k`, `i`, `d`, `N`, `α`, `T`, `%Tm`) for every Table I benchmark;
 //! * `random_sampling` — the "Random Sampling" columns of Table I (`N`, `α`,
 //!   `T`) using the passive baseline of Section IV-C;
 //! * `fig2` — re-learns the Home Climate-Control Cooler abstraction and
@@ -11,8 +11,9 @@
 //! * `ablation` — the design-choice ablations from DESIGN.md (learner choice
 //!   and k-induction bound sensitivity).
 //!
-//! The `suite` binary runs the full evaluation suite sharded across worker
-//! threads; the `perf-diff` binary (backed by [`perf`]) compares two
+//! The `suite` binary runs the full evaluation suite (or, with
+//! `--table1-only`, Table I alone) sharded across worker threads; the
+//! `perf-diff` binary (backed by [`perf`]) compares two
 //! `suite --json` documents and flags per-benchmark regressions.
 
 #![forbid(unsafe_code)]
@@ -119,9 +120,6 @@ pub struct ActiveRow {
     pub explicit_queries: u64,
     /// Work units charged by the explicit engine (`exWork`).
     pub explicit_work: u64,
-    /// Explicit queries whose budget ran out, re-run with k-induction
-    /// (`fallb`).
-    pub explicit_fallbacks: u64,
     /// Conclusion disjuncts Tseitin-encoded for the first time in a
     /// condition session (`disjE`).
     pub disj_encoded: u64,
@@ -190,7 +188,6 @@ pub fn run_active<L: ModelLearner>(
         kinduction_queries: report.checker_stats.kinduction_queries,
         explicit_queries: report.checker_stats.explicit_queries,
         explicit_work: report.checker_stats.explicit_work,
-        explicit_fallbacks: report.checker_stats.explicit_fallbacks,
         disj_encoded: report.checker_stats.disj_encoded,
         disj_reused: report.checker_stats.disj_reused,
         frames_encoded: report.checker_stats.frames_encoded,
@@ -495,8 +492,8 @@ pub fn format_active_table(rows: &[ActiveRow]) -> String {
 }
 
 /// Formats the oracle-portfolio statistics table: verdict-cache hits and
-/// misses, the per-engine query attribution (k-induction vs explicit,
-/// explicit work units and budget fallbacks), the conclusion-disjunct
+/// misses, the per-engine query attribution (k-induction vs explicit, and
+/// explicit work units), the conclusion-disjunct
 /// ledger traffic (`disjE` first-time encodes vs `disjR` session reuses —
 /// the quantity delta-encoded condition sessions minimise), the base-session
 /// frame-ledger traffic (`frmE` chain links encoded vs `frmR` reuses), the
@@ -507,14 +504,13 @@ pub fn format_active_table(rows: &[ActiveRow]) -> String {
 pub fn format_oracle_table(rows: &[ActiveRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<34} {:>6} {:>6} {:>7} {:>7} {:>10} {:>6} {:>6} {:>7} {:>5} {:>6} {:>7} {:>6} {:>7} {:>8} {:>8} {:>7} {:>5}\n",
+        "{:<34} {:>6} {:>6} {:>7} {:>7} {:>10} {:>6} {:>7} {:>5} {:>6} {:>7} {:>6} {:>7} {:>8} {:>8} {:>7} {:>5}\n",
         "Benchmark",
         "hits",
         "miss",
         "kiQ",
         "exQ",
         "exWork",
-        "fallb",
         "disjE",
         "disjR",
         "frmE",
@@ -534,14 +530,13 @@ pub fn format_oracle_table(rows: &[ActiveRow]) -> String {
             r.propagations as f64 / r.conflicts as f64
         };
         out.push_str(&format!(
-            "{:<34} {:>6} {:>6} {:>7} {:>7} {:>10} {:>6} {:>6} {:>7} {:>5} {:>6} {:>7} {:>6.1} {:>7} {:>8} {:>8.1} {:>7} {:>5.1}\n",
+            "{:<34} {:>6} {:>6} {:>7} {:>7} {:>10} {:>6} {:>7} {:>5} {:>6} {:>7} {:>6.1} {:>7} {:>8} {:>8.1} {:>7} {:>5.1}\n",
             r.name,
             r.cache_hits,
             r.cache_misses,
             r.kinduction_queries,
             r.explicit_queries,
             r.explicit_work,
-            r.explicit_fallbacks,
             r.disj_encoded,
             r.disj_reused,
             r.frames_encoded,

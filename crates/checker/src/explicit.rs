@@ -15,16 +15,21 @@
 //!   the initial states interns every visited valuation once and records
 //!   the layer structure, so repeated spurious-counterexample checks reuse
 //!   the explored prefix and only extend it on demand.
-//! * **Deterministic budgets.** Every query runs under a work budget
-//!   (valuation/transition evaluations). Budget charging is a pure function
-//!   of the query: cached reachability layers re-charge their recorded
-//!   construction cost instead of being free, so whether a query exhausts
-//!   its budget — and hence whether a [`crate::PortfolioOracle`] falls back
-//!   to k-induction — never depends on which queries an engine instance
-//!   served before. The cache accelerates wall-clock time, not the budget.
+//! * **Bounded, deterministic work.** Every query counts its valuation and
+//!   transition evaluations in `explicit_work`, and the count is a pure
+//!   function of the query: cached reachability layers re-charge their
+//!   recorded construction cost instead of being free. The cache
+//!   accelerates wall-clock time, not the count. With `cost` =
+//!   [`ExplicitChecker::estimate_condition_cost`] (frame-0 valuations ×
+//!   input assignments), a condition check costs at most
+//!   frame-0 + frame-0·inputs ≤ 2·cost, and a spurious check with bound `k`
+//!   at most (inputs + cost + |reach|) for its base case plus
+//!   (frame-0 + k·cost) for its step case, ≤ (k + 4)·cost. A
+//!   [`crate::PortfolioOracle`] routes only queries whose estimate is
+//!   within its threshold, so every query it routes here finishes.
 //!
-//! **Exact agreement with k-induction.** The budgeted query methods decide
-//! *the same formulas* as [`crate::KInductionChecker`]'s sessions — frame-0
+//! **Exact agreement with k-induction.** The query methods decide *the same
+//! formulas* as [`crate::KInductionChecker`]'s sessions — frame-0
 //! state variables range over their full sort encoding (the bit-blaster
 //! blocks out-of-range enumeration codes, which the domains here mirror),
 //! inputs over their declared ranges, and the spurious check emulates the
@@ -41,10 +46,6 @@ use crate::kinduction::{CheckResult, CheckerStats, SpuriousResult};
 use amle_expr::{Expr, Sort, Valuation, Value, VarId};
 use amle_system::System;
 use std::collections::{HashMap, HashSet};
-
-/// Default per-query work budget of the explicit engine: the budget the
-/// learning loop gives every [`crate::PortfolioOracle`] it builds.
-pub const DEFAULT_QUERY_BUDGET: u64 = 1 << 18;
 
 /// The admissible values of one variable as inclusive runs of *raw* (bit
 /// pattern) encodings in ascending raw order.
@@ -251,29 +252,23 @@ impl ReachCache {
 }
 
 /// Explicit-state engine over a [`System`]: streamed condition checks and
-/// k-induction-shaped spurious checks under deterministic work budgets,
-/// plus classic fixpoint reachability.
+/// k-induction-shaped spurious checks with deterministic work counts, plus
+/// classic fixpoint reachability.
 ///
 /// See the module-level documentation above for the engine's guarantees and its
 /// exact-agreement relationship with [`crate::KInductionChecker`].
 #[derive(Debug)]
 pub struct ExplicitChecker<'a> {
     system: &'a System,
-    /// Cap on interned states for the legacy fixpoint queries
-    /// ([`ExplicitChecker::reachable_states`] and friends).
-    max_states: usize,
     stats: CheckerStats,
     reach: ReachCache,
 }
 
 impl<'a> ExplicitChecker<'a> {
-    /// Creates an explicit checker with a cap on the number of distinct
-    /// states the fixpoint queries may intern. Budgeted queries take their
-    /// work budget per call.
-    pub fn new(system: &'a System, max_states: usize) -> Self {
+    /// Creates an explicit checker over `system`.
+    pub fn new(system: &'a System) -> Self {
         ExplicitChecker {
             system,
-            max_states,
             stats: CheckerStats::default(),
             reach: ReachCache::default(),
         }
@@ -284,18 +279,6 @@ impl<'a> ExplicitChecker<'a> {
     /// reachability layers re-charge their recorded cost).
     pub fn stats(&self) -> CheckerStats {
         self.stats
-    }
-
-    /// Charges `cost` work units against the query budget. Returns `false`
-    /// (leaving the budget untouched) when the budget cannot cover the
-    /// cost.
-    fn charge(stats: &mut CheckerStats, budget: &mut u64, cost: u64) -> bool {
-        if *budget < cost {
-            return false;
-        }
-        *budget -= cost;
-        stats.explicit_work += cost;
-        true
     }
 
     fn domain_of(&self, id: VarId) -> VarDomain {
@@ -336,26 +319,25 @@ impl<'a> ExplicitChecker<'a> {
     }
 
     /// Estimated work of one condition check: frame-0 valuations × input
-    /// assignments, saturating. A spurious check with bound `k` is
-    /// dominated by its step case, up to `k` expansions of the same space.
+    /// assignments, saturating. A condition check costs at most twice this
+    /// and a spurious check with bound `k` at most `k + 4` times this (see
+    /// the module documentation).
     pub fn estimate_condition_cost(&self) -> u64 {
         let f0 = self.frame0_assignments().size() as u128;
         let inp = self.input_assignments().size() as u128;
         u64::try_from(f0.saturating_mul(inp)).unwrap_or(u64::MAX)
     }
 
-    /// Condition check (Fig. 3a) under a work budget, deciding exactly the
-    /// formula of [`crate::KInductionChecker::check_condition`]. Returns
-    /// `None` when the budget runs out before an answer is reached; a
-    /// `Some` answer — including the counterexample valuations — is
-    /// byte-identical to the SAT checker's.
-    pub fn check_condition_budgeted(
+    /// Condition check (Fig. 3a), deciding exactly the formula of
+    /// [`crate::KInductionChecker::check_condition`]. The answer — including
+    /// the counterexample valuations — is byte-identical to the SAT
+    /// checker's.
+    pub fn check_condition(
         &mut self,
         assumption: &Expr,
         blocked: &[Expr],
         outgoing: &[Expr],
-        budget: &mut u64,
-    ) -> Option<CheckResult> {
+    ) -> CheckResult {
         // The emulated k-induction cases evaluate the query predicates once
         // per enumerated valuation; canonical forms (memoised in the
         // interner) shrink the evaluated DAG — constant subtrees folded,
@@ -366,18 +348,17 @@ impl<'a> ExplicitChecker<'a> {
         let assumption = assumption.canonical();
         let blocked: Vec<Expr> = blocked.iter().map(Expr::canonical).collect();
         let outgoing: Vec<Expr> = outgoing.iter().map(Expr::canonical).collect();
-        let (assumption, blocked, outgoing) = (&assumption, &blocked, &outgoing);
         let system = self.system;
         let mut frame0 = self.frame0_assignments();
         let mut inputs = self.input_assignments();
         let stats = &mut self.stats;
+        stats.condition_checks += 1;
+        stats.explicit_queries += 1;
         let vars = system.vars();
         let mut from = Valuation::zeroed(vars);
         let mut to = Valuation::zeroed(vars);
         while frame0.advance() {
-            if !Self::charge(stats, budget, 1) {
-                return None;
-            }
+            stats.explicit_work += 1;
             frame0.write_valuation(&mut from);
             if !assumption.eval_bool(&from) {
                 continue;
@@ -392,135 +373,74 @@ impl<'a> ExplicitChecker<'a> {
             }
             inputs.reset();
             while inputs.advance() {
-                if !Self::charge(stats, budget, 1) {
-                    return None;
-                }
+                stats.explicit_work += 1;
                 inputs.write_valuation(&mut to);
                 if !outgoing.iter().any(|d| d.eval_bool(&to)) {
-                    stats.condition_checks += 1;
-                    stats.explicit_queries += 1;
-                    return Some(CheckResult::Violated {
-                        from: from.clone(),
-                        to: to.clone(),
-                    });
+                    return CheckResult::Violated { from, to };
                 }
             }
         }
-        stats.condition_checks += 1;
-        stats.explicit_queries += 1;
-        Some(CheckResult::Valid)
+        CheckResult::Valid
     }
 
-    /// Spurious-counterexample check (Fig. 3b) under a work budget,
-    /// emulating the k-induction base and step cases exactly (rather than
-    /// deciding exact reachability, which could disagree with the bounded
-    /// SAT verdicts). Returns `None` on budget exhaustion.
+    /// Spurious-counterexample check (Fig. 3b), emulating the k-induction
+    /// base and step cases exactly (rather than deciding exact
+    /// reachability, which could disagree with the bounded SAT verdicts).
     ///
     /// # Panics
     ///
     /// Panics if `k` is zero, like the SAT checker.
-    pub fn check_spurious_budgeted(
-        &mut self,
-        state_formula: &Expr,
-        k: usize,
-        budget: &mut u64,
-    ) -> Option<SpuriousResult> {
+    pub fn check_spurious(&mut self, state_formula: &Expr, k: usize) -> SpuriousResult {
         assert!(k > 0, "k-induction bound must be positive");
         let state_formula = &state_formula.canonical();
-        let result = if self.base_reachable_within(state_formula, k, budget)? {
+        self.stats.spurious_checks += 1;
+        self.stats.explicit_queries += 1;
+        if self.base_reachable_within(state_formula, k) {
             SpuriousResult::Reachable
-        } else if self.step_case_holds(state_formula, k, budget)? {
+        } else if self.step_case_holds(state_formula, k) {
             SpuriousResult::Spurious
         } else {
             SpuriousResult::Inconclusive
-        };
-        self.stats.spurious_checks += 1;
-        self.stats.explicit_queries += 1;
-        Some(result)
-    }
-
-    /// Condition check with an effectively unbounded budget: the reference
-    /// the k-induction tests compare against.
-    #[cfg(test)]
-    pub(crate) fn check_condition_unbudgeted(
-        &mut self,
-        assumption: &Expr,
-        blocked: &[Expr],
-        outgoing: &[Expr],
-    ) -> CheckResult {
-        let mut budget = u64::MAX;
-        self.check_condition_budgeted(assumption, blocked, outgoing, &mut budget)
-            .expect("unbounded budget cannot be exhausted")
-    }
-
-    /// Spurious check with an effectively unbounded budget.
-    #[cfg(test)]
-    pub(crate) fn check_spurious_unbudgeted(
-        &mut self,
-        state_formula: &Expr,
-        k: usize,
-    ) -> SpuriousResult {
-        let mut budget = u64::MAX;
-        self.check_spurious_budgeted(state_formula, k, &mut budget)
-            .expect("unbounded budget cannot be exhausted")
+        }
     }
 
     /// The k-induction base case: is a state satisfying `formula` reachable
     /// from `Init` within `k` steps? Scans (and lazily extends) the interned
     /// BFS layers; cached layers re-charge their recorded construction cost
-    /// so the budget verdict is a pure function of the query.
-    fn base_reachable_within(
-        &mut self,
-        formula: &Expr,
-        k: usize,
-        budget: &mut u64,
-    ) -> Option<bool> {
+    /// so the work count is a pure function of the query.
+    fn base_reachable_within(&mut self, formula: &Expr, k: usize) -> bool {
         let mut scanned = 0usize;
-        let mut depth = 0usize;
-        loop {
+        for depth in 0..=k {
             if depth < self.reach.layer_ends.len() {
-                let cost = self.reach.layer_costs[depth];
-                if !Self::charge(&mut self.stats, budget, cost) {
-                    return None;
-                }
+                self.stats.explicit_work += self.reach.layer_costs[depth];
             } else if self.reach.complete {
                 break;
-            } else if !self.build_next_layer(budget) {
-                return None;
+            } else {
+                self.build_next_layer();
             }
             let end = self.reach.layer_ends[depth];
-            for i in scanned..end {
-                if !Self::charge(&mut self.stats, budget, 1) {
-                    return None;
-                }
-                if formula.eval_bool(&self.reach.states[i]) {
-                    return Some(true);
+            for state in &self.reach.states[scanned..end] {
+                self.stats.explicit_work += 1;
+                if formula.eval_bool(state) {
+                    return true;
                 }
             }
             scanned = end;
-            if depth == k {
-                break;
-            }
-            depth += 1;
         }
-        Some(false)
+        false
     }
 
     /// Builds the next BFS layer of the reachability cache, charging its
-    /// (deterministic) construction cost. Returns `false` on budget
-    /// exhaustion, leaving the cache unchanged.
-    fn build_next_layer(&mut self, budget: &mut u64) -> bool {
+    /// (deterministic) construction cost.
+    fn build_next_layer(&mut self) {
         let system = self.system;
         let d = self.reach.layer_ends.len();
         let mut inputs = self.input_assignments();
         let input_count = inputs.size();
         let mut pairs: Vec<(VarId, Value)> = Vec::new();
-        if d == 0 {
+        let cost = if d == 0 {
             // Layer 0: the initial state values under every input
             // assignment.
-            if !Self::charge(&mut self.stats, budget, input_count) {
-                return false;
-            }
             while inputs.advance() {
                 inputs.write_pairs(&mut pairs);
                 let mut v = system.initial_valuation();
@@ -529,33 +449,28 @@ impl<'a> ExplicitChecker<'a> {
                 }
                 self.reach.intern(v);
             }
-            self.reach.layer_ends.push(self.reach.states.len());
-            self.reach.layer_costs.push(input_count);
-            return true;
-        }
-        let start = if d == 1 {
-            0
+            input_count
         } else {
-            self.reach.layer_ends[d - 2]
-        };
-        let end = self.reach.layer_ends[d - 1];
-        let cost = ((end - start) as u64).saturating_mul(input_count);
-        if !Self::charge(&mut self.stats, budget, cost) {
-            return false;
-        }
-        for i in start..end {
-            let current = self.reach.states[i].clone();
-            inputs.reset();
-            while inputs.advance() {
-                inputs.write_pairs(&mut pairs);
-                self.reach.intern(system.step(&current, &pairs));
+            let start = if d == 1 {
+                0
+            } else {
+                self.reach.layer_ends[d - 2]
+            };
+            let end = self.reach.layer_ends[d - 1];
+            for i in start..end {
+                let current = self.reach.states[i].clone();
+                inputs.reset();
+                while inputs.advance() {
+                    inputs.write_pairs(&mut pairs);
+                    self.reach.intern(system.step(&current, &pairs));
+                }
             }
-        }
-        let new_end = self.reach.states.len();
-        self.reach.complete = new_end == end;
-        self.reach.layer_ends.push(new_end);
+            self.reach.complete = self.reach.states.len() == end;
+            ((end - start) as u64).saturating_mul(input_count)
+        };
+        self.stats.explicit_work += cost;
+        self.reach.layer_ends.push(self.reach.states.len());
         self.reach.layer_costs.push(cost);
-        true
     }
 
     /// The k-induction step case: `true` when there is **no** path of `k`
@@ -563,17 +478,16 @@ impl<'a> ExplicitChecker<'a> {
     /// last satisfies it. Streams the frontier forward from *all* frame-0
     /// valuations (matching the step session, which has no `Init`
     /// constraint).
-    fn step_case_holds(&mut self, formula: &Expr, k: usize, budget: &mut u64) -> Option<bool> {
+    fn step_case_holds(&mut self, formula: &Expr, k: usize) -> bool {
         let system = self.system;
         let mut frame0 = self.frame0_assignments();
         let mut inputs = self.input_assignments();
+        let stats = &mut self.stats;
         let mut pairs: Vec<(VarId, Value)> = Vec::new();
         let mut v = Valuation::zeroed(system.vars());
         let mut current: Vec<Valuation> = Vec::new();
         while frame0.advance() {
-            if !Self::charge(&mut self.stats, budget, 1) {
-                return None;
-            }
+            stats.explicit_work += 1;
             frame0.write_valuation(&mut v);
             if !formula.eval_bool(&v) {
                 current.push(v.clone());
@@ -582,7 +496,7 @@ impl<'a> ExplicitChecker<'a> {
         let mut seen: HashSet<Valuation> = HashSet::new();
         for depth in 1..=k {
             if current.is_empty() {
-                return Some(true);
+                return true;
             }
             let last = depth == k;
             let mut next_layer: Vec<Valuation> = Vec::new();
@@ -590,61 +504,41 @@ impl<'a> ExplicitChecker<'a> {
             for state in &current {
                 inputs.reset();
                 while inputs.advance() {
-                    if !Self::charge(&mut self.stats, budget, 1) {
-                        return None;
-                    }
+                    stats.explicit_work += 1;
                     inputs.write_pairs(&mut pairs);
                     let next = system.step(state, &pairs);
                     if last {
                         if formula.eval_bool(&next) {
-                            return Some(false);
+                            return false;
                         }
                     } else if !formula.eval_bool(&next) && seen.insert(next.clone()) {
                         next_layer.push(next);
                     }
                 }
             }
-            if !last {
-                current = next_layer;
-            }
+            current = next_layer;
         }
-        Some(true)
+        true
     }
 
-    /// Runs the interned BFS to its fixpoint, honouring `max_states`.
-    fn explore_to_fixpoint(&mut self) -> bool {
-        let mut budget = u64::MAX;
+    /// Runs the interned BFS to its fixpoint.
+    fn explore_to_fixpoint(&mut self) {
         while !self.reach.complete {
-            if self.reach.states.len() > self.max_states {
-                return false;
-            }
-            if !self.build_next_layer(&mut budget) {
-                return false;
-            }
+            self.build_next_layer();
         }
-        self.reach.states.len() <= self.max_states
     }
 
-    /// Computes the set of reachable valuations (up to the state cap).
-    ///
-    /// Returns `None` if the cap is exhausted before the exploration
-    /// completes. Exploration already performed is retained and resumed by
-    /// later queries.
-    pub fn reachable_states(&mut self) -> Option<HashSet<Valuation>> {
-        if !self.explore_to_fixpoint() {
-            return None;
-        }
-        Some(self.reach.states.iter().cloned().collect())
+    /// Computes the set of reachable valuations. Exploration already
+    /// performed is retained and resumed by later queries.
+    pub fn reachable_states(&mut self) -> HashSet<Valuation> {
+        self.explore_to_fixpoint();
+        self.reach.states.iter().cloned().collect()
     }
 
     /// Decides whether any reachable state satisfies the predicate.
-    ///
-    /// Returns `None` when the state cap is exhausted.
-    pub fn is_reachable(&mut self, predicate: &Expr) -> Option<bool> {
-        if !self.explore_to_fixpoint() {
-            return None;
-        }
-        Some(self.reach.states.iter().any(|v| predicate.eval_bool(v)))
+    pub fn is_reachable(&mut self, predicate: &Expr) -> bool {
+        self.explore_to_fixpoint();
+        self.reach.states.iter().any(|v| predicate.eval_bool(v))
     }
 
     /// Decides whether the condition `assumption ∧ R ⟹ conclusion'` holds on
@@ -652,33 +546,23 @@ impl<'a> ExplicitChecker<'a> {
     /// condition check (which ranges over arbitrary, possibly unreachable,
     /// pre-states), so `Valid` answers from the SAT checker must imply `true`
     /// here — the property exploited by the cross-validation tests.
-    ///
-    /// Returns `None` when the state cap is exhausted.
-    pub fn condition_holds_on_reachable(
-        &mut self,
-        assumption: &Expr,
-        conclusion: &Expr,
-    ) -> Option<bool> {
-        if !self.explore_to_fixpoint() {
-            return None;
-        }
+    pub fn condition_holds_on_reachable(&mut self, assumption: &Expr, conclusion: &Expr) -> bool {
+        self.explore_to_fixpoint();
         let mut inputs = self.input_assignments();
         let mut pairs: Vec<(VarId, Value)> = Vec::new();
-        for i in 0..self.reach.states.len() {
-            let state = self.reach.states[i].clone();
-            if !assumption.eval_bool(&state) {
+        for state in &self.reach.states {
+            if !assumption.eval_bool(state) {
                 continue;
             }
             inputs.reset();
             while inputs.advance() {
                 inputs.write_pairs(&mut pairs);
-                let next = self.system.step(&state, &pairs);
-                if !conclusion.eval_bool(&next) {
-                    return Some(false);
+                if !conclusion.eval_bool(&self.system.step(state, &pairs)) {
+                    return false;
                 }
             }
         }
-        Some(true)
+        true
     }
 }
 
@@ -704,8 +588,8 @@ mod tests {
     #[test]
     fn reachable_states_of_saturating_counter() {
         let sys = small_counter();
-        let mut checker = ExplicitChecker::new(&sys, 1000);
-        let states = checker.reachable_states().unwrap();
+        let mut checker = ExplicitChecker::new(&sys);
+        let states = checker.reachable_states();
         let c = sys.vars().lookup("c").unwrap();
         let values: std::collections::BTreeSet<i64> =
             states.iter().map(|v| v.value(c).to_i64()).collect();
@@ -715,43 +599,23 @@ mod tests {
     #[test]
     fn reachability_queries() {
         let sys = small_counter();
-        let mut checker = ExplicitChecker::new(&sys, 1000);
+        let mut checker = ExplicitChecker::new(&sys);
         let c = sys.vars().lookup("c").unwrap();
         let ce = sys.var(c);
-        assert_eq!(
-            checker.is_reachable(&ce.eq(&Expr::int_val(4, 3))),
-            Some(true)
-        );
-        assert_eq!(
-            checker.is_reachable(&ce.eq(&Expr::int_val(7, 3))),
-            Some(false)
-        );
-    }
-
-    #[test]
-    fn state_budget_is_respected() {
-        let sys = small_counter();
-        let mut checker = ExplicitChecker::new(&sys, 2);
-        assert_eq!(checker.reachable_states(), None);
-        assert_eq!(checker.is_reachable(&Expr::true_()), None);
+        assert!(checker.is_reachable(&ce.eq(&Expr::int_val(4, 3))));
+        assert!(!checker.is_reachable(&ce.eq(&Expr::int_val(7, 3))));
     }
 
     #[test]
     fn condition_check_on_reachable_states() {
         let sys = small_counter();
-        let mut checker = ExplicitChecker::new(&sys, 1000);
+        let mut checker = ExplicitChecker::new(&sys);
         let c = sys.vars().lookup("c").unwrap();
         let ce = sys.var(c);
         // The counter never exceeds 4 on reachable transitions.
-        assert_eq!(
-            checker.condition_holds_on_reachable(&Expr::true_(), &ce.le(&Expr::int_val(4, 3))),
-            Some(true)
-        );
+        assert!(checker.condition_holds_on_reachable(&Expr::true_(), &ce.le(&Expr::int_val(4, 3))));
         // It does reach values above 2.
-        assert_eq!(
-            checker.condition_holds_on_reachable(&Expr::true_(), &ce.le(&Expr::int_val(2, 3))),
-            Some(false)
-        );
+        assert!(!checker.condition_holds_on_reachable(&Expr::true_(), &ce.le(&Expr::int_val(2, 3))));
     }
 
     #[test]
@@ -767,7 +631,7 @@ mod tests {
         let s = b.state("s", Sort::Bool, Value::Bool(false)).unwrap();
         b.update(s, Expr::true_()).unwrap();
         let sys = b.build().unwrap();
-        let checker = ExplicitChecker::new(&sys, 10);
+        let checker = ExplicitChecker::new(&sys);
         let odo = checker.input_assignments();
         assert_eq!(odo.size(), 1u64 << 60);
         let first: Vec<_> = odo.take(3).collect();
@@ -788,7 +652,7 @@ mod tests {
         let s = b.state("s", Sort::Bool, Value::Bool(false)).unwrap();
         b.update(s, Expr::true_()).unwrap();
         let sys = b.build().unwrap();
-        let checker = ExplicitChecker::new(&sys, 10);
+        let checker = ExplicitChecker::new(&sys);
         let values: Vec<i64> = checker
             .input_assignments()
             .map(|a| a[0].1.to_i64())
@@ -803,7 +667,7 @@ mod tests {
         let s = b.state("s", Sort::Bool, Value::Bool(false)).unwrap();
         b.update(s, Expr::true_()).unwrap();
         let sys = b.build().unwrap();
-        let checker = ExplicitChecker::new(&sys, 10);
+        let checker = ExplicitChecker::new(&sys);
         let mut odo = checker.input_assignments();
         assert_eq!(odo.size(), 1);
         assert!(odo.advance());
@@ -815,23 +679,13 @@ mod tests {
         let sys = small_counter();
         let c = sys.vars().lookup("c").unwrap();
         let ce = sys.var(c);
-        let mut explicit = ExplicitChecker::new(&sys, 10_000);
+        let mut explicit = ExplicitChecker::new(&sys);
         let mut sat = KInductionChecker::new(&sys);
         for bound in 0..8 {
-            let conclusion = ce.ne(&Expr::int_val(bound, 3));
-            let mut budget = u64::MAX;
-            let explicit_result = explicit
-                .check_condition_budgeted(
-                    &Expr::true_(),
-                    &[],
-                    std::slice::from_ref(&conclusion),
-                    &mut budget,
-                )
-                .unwrap();
-            let sat_result =
-                sat.check_condition(&Expr::true_(), &[], std::slice::from_ref(&conclusion));
+            let conclusion = [ce.ne(&Expr::int_val(bound, 3))];
             assert_eq!(
-                explicit_result, sat_result,
+                explicit.check_condition(&Expr::true_(), &[], &conclusion),
+                sat.check_condition(&Expr::true_(), &[], &conclusion),
                 "engines disagree for bound {bound}"
             );
         }
@@ -841,20 +695,16 @@ mod tests {
     fn budgeted_spurious_check_agrees_with_kinduction() {
         let sys = small_counter();
         let c = sys.vars().lookup("c").unwrap();
-        let mut explicit = ExplicitChecker::new(&sys, 10_000);
+        let mut explicit = ExplicitChecker::new(&sys);
         let mut sat = KInductionChecker::new(&sys);
         for target in 0..8 {
             let mut state = sys.initial_valuation();
             state.set(c, Value::Int(target));
             let formula = crate::state_formula(sys.vars(), &state, &[c]);
             for k in [1, 2, 8] {
-                let mut budget = u64::MAX;
-                let explicit_verdict = explicit
-                    .check_spurious_budgeted(&formula, k, &mut budget)
-                    .unwrap();
-                let sat_verdict = sat.check_spurious(&formula, k);
                 assert_eq!(
-                    explicit_verdict, sat_verdict,
+                    explicit.check_spurious(&formula, k),
+                    sat.check_spurious(&formula, k),
                     "verdicts disagree for target {target}, k {k}"
                 );
             }
@@ -862,70 +712,20 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_returns_none_and_is_deterministic() {
-        let sys = small_counter();
-        let c = sys.vars().lookup("c").unwrap();
-        let ce = sys.var(c);
-        let conclusion = ce.le(&Expr::int_val(4, 3));
-        let mut checker = ExplicitChecker::new(&sys, 10_000);
-        let mut tiny = 3;
-        assert_eq!(
-            checker.check_condition_budgeted(
-                &Expr::true_(),
-                &[],
-                std::slice::from_ref(&conclusion),
-                &mut tiny
-            ),
-            None
-        );
-        // A warmed-up checker must make the same budget decision: charging
-        // is a pure function of the query, not of cache state.
-        let mut budget = u64::MAX;
-        let _ = checker.check_spurious_budgeted(&ce.eq(&Expr::int_val(4, 3)), 3, &mut budget);
-        let mut tiny = 3;
-        assert_eq!(
-            checker.check_condition_budgeted(
-                &Expr::true_(),
-                &[],
-                std::slice::from_ref(&conclusion),
-                &mut tiny
-            ),
-            None
-        );
-        // And with enough budget the answer appears.
-        let mut enough = u64::MAX;
-        assert!(checker
-            .check_condition_budgeted(
-                &Expr::true_(),
-                &[],
-                std::slice::from_ref(&conclusion),
-                &mut enough
-            )
-            .is_some());
-    }
-
-    #[test]
     fn cached_reach_layers_recharge_their_cost() {
         let sys = small_counter();
         let c = sys.vars().lookup("c").unwrap();
-        let mut checker = ExplicitChecker::new(&sys, 10_000);
+        let mut checker = ExplicitChecker::new(&sys);
         let mut state = sys.initial_valuation();
         state.set(c, Value::Int(4));
         let formula = crate::oracle::state_formula(sys.vars(), &state, &[c]);
-        let mut first = u64::MAX;
-        let verdict = checker
-            .check_spurious_budgeted(&formula, 6, &mut first)
-            .unwrap();
-        let spent_first = u64::MAX - first;
-        let mut second = u64::MAX;
-        assert_eq!(
-            checker.check_spurious_budgeted(&formula, 6, &mut second),
-            Some(verdict)
-        );
-        let spent_second = u64::MAX - second;
+        let verdict = checker.check_spurious(&formula, 6);
+        let spent_first = checker.stats().explicit_work;
+        assert_eq!(checker.check_spurious(&formula, 6), verdict);
+        let spent_second = checker.stats().explicit_work - spent_first;
         assert_eq!(
             spent_first, spent_second,
-            "budget charging must not depend on the cache state"
+            "work charging must not depend on the cache state"
         );
     }
 }

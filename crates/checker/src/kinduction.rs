@@ -94,9 +94,6 @@ pub struct CheckerStats {
     /// Concrete work units (state and transition evaluations) spent by the
     /// explicit-state engine — its analogue of `solver.solve_calls`.
     pub explicit_work: u64,
-    /// Queries the portfolio routed to the explicit engine whose work budget
-    /// ran out, forcing a k-induction re-run.
-    pub explicit_fallbacks: u64,
     /// Conclusion disjuncts Tseitin-encoded for the first time in a
     /// condition session (once per distinct canonical disjunct).
     pub disj_encoded: u64,
@@ -121,7 +118,6 @@ impl std::ops::AddAssign for CheckerStats {
         self.kinduction_queries += rhs.kinduction_queries;
         self.explicit_queries += rhs.explicit_queries;
         self.explicit_work += rhs.explicit_work;
-        self.explicit_fallbacks += rhs.explicit_fallbacks;
         self.disj_encoded += rhs.disj_encoded;
         self.disj_reused += rhs.disj_reused;
         self.frames_encoded += rhs.frames_encoded;
@@ -158,9 +154,6 @@ impl CheckerStats {
                 .explicit_queries
                 .saturating_sub(earlier.explicit_queries),
             explicit_work: self.explicit_work.saturating_sub(earlier.explicit_work),
-            explicit_fallbacks: self
-                .explicit_fallbacks
-                .saturating_sub(earlier.explicit_fallbacks),
             disj_encoded: self.disj_encoded.saturating_sub(earlier.disj_encoded),
             disj_reused: self.disj_reused.saturating_sub(earlier.disj_reused),
             frames_encoded: self.frames_encoded.saturating_sub(earlier.frames_encoded),
@@ -848,7 +841,7 @@ mod tests {
         ];
         let mut delta = KInductionChecker::new(&sys);
         let mut full = KInductionChecker::with_mode(&sys, CheckerMode::FreshPerQuery);
-        let mut explicit = ExplicitChecker::new(&sys, 10_000);
+        let mut explicit = ExplicitChecker::new(&sys);
         let init = sys.init_expr();
         let queries: [&[Expr]; 5] = [
             &disjuncts[0..2],
@@ -866,7 +859,7 @@ mod tests {
             );
             assert_eq!(
                 result,
-                explicit.check_condition_unbudgeted(&init, &[], outgoing),
+                explicit.check_condition(&init, &[], outgoing),
                 "explicit engine disagrees on {outgoing:?}"
             );
         }
@@ -932,7 +925,7 @@ mod tests {
         let flag_id = sys.vars().lookup("flag").unwrap();
         let mut delta = KInductionChecker::new(&sys);
         let mut full = KInductionChecker::with_mode(&sys, CheckerMode::FreshPerQuery);
-        let mut explicit = ExplicitChecker::new(&sys, 10_000);
+        let mut explicit = ExplicitChecker::new(&sys);
 
         let mut ghost = sys.initial_valuation();
         ghost.set(c_id, Value::Int(0));
@@ -959,7 +952,7 @@ mod tests {
             );
             assert_eq!(
                 result,
-                explicit.check_spurious_unbudgeted(formula, k),
+                explicit.check_spurious(formula, k),
                 "explicit engine disagrees at k={k}"
             );
         }

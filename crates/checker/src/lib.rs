@@ -26,14 +26,14 @@
 //! * [`KInductionChecker`] — the incremental SAT engine above;
 //! * [`ExplicitChecker`] — a production-grade explicit-state engine that
 //!   streams input assignments through an odometer (never materialising the
-//!   cartesian product), interns its reachability frontier, runs under
-//!   deterministic work budgets, and decides **exactly** the same formulas
-//!   as the SAT engine — including byte-identical canonical
-//!   counterexamples.
+//!   cartesian product), interns its reachability frontier, counts its work
+//!   deterministically, and decides **exactly** the same formulas as the
+//!   SAT engine — including byte-identical canonical counterexamples.
 //!
-//! The portfolio routes each query by its estimated concrete size, falls
-//! back to k-induction when the explicit budget runs out, and offers a
-//! cross-validation mode asserting engine agreement. An [`OracleKind`] only
+//! The portfolio routes each query by its estimated concrete size and
+//! offers a cross-validation mode asserting engine agreement. Routing
+//! bounds the explicit engine's work, so every query it is routed finishes:
+//! at most 5 × the routing threshold in evaluations. An [`OracleKind`] only
 //! sets its routing threshold ([`OracleKind::route_threshold`]): 0 for the
 //! paper's k-induction-only configuration, [`DEFAULT_ROUTE_THRESHOLD`] for
 //! the portfolio.
@@ -46,7 +46,7 @@ mod kinduction;
 mod oracle;
 mod portfolio;
 
-pub use explicit::{ExplicitChecker, Odometer, DEFAULT_QUERY_BUDGET};
+pub use explicit::{ExplicitChecker, Odometer};
 pub use kinduction::{CheckResult, CheckerMode, CheckerStats, KInductionChecker, SpuriousResult};
 pub use oracle::{state_formula, OracleKind, DEFAULT_ROUTE_THRESHOLD};
 pub use portfolio::PortfolioOracle;

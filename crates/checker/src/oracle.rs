@@ -55,7 +55,7 @@ pub enum OracleKind {
     KInduction,
     /// The portfolio: each query is routed by its estimated concrete size —
     /// small input/state products go to the explicit engine, everything
-    /// else (and every budget exhaustion) to k-induction.
+    /// else to k-induction.
     Portfolio,
 }
 
@@ -92,6 +92,14 @@ impl OracleKind {
 /// Portfolio routing threshold (estimated evaluations): a query goes to the
 /// explicit engine only when its estimated concrete cost (input/state
 /// product size) is at most this many evaluations.
+///
+/// The threshold also bounds the explicit engine's work. With `cost` the
+/// estimate of one condition check, a condition check costs at most
+/// frame-0 + frame-0·inputs ≤ 2·cost evaluations. A spurious check with
+/// bound `k` costs at most inputs + cost + |reach| for its base case and
+/// frame-0 + k·cost for its step case, so at most (k + 4)·cost; it is routed
+/// only when k·cost is within the threshold. Any routed query therefore
+/// costs at most 5 × the threshold.
 pub const DEFAULT_ROUTE_THRESHOLD: u64 = 1 << 14;
 
 #[cfg(test)]

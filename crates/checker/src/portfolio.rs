@@ -7,9 +7,14 @@
 //! engine's first hit *is* the canonical counterexample. The portfolio
 //! estimates each query's concrete size and routes it accordingly:
 //!
-//! * estimated cost ≤ routing threshold → explicit engine, under a work
-//!   budget;
-//! * otherwise, or whenever the budget runs out mid-query → k-induction.
+//! * estimated cost ≤ routing threshold → explicit engine;
+//! * otherwise → k-induction.
+//!
+//! Routing bounds the explicit engine's work: with `cost` the estimated
+//! cost of one condition check, a routed condition check spends at most
+//! 2·cost evaluations and a routed spurious check with bound `k` (routed
+//! when k·cost is within the threshold) at most (k + 4)·cost, so no routed
+//! query spends more than 5 × the threshold (see [`crate::explicit`]).
 //!
 //! Because both engines decide the same formulas and return identical
 //! canonical counterexamples (see [`crate::explicit`]), routing is
@@ -34,38 +39,28 @@ use amle_system::System;
 pub struct PortfolioOracle<'a> {
     explicit: ExplicitChecker<'a>,
     kinduction: KInductionChecker<'a>,
-    explicit_budget: u64,
     route_threshold: u64,
     /// Estimated work of one condition check on this system; a spurious
     /// check with bound `k` is estimated at `k` times as much.
     condition_cost: u64,
     cross_validate: bool,
-    fallbacks: u64,
 }
 
 impl<'a> PortfolioOracle<'a> {
     /// Creates a portfolio over `system`.
     ///
-    /// `explicit_budget` bounds the work one explicitly-routed query may
-    /// spend before falling back to k-induction; `route_threshold` is the
-    /// largest estimated concrete cost still routed to the explicit engine;
-    /// `cross_validate` additionally answers every explicitly-routed query
-    /// with k-induction and asserts agreement.
-    pub fn new(
-        system: &'a System,
-        explicit_budget: u64,
-        route_threshold: u64,
-        cross_validate: bool,
-    ) -> Self {
-        let explicit = ExplicitChecker::new(system, usize::MAX);
+    /// `route_threshold` is the largest estimated concrete cost still
+    /// routed to the explicit engine; `cross_validate` additionally answers
+    /// every explicitly-routed query with k-induction and asserts
+    /// agreement.
+    pub fn new(system: &'a System, route_threshold: u64, cross_validate: bool) -> Self {
+        let explicit = ExplicitChecker::new(system);
         PortfolioOracle {
             condition_cost: explicit.estimate_condition_cost(),
             explicit,
             kinduction: KInductionChecker::new(system),
-            explicit_budget,
             route_threshold,
             cross_validate,
-            fallbacks: 0,
         }
     }
 
@@ -82,23 +77,17 @@ impl<'a> PortfolioOracle<'a> {
         outgoing: &[Expr],
     ) -> CheckResult {
         if self.condition_cost <= self.route_threshold {
-            let mut budget = self.explicit_budget;
-            if let Some(result) =
-                self.explicit
-                    .check_condition_budgeted(assumption, blocked, outgoing, &mut budget)
-            {
-                if self.cross_validate {
-                    let reference = self
-                        .kinduction
-                        .check_condition(assumption, blocked, outgoing);
-                    assert_eq!(
-                        result, reference,
-                        "explicit and k-induction engines disagree on a condition check"
-                    );
-                }
-                return result;
+            let result = self.explicit.check_condition(assumption, blocked, outgoing);
+            if self.cross_validate {
+                let reference = self
+                    .kinduction
+                    .check_condition(assumption, blocked, outgoing);
+                assert_eq!(
+                    result, reference,
+                    "explicit and k-induction engines disagree on a condition check"
+                );
             }
-            self.fallbacks += 1;
+            return result;
         }
         self.kinduction
             .check_condition(assumption, blocked, outgoing)
@@ -108,32 +97,23 @@ impl<'a> PortfolioOracle<'a> {
     /// whether the state characterised by `state_formula` is unreachable.
     pub fn check_spurious(&mut self, state_formula: &Expr, k: usize) -> SpuriousResult {
         if self.condition_cost.saturating_mul(k.max(1) as u64) <= self.route_threshold {
-            let mut budget = self.explicit_budget;
-            if let Some(result) =
-                self.explicit
-                    .check_spurious_budgeted(state_formula, k, &mut budget)
-            {
-                if self.cross_validate {
-                    let reference = self.kinduction.check_spurious(state_formula, k);
-                    assert_eq!(
-                        result, reference,
-                        "explicit and k-induction engines disagree on a spurious check"
-                    );
-                }
-                return result;
+            let result = self.explicit.check_spurious(state_formula, k);
+            if self.cross_validate {
+                let reference = self.kinduction.check_spurious(state_formula, k);
+                assert_eq!(
+                    result, reference,
+                    "explicit and k-induction engines disagree on a spurious check"
+                );
             }
-            self.fallbacks += 1;
+            return result;
         }
         self.kinduction.check_spurious(state_formula, k)
     }
 
     /// Statistics accumulated by both engines so far, including the
-    /// per-engine query attribution counters and the budget fallbacks.
+    /// per-engine query attribution counters.
     pub fn stats(&self) -> CheckerStats {
-        let mut stats = self.explicit.stats();
-        stats += self.kinduction.stats();
-        stats.explicit_fallbacks += self.fallbacks;
-        stats
+        self.explicit.stats() + self.kinduction.stats()
     }
 }
 
@@ -168,7 +148,7 @@ mod tests {
         let ce = sys.var(c);
         // Threshold u64::MAX: everything routed explicitly, every answer
         // double-checked against k-induction.
-        let mut oracle = PortfolioOracle::new(&sys, u64::MAX, u64::MAX, true);
+        let mut oracle = PortfolioOracle::new(&sys, u64::MAX, true);
         for bound in 0..8 {
             let _ = oracle.check_condition(&Expr::true_(), &[], &[ce.ne(&Expr::int_val(bound, 4))]);
         }
@@ -183,27 +163,6 @@ mod tests {
         assert!(stats.explicit_queries > 0);
         // Cross-validation runs both engines on every query.
         assert_eq!(stats.kinduction_queries, stats.explicit_queries);
-        assert_eq!(stats.explicit_fallbacks, 0);
-    }
-
-    #[test]
-    fn budget_exhaustion_falls_back_to_kinduction() {
-        let sys = saturating_counter();
-        let c = sys.vars().lookup("c").unwrap();
-        let ce = sys.var(c);
-        // A 2-unit budget cannot finish any query on this system.
-        let mut oracle = PortfolioOracle::new(&sys, 2, u64::MAX, false);
-        let conclusion = ce.le(&Expr::int_val(5, 4));
-        assert!(oracle
-            .check_condition(&conclusion, &[], std::slice::from_ref(&conclusion))
-            .is_valid());
-        let stats = oracle.stats();
-        assert_eq!(stats.explicit_fallbacks, 1);
-        assert_eq!(stats.kinduction_queries, 1);
-        assert_eq!(stats.explicit_queries, 0);
-        // The (aborted) explicit attempt does not count as an answered
-        // condition check.
-        assert_eq!(stats.condition_checks, 1);
     }
 
     #[test]
@@ -214,7 +173,7 @@ mod tests {
         // The k-induction kind's threshold: nothing is small enough for the
         // explicit engine, so the portfolio is the paper's bare checker.
         let threshold = OracleKind::KInduction.route_threshold();
-        let mut oracle = PortfolioOracle::new(&sys, u64::MAX, threshold, false);
+        let mut oracle = PortfolioOracle::new(&sys, threshold, false);
         let mut bare = KInductionChecker::new(&sys);
         for bound in 0..8 {
             let conclusion = [ce.ne(&Expr::int_val(bound, 4))];
@@ -244,10 +203,6 @@ mod tests {
         assert_eq!(stats.explicit_queries, 0);
         assert_eq!(stats.explicit_work, 0);
         assert!(stats.spurious_checks > 0);
-        assert_eq!(
-            stats.explicit_fallbacks, 0,
-            "routing misses are not fallbacks"
-        );
     }
 
     #[test]
@@ -255,7 +210,7 @@ mod tests {
         let sys = saturating_counter();
         let c = sys.vars().lookup("c").unwrap();
         let ce = sys.var(c);
-        let mut portfolio = PortfolioOracle::new(&sys, u64::MAX, u64::MAX, false);
+        let mut portfolio = PortfolioOracle::new(&sys, u64::MAX, false);
         let mut sat = KInductionChecker::new(&sys);
         for bound in 0..8 {
             let conclusion = [ce.ne(&Expr::int_val(bound, 4))];

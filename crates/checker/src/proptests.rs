@@ -52,7 +52,7 @@ proptest! {
         let c = sys.vars().lookup("c").unwrap();
         let ce = sys.var(c);
         let mut sat_checker = KInductionChecker::new(&sys);
-        let mut explicit = ExplicitChecker::new(&sys, 10_000);
+        let mut explicit = ExplicitChecker::new(&sys);
         // Check a family of candidate invariants; whenever the k-induction
         // checker says Valid, the explicit oracle must agree on reachable
         // transitions (the converse need not hold).
@@ -62,10 +62,7 @@ proptest! {
                 .check_condition(&Expr::true_(), &[], std::slice::from_ref(&conclusion))
                 .is_valid();
             if sat_valid {
-                prop_assert_eq!(
-                    explicit.condition_holds_on_reachable(&Expr::true_(), &conclusion),
-                    Some(true)
-                );
+                prop_assert!(explicit.condition_holds_on_reachable(&Expr::true_(), &conclusion));
             }
         }
     }
@@ -76,7 +73,7 @@ proptest! {
         let c = sys.vars().lookup("c").unwrap();
         let flag = sys.vars().lookup("flag").unwrap();
         let mut sat_checker = KInductionChecker::new(&sys);
-        let mut explicit = ExplicitChecker::new(&sys, 10_000);
+        let mut explicit = ExplicitChecker::new(&sys);
 
         let mut state = sys.initial_valuation();
         state.set(c, Value::Int(target.min(15)));
@@ -84,7 +81,7 @@ proptest! {
         let formula = state_formula(sys.vars(), &state, &[c, flag]);
         // A bound of 2*n exceeds the diameter of this system.
         let verdict = sat_checker.check_spurious(&formula, (2 * n) as usize);
-        let truly_reachable = explicit.is_reachable(&formula).unwrap();
+        let truly_reachable = explicit.is_reachable(&formula);
         match verdict {
             SpuriousResult::Spurious => prop_assert!(!truly_reachable, "spurious verdict for a reachable state"),
             SpuriousResult::Reachable => prop_assert!(truly_reachable, "reachable verdict for an unreachable state"),
@@ -96,34 +93,38 @@ proptest! {
     fn explicit_engine_matches_kinduction_exactly(n in 3i64..10, threshold in 1i64..8, bound in 0i64..9) {
         // The production explicit engine decides the same formulas as the
         // SAT engine — same verdicts AND the same canonical counterexample
-        // transitions — for both query shapes.
+        // transitions — for both query shapes, within the work bounds that
+        // let the portfolio route queries by estimated cost alone.
         let sys = parametric_system(n, threshold);
         let c = sys.vars().lookup("c").unwrap();
         let flag = sys.vars().lookup("flag").unwrap();
         let ce = sys.var(c);
         let mut sat_checker = KInductionChecker::new(&sys);
-        let mut explicit = ExplicitChecker::new(&sys, 100_000);
+        let mut explicit = ExplicitChecker::new(&sys);
+        let cost = explicit.estimate_condition_cost();
 
-        let conclusion = ce.ne(&Expr::int_val(bound, 4));
-        let mut budget = u64::MAX;
+        let conclusion = [ce.ne(&Expr::int_val(bound, 4))];
         prop_assert_eq!(
-            explicit
-                .check_condition_budgeted(&Expr::true_(), &[], std::slice::from_ref(&conclusion), &mut budget)
-                .unwrap(),
-            sat_checker.check_condition(&Expr::true_(), &[], std::slice::from_ref(&conclusion))
+            explicit.check_condition(&Expr::true_(), &[], &conclusion),
+            sat_checker.check_condition(&Expr::true_(), &[], &conclusion)
         );
+        let work = explicit.stats().explicit_work;
+        prop_assert!(work <= 2 * cost, "condition: {} > 2 x {}", work, cost);
 
         let mut state = sys.initial_valuation();
         state.set(c, Value::Int(bound.min(15)));
         state.set(flag, Value::Bool(bound >= threshold));
         let formula = state_formula(sys.vars(), &state, &[c, flag]);
         for k in [1usize, 3, (2 * n) as usize] {
-            let mut budget = u64::MAX;
+            let before = explicit.stats().explicit_work;
             prop_assert_eq!(
-                explicit.check_spurious_budgeted(&formula, k, &mut budget).unwrap(),
+                explicit.check_spurious(&formula, k),
                 sat_checker.check_spurious(&formula, k),
                 "k = {}", k
             );
+            let work = explicit.stats().explicit_work - before;
+            let limit = (k as u64 + 4) * cost;
+            prop_assert!(work <= limit, "k = {}: {} > (k + 4) x {}", k, work, cost);
         }
     }
 }

@@ -51,9 +51,7 @@
 
 use crate::conditions::{Condition, ConditionKind};
 use crate::learner_loop::ActiveLearnerConfig;
-use amle_checker::{
-    CheckResult, CheckerStats, OracleKind, PortfolioOracle, SpuriousResult, DEFAULT_QUERY_BUDGET,
-};
+use amle_checker::{CheckResult, CheckerStats, OracleKind, PortfolioOracle, SpuriousResult};
 use amle_expr::{Expr, Valuation, VarId, VarSet};
 use amle_system::System;
 use std::collections::HashMap;
@@ -182,10 +180,9 @@ pub(crate) struct ConditionEvaluation {
     pub counterexamples: Vec<(Condition, Valuation, Valuation)>,
     pub spurious: usize,
     pub inconclusive: usize,
-    /// Conditions answered by the verdict cache this evaluation.
+    /// Conditions answered by the verdict cache this evaluation; the rest
+    /// were solved by an oracle.
     pub cache_hits: usize,
-    /// Conditions actually solved by an oracle this evaluation.
-    pub solved: usize,
 }
 
 impl ConditionEvaluation {
@@ -459,7 +456,6 @@ fn merge(conditions: &[Condition], plan: PlannedWork) -> ConditionEvaluation {
         spurious: 0,
         inconclusive: 0,
         cache_hits: plan.cache_hits,
-        solved: conditions.len() - plan.cache_hits,
     };
     for (condition, outcome) in conditions.iter().zip(plan.outcomes) {
         match outcome.expect("every condition produced an outcome") {
@@ -512,9 +508,7 @@ impl<'a> ConditionEngine<'a> {
             system,
             planner: QueryPlanner::new(verdict_cache),
             oracles: (0..config.parallel.workers.max(1))
-                .map(|_| {
-                    PortfolioOracle::new(system, DEFAULT_QUERY_BUDGET, threshold, cross_validate)
-                })
+                .map(|_| PortfolioOracle::new(system, threshold, cross_validate))
                 .collect(),
             observables: config.observables_of(system),
             k: config.k,
@@ -724,15 +718,16 @@ mod tests {
         let first = engine.evaluate(&[unchanged.clone(), mutated_v1]);
         assert_eq!(first.held, 2);
         assert_eq!(first.cache_hits, 0);
-        assert_eq!(first.solved, 2);
 
         // Iteration 2: state 1 keeps its id and position but its outgoing
         // set changed to something falsifiable ("after a step, s never
         // holds" is violated by tick = true).
         let mutated_v2 = state_condition(1, se.not(), vec![se.not()]);
         let second = engine.evaluate(&[unchanged, mutated_v2]);
-        assert_eq!(second.cache_hits, 1, "the unchanged condition must hit");
-        assert_eq!(second.solved, 1, "the mutated condition must re-solve");
+        assert_eq!(
+            second.cache_hits, 1,
+            "the unchanged condition must hit and the mutated one re-solve"
+        );
         assert_eq!(
             second.counterexamples.len(),
             1,
@@ -762,7 +757,7 @@ mod tests {
 
         let original = state_condition(0, se.clone(), vec![se.clone(), se.not()]);
         let first = engine.evaluate(std::slice::from_ref(&original));
-        assert_eq!((first.cache_hits, first.solved), (0, 1));
+        assert_eq!(first.cache_hits, 0);
 
         // The refinement-loop motif: same semantics, different shape, and a
         // different state id for good measure.
@@ -778,7 +773,6 @@ mod tests {
             second.cache_hits, 1,
             "canonical keys must merge the variants"
         );
-        assert_eq!(second.solved, 0);
         assert_eq!(second.held, first.held);
 
         let stats = engine.cache_stats();
@@ -798,10 +792,9 @@ mod tests {
         let at_state_0 = state_condition(0, se.clone(), vec![Expr::true_()]);
         let at_state_7 = state_condition(7, se, vec![Expr::true_()]);
         let first = engine.evaluate(std::slice::from_ref(&at_state_0));
-        assert_eq!(first.solved, 1);
+        assert_eq!(first.cache_hits, 0);
         let second = engine.evaluate(std::slice::from_ref(&at_state_7));
         assert_eq!(second.cache_hits, 1);
-        assert_eq!(second.solved, 0);
     }
 
     /// Cache on and cache off must produce identical evaluations (the cache
@@ -862,7 +855,6 @@ mod tests {
         let mut cached = engine(&system, true);
         let evaluation = cached.evaluate(&batch);
         assert_eq!(evaluation.held, 3, "duplicates must still get an outcome");
-        assert_eq!(evaluation.solved, 1);
         assert_eq!(evaluation.cache_hits, 2);
         assert_eq!(cached.checker_stats().condition_checks, 1);
         let stats = cached.cache_stats();
@@ -871,7 +863,7 @@ mod tests {
         let mut uncached = engine(&system, false);
         let evaluation = uncached.evaluate(&batch);
         assert_eq!(evaluation.held, 3);
-        assert_eq!(evaluation.solved, 3);
+        assert_eq!(evaluation.cache_hits, 0);
         assert_eq!(uncached.checker_stats().condition_checks, 3);
     }
 

@@ -479,7 +479,6 @@ pub(crate) fn run_refinement<L: ModelLearner>(
             words_encoded: iteration_words.words_encoded,
             words_reused: iteration_words.words_reused,
             cache_hits: evaluation.cache_hits,
-            conditions_solved: evaluation.solved,
         });
 
         conditions = extracted;

@@ -65,10 +65,9 @@ pub struct IterationStats {
     /// iteration (zero for non-incremental learners).
     pub words_reused: u64,
     /// Conditions answered by the cross-iteration verdict cache this
-    /// iteration (no oracle query at all).
+    /// iteration (no oracle query at all); the other
+    /// `conditions − cache_hits` were solved by a condition oracle.
     pub cache_hits: usize,
-    /// Conditions actually solved by a condition oracle this iteration.
-    pub conditions_solved: usize,
 }
 
 /// The result of an active-learning run.

@@ -134,13 +134,12 @@ fn circuit_fingerprints_identical_across_engines_cache_and_workers() {
 fn explicit_first_portfolio_matches_kinduction_on_small_systems() {
     // Small input/state products are the explicit engine's home turf: on
     // every benchmark the portfolio routes to it, the portfolio answers
-    // explicit-first (with k-induction rescuing budget exhaustions), and
-    // cross-validation additionally asserts per-query agreement inside the
-    // portfolio.
+    // explicit-first, and cross-validation additionally asserts per-query
+    // agreement inside the portfolio.
     let small: Vec<Benchmark> = full_suite()
         .into_iter()
         .filter(|b| {
-            amle_checker::ExplicitChecker::new(&b.system, 0).estimate_condition_cost()
+            amle_checker::ExplicitChecker::new(&b.system).estimate_condition_cost()
                 <= DEFAULT_ROUTE_THRESHOLD
         })
         .collect();

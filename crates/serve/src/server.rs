@@ -14,6 +14,11 @@
 //! accept loop is never blocked by a slow session), and wait for the reply
 //! with the request's deadline.
 //!
+//! The daemon serves at most [`MAX_CONNECTIONS`] connections at once. The
+//! accept loop joins connections whose thread has ended, so a closed
+//! connection releases its socket; a connection beyond the cap gets one
+//! retriable error line and is closed.
+//!
 //! Graceful shutdown (the `shutdown` verb): stop accepting, drop every
 //! session's queue sender and join the actors — the queue delivers buffered
 //! commands before disconnecting, so in-flight refinements drain — then
@@ -38,6 +43,13 @@ use std::time::Duration;
 /// non-retriable error and its connection is closed, so a peer that never
 /// sends a newline cannot grow the daemon's memory without bound.
 pub const MAX_REQUEST_BYTES: usize = 16 << 20;
+
+/// Most connections the daemon serves at once: one thread each, bounded like
+/// a session's [`crate::session_actor::MAX_WORKERS`]. With request lines
+/// capped at [`MAX_REQUEST_BYTES`] it also bounds buffered request input at
+/// 1 GiB. A client beyond the cap gets one retriable error line, and the
+/// daemon then closes the connection.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Shared state of one daemon instance.
 struct Shared {
@@ -81,20 +93,35 @@ impl Server {
             if self.shared.shutting_down.load(Ordering::SeqCst) {
                 break;
             }
-            let stream = match stream {
+            let mut stream = match stream {
                 Ok(stream) => stream,
                 Err(_) => continue,
             };
+            let mut connections = self
+                .shared
+                .connections
+                .lock()
+                .expect("connection registry poisoned");
+            // Join the connections whose thread has ended; dropping the
+            // registry's stream clone closes their socket.
+            for (_, join) in connections.extract_if(.., |(_, join)| join.is_finished()) {
+                let _ = join.join();
+            }
+            if connections.len() >= MAX_CONNECTIONS {
+                // One retriable error line; dropping `stream` then closes it.
+                drop(connections);
+                let message =
+                    format!("the daemon serves at most {MAX_CONNECTIONS} connections; retry later");
+                let line = error_response(message, true).render() + "\n";
+                let _ = stream.write_all(line.as_bytes());
+                continue;
+            }
             let peer = stream
                 .try_clone()
                 .expect("cloning an accepted stream cannot fail");
             let shared = Arc::clone(&self.shared);
             let join = std::thread::spawn(move || handle_connection(stream, shared));
-            self.shared
-                .connections
-                .lock()
-                .expect("connection registry poisoned")
-                .push((peer, join));
+            connections.push((peer, join));
         }
 
         // Drain sessions first: dropping the queue senders lets each actor
@@ -463,10 +490,114 @@ fn handle_session_verb(op: &str, request: &Json, shared: &Arc<Shared>, writer: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread;
+    use std::time::Instant;
+
+    const PING: &str = r#"{"op":"ping"}"#;
+
+    /// A daemon serving on its own thread, with its registry in reach.
+    fn start() -> (SocketAddr, Arc<Shared>, JoinHandle<std::io::Result<()>>) {
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let shared = Arc::clone(&server.shared);
+        (
+            server.local_addr(),
+            shared,
+            thread::spawn(move || server.run()),
+        )
+    }
+
+    fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
+        let stream = TcpStream::connect(addr).expect("connect to the daemon");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set a read timeout");
+        BufReader::new(stream)
+    }
+
+    /// Sends `request` (if any) and reads one line back; `None` when the
+    /// daemon closed the connection instead.
+    fn exchange(client: &mut BufReader<TcpStream>, request: Option<&str>) -> Option<Json> {
+        if let Some(request) = request {
+            client
+                .get_mut()
+                .write_all(format!("{request}\n").as_bytes())
+                .ok()?;
+        }
+        let mut line = String::new();
+        match client.read_line(&mut line) {
+            Ok(n) if n > 0 => parse_json(line.trim_end()).ok(),
+            _ => None,
+        }
+    }
+
+    fn pinged(addr: SocketAddr) -> Option<BufReader<TcpStream>> {
+        let mut client = connect(addr);
+        let reply = exchange(&mut client, Some(PING))?;
+        (reply.get("pong") == Some(&Json::Bool(true))).then_some(client)
+    }
+
+    /// Shuts the daemon down through a served client and waits for the drain.
+    fn shut_down(mut client: BufReader<TcpStream>, serving: JoinHandle<std::io::Result<()>>) {
+        let reply = exchange(&mut client, Some(r#"{"op":"shutdown"}"#)).expect("a reply");
+        assert_eq!(reply.get("shutting_down"), Some(&Json::Bool(true)));
+        serving.join().unwrap().unwrap();
+    }
 
     #[test]
     fn bind_to_ephemeral_port() {
         let server = Server::bind("127.0.0.1:0").unwrap();
         assert_ne!(server.local_addr().port(), 0);
+    }
+
+    #[test]
+    fn closed_connections_leave_the_registry() {
+        let (addr, shared, serving) = start();
+        for _ in 0..50 {
+            drop(pinged(addr).expect("a served connection"));
+        }
+        // A connection thread ends just after its peer closes, and the next
+        // accept joins it: poll with a probe until the probe is all that
+        // is left.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let probe = loop {
+            let probe = pinged(addr).expect("a served probe");
+            let held = shared.connections.lock().unwrap().len();
+            if held == 1 {
+                break probe;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the registry holds {held} connections, not just the probe"
+            );
+            thread::sleep(Duration::from_millis(50));
+        };
+        shut_down(probe, serving);
+    }
+
+    #[test]
+    fn connections_beyond_the_cap_are_refused_until_one_closes() {
+        let (addr, _, serving) = start();
+        let mut clients: Vec<_> = (0..MAX_CONNECTIONS)
+            .map(|_| pinged(addr).expect("a served connection"))
+            .collect();
+        // The refusal arrives unasked, and then the daemon closes.
+        let mut refused = connect(addr);
+        let refusal = exchange(&mut refused, None).expect("a refusal line");
+        assert_eq!(refusal.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(refusal.get("retriable"), Some(&Json::Bool(true)));
+        assert!(exchange(&mut refused, None).is_none());
+
+        // Once a served client closes (its thread ends just after), a new
+        // client is served.
+        drop(clients.pop());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while pinged(addr).is_none() {
+            assert!(
+                Instant::now() < deadline,
+                "no client was served after one closed"
+            );
+            thread::sleep(Duration::from_millis(20));
+        }
+        shut_down(clients.pop().unwrap(), serving);
     }
 }
