@@ -5,21 +5,42 @@
 //! ```text
 //! cargo run --release -p amle-bench --example prof -- <name> <traces> <len> <k> <iters>
 //! ```
+//!
+//! `<name>` is a suite benchmark; the four numbers are positive integers.
+//! Missing, unparsable or zero arguments and unknown benchmarks print the
+//! usage and exit with status 2.
 
 use amle_bench::run_active;
 use amle_benchmarks::benchmark_by_name;
 use amle_core::ActiveLearnerConfig;
 use amle_learner::HistoryLearner;
+use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let name = args.next().unwrap();
-    let traces: usize = args.next().unwrap().parse().unwrap();
-    let len: usize = args.next().unwrap().parse().unwrap();
-    let k: usize = args.next().unwrap().parse().unwrap();
-    let iters: usize = args.next().unwrap().parse().unwrap();
-    let b = benchmark_by_name(&name).unwrap();
+fn usage() -> ExitCode {
+    eprintln!(
+        "usage: prof <name> <traces> <len> <k> <iters>\n\
+         \x20 <name>: a suite benchmark; the four numbers are positive integers"
+    );
+    ExitCode::from(2)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [name, numbers @ ..] = args.as_slice() else {
+        return usage();
+    };
+    let numbers: Vec<usize> = numbers
+        .iter()
+        .filter_map(|raw| raw.parse().ok().filter(|&n| n > 0))
+        .collect();
+    let Ok([traces, len, k, iters]) = <[usize; 4]>::try_from(numbers) else {
+        return usage();
+    };
+    let Some(b) = benchmark_by_name(name) else {
+        eprintln!("unknown benchmark `{name}`");
+        return usage();
+    };
     let config = ActiveLearnerConfig {
         observables: Some(b.observables.clone()),
         initial_traces: traces,
@@ -29,15 +50,16 @@ fn main() {
         ..Default::default()
     };
     let t = Instant::now();
-    let (row, report) = run_active(&b, HistoryLearner::default(), config);
+    let report = run_active(&b, HistoryLearner::default(), config).report;
+    let solver = report.solver_stats();
     println!(
         "{name} t={traces}x{len} k={k} i={iters}: {:.2}s alpha={:.2} iters={} states={} solves={} Tsat={:.2}s",
         t.elapsed().as_secs_f64(),
-        row.alpha,
-        row.iterations,
-        row.states,
-        row.solve_calls,
-        report.solver_stats().solve_time.as_secs_f64()
+        report.alpha,
+        report.iterations,
+        report.num_states(),
+        solver.solve_calls,
+        solver.solve_time.as_secs_f64()
     );
     println!(
         "  learn={:.2}s check={:.2}s total={:.2}s conditions_last={}",
@@ -58,4 +80,5 @@ fn main() {
         report.checker_stats.kinduction_queries,
         report.checker_stats.explicit_queries
     );
+    ExitCode::SUCCESS
 }

@@ -28,8 +28,7 @@ fn main() {
         for k in [1usize, 4, 8, 16, 32] {
             let mut config = quick_config(&benchmark);
             config.k = k;
-            let (row, _) = run_active(&benchmark, HistoryLearner::default(), config);
-            rows.push(row);
+            rows.push(run_active(&benchmark, HistoryLearner::default(), config));
         }
         println!("{name}:");
         println!("{}", format_active_table(&rows));

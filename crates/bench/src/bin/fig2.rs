@@ -8,14 +8,17 @@ use amle_learner::HistoryLearner;
 fn main() {
     let benchmark =
         benchmark_by_name("HomeClimateControlCooler").expect("benchmark suite includes the cooler");
-    let (row, report) = run_active(
+    let row = run_active(
         &benchmark,
         HistoryLearner::default(),
         paper_config(&benchmark),
     );
+    let report = &row.report;
     println!(
         "Fig. 2 — Home Climate-Control Cooler abstraction (alpha = {:.2}, d = {:.2}, {} states)",
-        row.alpha, row.d, row.states
+        report.alpha,
+        row.d,
+        report.num_states()
     );
     println!();
     let vars = benchmark.system.vars();

@@ -2,17 +2,36 @@
 //! a model passively from a large random-input budget and measure its degree
 //! of completeness with the same condition checks the active algorithm uses.
 //!
-//! The budget defaults to 20 000 inputs per benchmark (a scaled-down stand-in
-//! for the paper's 10^6; pass a number as the first argument to change it).
+//! ```text
+//! random_sampling [<budget>]
+//! ```
+//!
+//! The budget is the number of random inputs per benchmark, a positive
+//! integer; it defaults to 20 000 (a scaled-down stand-in for the paper's
+//! 10^6). Any other argument prints the usage and exits with status 2.
 
 use amle_bench::{format_random_table, run_random_sampling, RandomRow};
 use amle_benchmarks::all_benchmarks;
+use std::process::ExitCode;
 
-fn main() {
-    let budget: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000);
+fn usage() -> ExitCode {
+    eprintln!(
+        "usage: random_sampling [<budget>]\n\
+         \x20 <budget>: random inputs per benchmark, a positive integer (default 20000)"
+    );
+    ExitCode::from(2)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let budget = match args.as_slice() {
+        [] => 20_000,
+        [raw] => match raw.parse::<usize>() {
+            Ok(budget) if budget > 0 => budget,
+            _ => return usage(),
+        },
+        _ => return usage(),
+    };
     let mut rows: Vec<RandomRow> = Vec::new();
     for benchmark in all_benchmarks() {
         eprintln!("running {} ...", benchmark.name);
@@ -20,10 +39,11 @@ fn main() {
     }
     println!("Table I — Random Sampling (budget = {budget} inputs per benchmark)");
     println!("{}", format_random_table(&rows));
-    let incomplete = rows.iter().filter(|r| r.alpha < 1.0).count();
+    let incomplete = rows.iter().filter(|r| r.report.alpha < 1.0).count();
     println!(
         "summary: {}/{} benchmarks have alpha < 1 under random sampling",
         incomplete,
         rows.len()
     );
+    ExitCode::SUCCESS
 }

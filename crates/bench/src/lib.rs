@@ -23,10 +23,10 @@ pub mod perf;
 
 use amle_benchmarks::Benchmark;
 use amle_core::{
-    random_sampling_baseline, ActiveLearner, ActiveLearnerConfig, InternerStats, RunReport,
+    random_sampling_baseline, ActiveLearner, ActiveLearnerConfig, BaselineReport, RunReport,
 };
 use amle_learner::{HistoryLearner, KTailsLearner, ModelLearner};
-use amle_serve::json::json_escape;
+use amle_serve::json::{obj, Json};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -56,7 +56,9 @@ pub fn quick_config(benchmark: &Benchmark) -> ActiveLearnerConfig {
     }
 }
 
-/// One row of the "Our Algorithm" side of Table I.
+/// One row of the "Our Algorithm" side of Table I: the run's report plus
+/// the few benchmark facts the report lacks. The tables and the suite JSON
+/// read every measured counter from `report`.
 #[derive(Debug, Clone)]
 pub struct ActiveRow {
     /// Benchmark name.
@@ -65,84 +67,14 @@ pub struct ActiveRow {
     pub observables: usize,
     /// The k-induction bound used for spurious checks.
     pub k: usize,
-    /// Number of learning iterations (`i`).
-    pub iterations: usize,
     /// Accuracy score against the reference machine (`d`).
     pub d: f64,
-    /// Number of states of the final abstraction (`N`).
-    pub states: usize,
-    /// Degree of completeness (`α`).
-    pub alpha: f64,
-    /// Total runtime in seconds (`T`).
-    pub time_s: f64,
-    /// Percentage of runtime spent in model learning (`%Tm`).
-    pub learn_pct: f64,
-    /// Total SAT solve calls across the checking and learning phases.
-    pub solve_calls: u64,
-    /// Wall-clock seconds spent inside the SAT backend.
-    pub solver_time_s: f64,
-    /// CDCL decisions across all solver sessions (`dec`).
-    pub decisions: u64,
-    /// Unit propagations across all solver sessions (`props`).
-    pub propagations: u64,
-    /// Conflicts across all solver sessions (`confl`).
-    pub conflicts: u64,
-    /// Literals removed from learnt clauses by recursive minimization before
-    /// attachment (`minlit`).
-    pub minimized_lits: u64,
-    /// Mean LBD ("glue") of the learnt clauses stored across all solver
-    /// sessions (`mLBD`); low glue means reusable clauses.
-    pub mean_lbd: f64,
-    /// Final trace count of the run.
-    pub traces: usize,
-    /// Distinct interned observations in the trace store (`uobs`).
-    pub unique_observations: usize,
-    /// Segments of the shared-prefix DAG (`segs`).
-    pub segments: usize,
-    /// Estimated KiB saved by interning + prefix sharing versus flat traces.
-    pub saved_kib: u64,
-    /// Abstract words the learner encoded across the run (`enc`).
-    pub words_encoded: u64,
-    /// Abstract words the learner reused from its incremental cache
-    /// (`reuse`).
-    pub words_reused: u64,
-    /// Words encoded per iteration, in iteration order — the growth curve
-    /// the trace-store work targets (at most linear on non-converging
-    /// benchmarks).
-    pub words_encoded_per_iteration: Vec<u64>,
-    /// Conditions answered by the cross-iteration verdict cache (`hits`).
-    pub cache_hits: u64,
-    /// Conditions that had to be solved by an oracle (`miss`).
-    pub cache_misses: u64,
-    /// Oracle queries answered by the k-induction engine (`kiQ`).
-    pub kinduction_queries: u64,
-    /// Oracle queries answered by the explicit-state engine (`exQ`).
-    pub explicit_queries: u64,
-    /// Work units charged by the explicit engine (`exWork`).
-    pub explicit_work: u64,
-    /// Conclusion disjuncts Tseitin-encoded for the first time in a
-    /// condition session (`disjE`).
-    pub disj_encoded: u64,
-    /// Conclusion disjuncts served from the session's persistent ledger
-    /// without re-encoding (`disjR`).
-    pub disj_reused: u64,
-    /// Base-session frame disjuncts chain-encoded for the first time
-    /// (`frmE`).
-    pub frames_encoded: u64,
-    /// Base-session frame disjuncts served from the activation ledger
-    /// without re-encoding (`frmR`).
-    pub frames_reused: u64,
-    /// Expression-interner traffic during the run: nodes created
-    /// (`inodes`), intern hit rate (`ihit%`) and canonical rewrites applied
-    /// (`rewr`).
-    pub interner: InternerStats,
-    /// Distinct expression nodes reachable from the final invariant set
-    /// (`Expr::dag_size` of the invariants' conjunction) — the honest size
-    /// measure; the tree-shaped node count overstates shared predicates.
-    pub invariant_dag_nodes: u64,
     /// Netlist statistics for circuit benchmarks (gates/latches in and out
     /// of the cone of influence); `None` for every other benchmark family.
     pub circuit: Option<amle_circuit::NetlistStats>,
+    /// The run's report: iterations (`i`), states (`N`), `α`, times and
+    /// every work counter.
+    pub report: RunReport,
 }
 
 /// Runs the active-learning algorithm on one benchmark and produces its
@@ -151,52 +83,18 @@ pub fn run_active<L: ModelLearner>(
     benchmark: &Benchmark,
     learner: L,
     config: ActiveLearnerConfig,
-) -> (ActiveRow, RunReport) {
-    let mut active = ActiveLearner::new(&benchmark.system, learner, config.clone());
+) -> ActiveRow {
+    let k = config.k;
+    let mut active = ActiveLearner::new(&benchmark.system, learner, config);
     let report = active.run().expect("active learning run failed");
-    let solver = report.solver_stats();
-    let row = ActiveRow {
+    ActiveRow {
         name: benchmark.name.to_string(),
         observables: benchmark.num_observables(),
-        k: config.k,
-        iterations: report.iterations,
+        k,
         d: benchmark.score_d(&report.abstraction),
-        states: report.num_states(),
-        alpha: report.alpha,
-        time_s: report.total_time.as_secs_f64(),
-        learn_pct: report.learn_time_percentage(),
-        solve_calls: solver.solve_calls,
-        solver_time_s: solver.solve_time.as_secs_f64(),
-        decisions: solver.decisions,
-        propagations: solver.propagations,
-        conflicts: solver.conflicts,
-        minimized_lits: solver.minimized_lits,
-        mean_lbd: solver.mean_lbd(),
-        traces: report.trace_count,
-        unique_observations: report.trace_store.unique_observations,
-        segments: report.trace_store.segments,
-        saved_kib: report.trace_store.approx_bytes_saved / 1024,
-        words_encoded: report.word_stats.words_encoded,
-        words_reused: report.word_stats.words_reused,
-        words_encoded_per_iteration: report
-            .iteration_stats
-            .iter()
-            .map(|s| s.words_encoded)
-            .collect(),
-        cache_hits: report.verdict_cache.hits,
-        cache_misses: report.verdict_cache.misses,
-        kinduction_queries: report.checker_stats.kinduction_queries,
-        explicit_queries: report.checker_stats.explicit_queries,
-        explicit_work: report.checker_stats.explicit_work,
-        disj_encoded: report.checker_stats.disj_encoded,
-        disj_reused: report.checker_stats.disj_reused,
-        frames_encoded: report.checker_stats.frames_encoded,
-        frames_reused: report.checker_stats.frames_reused,
-        interner: report.interner,
-        invariant_dag_nodes: invariant_dag_nodes(&report),
         circuit: amle_benchmarks::circuit_stats_for(&benchmark.name),
-    };
-    (row, report)
+        report,
+    }
 }
 
 /// Distinct expression nodes reachable from the run's invariant set: the
@@ -222,14 +120,9 @@ fn invariant_dag_nodes(report: &RunReport) -> u64 {
 pub struct RandomRow {
     /// Benchmark name.
     pub name: String,
-    /// Number of states of the passively learned model (`N`).
-    pub states: usize,
-    /// Degree of completeness (`α`).
-    pub alpha: f64,
-    /// Runtime of trace generation plus learning, in seconds (`T`).
-    pub time_s: f64,
-    /// Number of random inputs consumed.
-    pub inputs: usize,
+    /// The baseline's report: states (`N`), `α`, time (`T`) and the random
+    /// inputs consumed.
+    pub report: BaselineReport,
 }
 
 /// Runs the random-sampling baseline of Section IV-C on one benchmark.
@@ -251,10 +144,7 @@ pub fn run_random_sampling(benchmark: &Benchmark, budget: usize) -> RandomRow {
     .expect("baseline learning failed");
     RandomRow {
         name: benchmark.name.to_string(),
-        states: report.num_states(),
-        alpha: report.alpha,
-        time_s: report.time.as_secs_f64(),
-        inputs: report.inputs_used,
+        report,
     }
 }
 
@@ -265,18 +155,14 @@ pub fn run_random_sampling(benchmark: &Benchmark, budget: usize) -> RandomRow {
 ///
 /// `setup` builds the learner and configuration per benchmark; it runs on the
 /// worker thread that claims the benchmark.
-pub fn run_suite<L, F>(
-    benchmarks: &[Benchmark],
-    workers: usize,
-    setup: F,
-) -> Vec<(ActiveRow, RunReport)>
+pub fn run_suite<L, F>(benchmarks: &[Benchmark], workers: usize, setup: F) -> Vec<ActiveRow>
 where
     L: ModelLearner,
     F: Fn(&Benchmark) -> (L, ActiveLearnerConfig) + Sync,
 {
     let workers = workers.max(1).min(benchmarks.len().max(1));
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<(ActiveRow, RunReport)>>> =
+    let results: Mutex<Vec<Option<ActiveRow>>> =
         Mutex::new((0..benchmarks.len()).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -286,8 +172,8 @@ where
                     break;
                 };
                 let (learner, config) = setup(benchmark);
-                let outcome = run_active(benchmark, learner, config);
-                results.lock().expect("suite worker panicked")[index] = Some(outcome);
+                let row = run_active(benchmark, learner, config);
+                results.lock().expect("suite worker panicked")[index] = Some(row);
             });
         }
     });
@@ -304,11 +190,11 @@ where
 /// suite-level and condition-level worker counts — must produce identical
 /// fingerprints; the suite runner's `--compare` mode and the differential
 /// tests assert exactly this.
-pub fn suite_fingerprint(benchmarks: &[Benchmark], results: &[(ActiveRow, RunReport)]) -> String {
+pub fn suite_fingerprint(benchmarks: &[Benchmark], rows: &[ActiveRow]) -> String {
     let mut out = String::new();
-    for (benchmark, (_, report)) in benchmarks.iter().zip(results) {
+    for (benchmark, row) in benchmarks.iter().zip(rows) {
         out.push_str(&format!("== {}\n", benchmark.name));
-        out.push_str(&report.semantic_fingerprint(benchmark.system.vars()));
+        out.push_str(&row.report.semantic_fingerprint(benchmark.system.vars()));
     }
     out
 }
@@ -335,9 +221,9 @@ pub struct SuiteRunMeta {
     pub wall_time_s: f64,
 }
 
-/// Renders a suite run as a machine-readable JSON document (no external
-/// dependencies — the schema is small and hand-rolled): run metadata, the
-/// digest of the concatenated semantic fingerprint, and one record per
+/// Renders a suite run as a machine-readable JSON document, built as one
+/// [`Json`] value and rendered on one line with sorted keys: run metadata,
+/// the digest of the concatenated semantic fingerprint, and one record per
 /// benchmark with wall time, iterations, solver work, verdict-cache and
 /// interner statistics, and the per-benchmark fingerprint digest. This is
 /// what `suite --json <path>` writes and what the `perf-diff` binary
@@ -351,102 +237,108 @@ pub struct SuiteRunMeta {
 /// frame-ledger counters (`frames_encoded`, `frames_reused` — chain-encoded
 /// frame disjuncts vs activation-ledger reuses) and, on circuit benchmarks
 /// only, a `circuit` object of netlist statistics (input/latch/gate counts
-/// and cone-of-influence survivors).
-pub fn suite_json(
-    meta: &SuiteRunMeta,
-    benchmarks: &[Benchmark],
-    results: &[(ActiveRow, RunReport)],
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": 5,");
-    let _ = writeln!(out, "  \"engine\": \"{}\",", json_escape(&meta.engine));
-    let _ = writeln!(out, "  \"learner\": \"{}\",", json_escape(&meta.learner));
-    let _ = writeln!(out, "  \"quick\": {},", meta.quick);
-    let _ = writeln!(out, "  \"workers\": {},", meta.workers);
-    let _ = writeln!(out, "  \"condition_workers\": {},", meta.condition_workers);
-    let _ = writeln!(out, "  \"wall_time_s\": {:.6},", meta.wall_time_s);
-    let _ = writeln!(
-        out,
-        "  \"fingerprint_digest\": \"{}\",",
-        fingerprint_digest(&suite_fingerprint(benchmarks, results))
-    );
-    out.push_str("  \"benchmarks\": [\n");
+/// and cone-of-influence survivors). Times keep 6 decimals, `mean_lbd` and
+/// the interner `hit_rate` 4.
+pub fn suite_json(meta: &SuiteRunMeta, benchmarks: &[Benchmark], rows: &[ActiveRow]) -> String {
     assert_eq!(
         benchmarks.len(),
-        results.len(),
-        "one result per benchmark, in benchmark order (as run_suite returns)"
+        rows.len(),
+        "one row per benchmark, in benchmark order (as run_suite returns)"
     );
-    for (index, (benchmark, (row, report))) in benchmarks.iter().zip(results).enumerate() {
-        let digest = fingerprint_digest(&report.semantic_fingerprint(benchmark.system.vars()));
-        out.push_str("    {");
-        let _ = write!(
-            out,
-            "\"name\": \"{}\", \"time_s\": {:.6}, \"iterations\": {}, \"alpha\": {}, \
-             \"converged\": {}, \"states\": {}, \"d\": {}, \"traces\": {}, \
-             \"solve_calls\": {}, \"solver_time_s\": {:.6}, \
-             \"decisions\": {}, \"propagations\": {}, \"conflicts\": {}, \
-             \"minimized_lits\": {}, \"mean_lbd\": {:.4}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"disj_encoded\": {}, \"disj_reused\": {}, \
-             \"frames_encoded\": {}, \"frames_reused\": {}, \
-             \"words_encoded\": {}, \"words_reused\": {}, \
-             \"interner\": {{\"nodes_interned\": {}, \"hits\": {}, \
-             \"hit_rate\": {:.4}, \"canonical_rewrites\": {}}}, \
-             \"invariant_dag_nodes\": {}, \"fingerprint_digest\": \"{}\"",
-            json_escape(&row.name),
-            row.time_s,
-            row.iterations,
-            row.alpha,
-            report.converged,
-            row.states,
-            row.d,
-            row.traces,
-            row.solve_calls,
-            row.solver_time_s,
-            row.decisions,
-            row.propagations,
-            row.conflicts,
-            row.minimized_lits,
-            row.mean_lbd,
-            row.cache_hits,
-            row.cache_misses,
-            row.disj_encoded,
-            row.disj_reused,
-            row.frames_encoded,
-            row.frames_reused,
-            row.words_encoded,
-            row.words_reused,
-            row.interner.nodes_interned,
-            row.interner.hits,
-            row.interner.hit_rate(),
-            row.interner.canonical_rewrites,
-            row.invariant_dag_nodes,
-            digest
-        );
-        if let Some(c) = &row.circuit {
-            let _ = write!(
-                out,
-                ", \"circuit\": {{\"inputs\": {}, \"latches_total\": {}, \
-                 \"latches_in_coi\": {}, \"gates_total\": {}, \"gates_in_coi\": {}, \
-                 \"outputs\": {}}}",
-                c.inputs,
-                c.latches_total,
-                c.latches_in_coi,
-                c.gates_total,
-                c.gates_in_coi,
-                c.outputs
-            );
-        }
-        out.push('}');
-        if index + 1 < results.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
+    let records = benchmarks
+        .iter()
+        .zip(rows)
+        .map(|(benchmark, row)| benchmark_record(benchmark, row))
+        .collect();
+    let doc = obj([
+        ("schema", Json::from(5u64)),
+        ("engine", meta.engine.as_str().into()),
+        ("learner", meta.learner.as_str().into()),
+        ("quick", meta.quick.into()),
+        ("workers", meta.workers.into()),
+        ("condition_workers", meta.condition_workers.into()),
+        ("wall_time_s", rounded(meta.wall_time_s, 6)),
+        (
+            "fingerprint_digest",
+            fingerprint_digest(&suite_fingerprint(benchmarks, rows)).into(),
+        ),
+        ("benchmarks", Json::Array(records)),
+    ]);
+    let mut out = doc.render();
+    out.push('\n');
     out
+}
+
+/// One benchmark's record of the suite JSON.
+fn benchmark_record(benchmark: &Benchmark, row: &ActiveRow) -> Json {
+    let report = &row.report;
+    let solver = report.solver_stats();
+    let checker = &report.checker_stats;
+    let interner = &report.interner;
+    let digest = fingerprint_digest(&report.semantic_fingerprint(benchmark.system.vars()));
+    let mut fields = vec![
+        ("name", row.name.as_str().into()),
+        ("time_s", rounded(report.total_time.as_secs_f64(), 6)),
+        ("iterations", report.iterations.into()),
+        ("alpha", report.alpha.into()),
+        ("converged", report.converged.into()),
+        ("states", report.num_states().into()),
+        ("d", row.d.into()),
+        ("traces", report.trace_count.into()),
+        ("solve_calls", solver.solve_calls.into()),
+        ("solver_time_s", rounded(solver.solve_time.as_secs_f64(), 6)),
+        ("decisions", solver.decisions.into()),
+        ("propagations", solver.propagations.into()),
+        ("conflicts", solver.conflicts.into()),
+        ("minimized_lits", solver.minimized_lits.into()),
+        ("mean_lbd", rounded(solver.mean_lbd(), 4)),
+        ("cache_hits", report.verdict_cache.hits.into()),
+        ("cache_misses", report.verdict_cache.misses.into()),
+        ("disj_encoded", checker.disj_encoded.into()),
+        ("disj_reused", checker.disj_reused.into()),
+        ("frames_encoded", checker.frames_encoded.into()),
+        ("frames_reused", checker.frames_reused.into()),
+        ("words_encoded", report.word_stats.words_encoded.into()),
+        ("words_reused", report.word_stats.words_reused.into()),
+        (
+            "interner",
+            obj([
+                ("nodes_interned", interner.nodes_interned.into()),
+                ("hits", interner.hits.into()),
+                ("hit_rate", rounded(interner.hit_rate(), 4)),
+                ("canonical_rewrites", interner.canonical_rewrites.into()),
+            ]),
+        ),
+        ("invariant_dag_nodes", invariant_dag_nodes(report).into()),
+        ("fingerprint_digest", digest.into()),
+    ];
+    if let Some(c) = &row.circuit {
+        fields.push((
+            "circuit",
+            obj([
+                ("inputs", c.inputs.into()),
+                ("latches_total", c.latches_total.into()),
+                ("latches_in_coi", c.latches_in_coi.into()),
+                ("gates_total", c.gates_total.into()),
+                ("gates_in_coi", c.gates_in_coi.into()),
+                ("outputs", c.outputs.into()),
+            ]),
+        ));
+    }
+    fields
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), value))
+        .collect()
+}
+
+/// `x` rounded to `places` decimals exactly as `{:.places$}` formatting
+/// rounds it, so a JSON number keeps the document's fixed precision.
+fn rounded(x: f64, places: usize) -> Json {
+    Json::Number(
+        format!("{x:.places$}")
+            .parse()
+            .expect("a formatted float parses back"),
+    )
 }
 
 /// Runs the learner-choice ablation (history vs k-tails) on one benchmark,
@@ -456,9 +348,8 @@ pub fn run_learner_ablation(benchmark: &Benchmark) -> (ActiveRow, ActiveRow) {
         benchmark,
         HistoryLearner::default(),
         quick_config(benchmark),
-    )
-    .0;
-    let ktails = run_active(benchmark, KTailsLearner::new(1), quick_config(benchmark)).0;
+    );
+    let ktails = run_active(benchmark, KTailsLearner::new(1), quick_config(benchmark));
     (history, ktails)
 }
 
@@ -472,20 +363,22 @@ pub fn format_active_table(rows: &[ActiveRow]) -> String {
         "Benchmark", "|X|", "k", "i", "d", "N", "alpha", "T(s)", "%Tm", "solves", "Tsat(s)", "hits"
     ));
     for r in rows {
+        let report = &r.report;
+        let solver = report.solver_stats();
         out.push_str(&format!(
             "{:<34} {:>3} {:>4} {:>3} {:>5.2} {:>3} {:>6.2} {:>9.2} {:>6.1} {:>7} {:>9.2} {:>6}\n",
             r.name,
             r.observables,
             r.k,
-            r.iterations,
+            report.iterations,
             r.d,
-            r.states,
-            r.alpha,
-            r.time_s,
-            r.learn_pct,
-            r.solve_calls,
-            r.solver_time_s,
-            r.cache_hits
+            report.num_states(),
+            report.alpha,
+            report.total_time.as_secs_f64(),
+            report.learn_time_percentage(),
+            solver.solve_calls,
+            solver.solve_time.as_secs_f64(),
+            report.verdict_cache.hits
         ));
     }
     out
@@ -524,30 +417,33 @@ pub fn format_oracle_table(rows: &[ActiveRow]) -> String {
         "mLBD"
     ));
     for r in rows {
-        let props_per_conflict = if r.conflicts == 0 {
+        let report = &r.report;
+        let solver = report.solver_stats();
+        let checker = &report.checker_stats;
+        let props_per_conflict = if solver.conflicts == 0 {
             0.0
         } else {
-            r.propagations as f64 / r.conflicts as f64
+            solver.propagations as f64 / solver.conflicts as f64
         };
         out.push_str(&format!(
             "{:<34} {:>6} {:>6} {:>7} {:>7} {:>10} {:>6} {:>7} {:>5} {:>6} {:>7} {:>6.1} {:>7} {:>8} {:>8.1} {:>7} {:>5.1}\n",
             r.name,
-            r.cache_hits,
-            r.cache_misses,
-            r.kinduction_queries,
-            r.explicit_queries,
-            r.explicit_work,
-            r.disj_encoded,
-            r.disj_reused,
-            r.frames_encoded,
-            r.frames_reused,
-            r.interner.nodes_interned,
-            100.0 * r.interner.hit_rate(),
-            r.interner.canonical_rewrites,
-            r.conflicts,
+            report.verdict_cache.hits,
+            report.verdict_cache.misses,
+            checker.kinduction_queries,
+            checker.explicit_queries,
+            checker.explicit_work,
+            checker.disj_encoded,
+            checker.disj_reused,
+            checker.frames_encoded,
+            checker.frames_reused,
+            report.interner.nodes_interned,
+            100.0 * report.interner.hit_rate(),
+            report.interner.canonical_rewrites,
+            solver.conflicts,
             props_per_conflict,
-            r.minimized_lits,
-            r.mean_lbd
+            solver.minimized_lits,
+            solver.mean_lbd()
         ));
     }
     out
@@ -565,23 +461,25 @@ pub fn format_store_stats_table(rows: &[ActiveRow]) -> String {
         "Benchmark", "traces", "uobs", "segs", "savedKiB", "enc", "reuse"
     ));
     for r in rows {
+        let report = &r.report;
         out.push_str(&format!(
             "{:<34} {:>7} {:>7} {:>7} {:>9} {:>8} {:>8}\n",
             r.name,
-            r.traces,
-            r.unique_observations,
-            r.segments,
-            r.saved_kib,
-            r.words_encoded,
-            r.words_reused
+            report.trace_count,
+            report.trace_store.unique_observations,
+            report.trace_store.segments,
+            report.trace_store.approx_bytes_saved / 1024,
+            report.word_stats.words_encoded,
+            report.word_stats.words_reused
         ));
     }
     out.push('\n');
     for r in rows {
         let curve: Vec<String> = r
-            .words_encoded_per_iteration
+            .report
+            .iteration_stats
             .iter()
-            .map(u64::to_string)
+            .map(|s| s.words_encoded.to_string())
             .collect();
         out.push_str(&format!(
             "words encoded/iteration {:<23} [{}]\n",
@@ -637,7 +535,11 @@ pub fn format_random_table(rows: &[RandomRow]) -> String {
     for r in rows {
         out.push_str(&format!(
             "{:<34} {:>3} {:>6.2} {:>9.2} {:>8}\n",
-            r.name, r.states, r.alpha, r.time_s, r.inputs
+            r.name,
+            r.report.num_states(),
+            r.report.alpha,
+            r.report.time.as_secs_f64(),
+            r.report.inputs_used
         ));
     }
     out
@@ -647,23 +549,24 @@ pub fn format_random_table(rows: &[RandomRow]) -> String {
 mod tests {
     use super::*;
     use amle_benchmarks::benchmark_by_name;
+    use amle_serve::json::parse_json;
 
     #[test]
     fn active_row_for_the_cooler_matches_the_paper_shape() {
         let b = benchmark_by_name("HomeClimateControlCooler").unwrap();
-        let (row, report) = run_active(&b, HistoryLearner::default(), quick_config(&b));
-        assert_eq!(row.alpha, 1.0);
+        let row = run_active(&b, HistoryLearner::default(), quick_config(&b));
+        assert_eq!(row.report.alpha, 1.0);
         assert_eq!(row.d, 1.0);
-        assert!(row.states >= 2);
-        assert!(report.converged);
+        assert!(row.report.num_states() >= 2);
+        assert!(row.report.converged);
     }
 
     #[test]
     fn random_sampling_row_is_produced() {
         let b = benchmark_by_name("CountEvents").unwrap();
         let row = run_random_sampling(&b, 200);
-        assert!(row.states >= 1);
-        assert!((0.0..=1.0).contains(&row.alpha));
+        assert!(row.report.num_states() >= 1);
+        assert!((0.0..=1.0).contains(&row.report.alpha));
     }
 
     #[test]
@@ -696,7 +599,7 @@ mod tests {
         );
         // Rows come back in benchmark order regardless of which worker
         // finished first.
-        for ((row, _), benchmark) in sharded.iter().zip(&suite) {
+        for (row, benchmark) in sharded.iter().zip(&suite) {
             assert_eq!(row.name, benchmark.name);
         }
     }
@@ -708,15 +611,19 @@ mod tests {
         // threshold, so the portfolio's explicit engine answers queries.
         let mut config = quick_config(&b);
         config.oracle.engine = amle_core::OracleKind::Portfolio;
-        let (row, report) = run_active(&b, HistoryLearner::default(), config);
-        let (_, baseline) = run_active(&b, HistoryLearner::default(), quick_config(&b));
+        let row = run_active(&b, HistoryLearner::default(), config);
+        let baseline = run_active(&b, HistoryLearner::default(), quick_config(&b));
         assert_eq!(
-            report.semantic_fingerprint(b.system.vars()),
-            baseline.semantic_fingerprint(b.system.vars()),
+            row.report.semantic_fingerprint(b.system.vars()),
+            baseline.report.semantic_fingerprint(b.system.vars()),
             "oracle engine leaked into the semantic fingerprint"
         );
-        assert!(row.explicit_queries > 0, "explicit engine never consulted");
-        assert!(row.explicit_work > 0);
+        let checker = &row.report.checker_stats;
+        assert!(
+            checker.explicit_queries > 0,
+            "explicit engine never consulted"
+        );
+        assert!(checker.explicit_work > 0);
         let table = format_oracle_table(&[row]);
         assert!(table.contains("exQ"));
         assert!(table.contains("CountEvents"));
@@ -729,29 +636,31 @@ mod tests {
         cached_config.oracle.verdict_cache = true;
         let mut uncached_config = quick_config(&b);
         uncached_config.oracle.verdict_cache = false;
-        let (cached_row, cached_report) = run_active(&b, HistoryLearner::default(), cached_config);
-        let (uncached_row, uncached_report) =
-            run_active(&b, HistoryLearner::default(), uncached_config);
+        let cached = run_active(&b, HistoryLearner::default(), cached_config).report;
+        let uncached = run_active(&b, HistoryLearner::default(), uncached_config).report;
         assert_eq!(
-            cached_report.semantic_fingerprint(b.system.vars()),
-            uncached_report.semantic_fingerprint(b.system.vars()),
+            cached.semantic_fingerprint(b.system.vars()),
+            uncached.semantic_fingerprint(b.system.vars()),
             "verdict cache leaked into the semantic fingerprint"
         );
         // This benchmark re-extracts many conditions unchanged across its
         // iterations (deterministic seed), so the cache must hit — and every
         // hit is solver work the uncached run had to do.
-        assert!(cached_row.cache_hits > 0, "cache never hit on CountEvents");
         assert!(
-            cached_row.solve_calls < uncached_row.solve_calls,
+            cached.verdict_cache.hits > 0,
+            "cache never hit on CountEvents"
+        );
+        assert!(
+            cached.solver_stats().solve_calls < uncached.solver_stats().solve_calls,
             "cache hits must translate into fewer solver calls"
         );
-        assert_eq!(uncached_row.cache_hits, 0);
+        assert_eq!(uncached.verdict_cache.hits, 0);
     }
 
     #[test]
     fn tables_format_cleanly() {
         let b = benchmark_by_name("MealyVendingMachine").unwrap();
-        let (row, _) = run_active(&b, HistoryLearner::default(), quick_config(&b));
+        let row = run_active(&b, HistoryLearner::default(), quick_config(&b));
         let table = format_active_table(&[row]);
         assert!(table.contains("MealyVendingMachine"));
         assert!(table.lines().count() >= 2);
@@ -759,10 +668,10 @@ mod tests {
         assert!(format_random_table(&[rrow]).contains("MealyVendingMachine"));
     }
 
-    /// The interner statistics must flow from the run into the row and the
-    /// oracle table: a real run interns predicate nodes, applies canonical
-    /// rewrites while keying the verdict cache, and reports a nonzero
-    /// invariant DAG size.
+    /// The interner statistics must flow from the run into the report and
+    /// the oracle table: a real run interns predicate nodes, applies
+    /// canonical rewrites while keying the verdict cache, and reports a
+    /// nonzero invariant DAG size.
     ///
     /// The interner and its canonical memo are process-global, so this must
     /// run on a benchmark no other test in this binary touches — a repeat
@@ -770,17 +679,17 @@ mod tests {
     #[test]
     fn interner_stats_flow_into_rows_and_tables() {
         let b = benchmark_by_name("RedundantSensorPair").unwrap();
-        let (row, report) = run_active(&b, HistoryLearner::default(), quick_config(&b));
-        assert!(row.interner.nodes_interned > 0, "a run must intern nodes");
+        let row = run_active(&b, HistoryLearner::default(), quick_config(&b));
+        let interner = &row.report.interner;
+        assert!(interner.nodes_interned > 0, "a run must intern nodes");
         assert!(
-            row.interner.canonical_rewrites > 0,
+            interner.canonical_rewrites > 0,
             "keying the verdict cache must apply canonical rewrites"
         );
-        assert_eq!(row.interner, report.interner);
-        assert!((0.0..=1.0).contains(&row.interner.hit_rate()));
-        assert!(row.invariant_dag_nodes > 0);
+        assert!((0.0..=1.0).contains(&interner.hit_rate()));
+        assert!(invariant_dag_nodes(&row.report) > 0);
         assert!(
-            row.disj_encoded > 0,
+            row.report.checker_stats.disj_encoded > 0,
             "a real run must encode conclusion disjuncts"
         );
         let table = format_oracle_table(std::slice::from_ref(&row));
@@ -805,7 +714,7 @@ mod tests {
             parallel: amle_core::ParallelConfig::with_workers(1),
             ..Default::default()
         };
-        let (row, report) = run_active(&b, HistoryLearner::default(), config);
+        let row = run_active(&b, HistoryLearner::default(), config);
         let stats = row.circuit.expect("circuit benchmarks carry netlist stats");
         assert_eq!(stats.gates_dropped(), 2);
         assert_eq!(stats.latches_dropped(), 3);
@@ -821,17 +730,25 @@ mod tests {
             wall_time_s: 0.1,
         };
         let suite = vec![b];
-        let results = vec![(row, report)];
-        let json = suite_json(&meta, &suite, &results);
-        assert!(json.contains("\"circuit\": {\"inputs\": 2, \"latches_total\": 4"));
-        assert!(json.contains("\"gates_in_coi\": 1"));
+        let json = suite_json(&meta, &suite, &[row]);
+        let doc = parse_json(&json).unwrap();
+        let circuit = doc.get("benchmarks").and_then(Json::as_array).unwrap()[0]
+            .get("circuit")
+            .expect("circuit records carry a circuit object");
+        let field = |key: &str| circuit.get(key).and_then(Json::as_u64);
+        assert_eq!(field("inputs"), Some(2));
+        assert_eq!(field("latches_total"), Some(4));
+        assert_eq!(field("latches_in_coi"), Some(1));
+        assert_eq!(field("gates_in_coi"), Some(1));
+        assert_eq!(field("gates_total"), Some(3));
+        assert_eq!(field("outputs"), Some(1));
         // And the document still parses through the perf-diff consumer.
         let run = perf::parse_suite_run(&json).unwrap();
         assert_eq!(run.schema, 5);
         assert_eq!(run.benchmarks.len(), 1);
         // A non-circuit row renders an empty circuit table.
         let plain = benchmark_by_name("HomeClimateControlCooler").unwrap();
-        let (plain_row, _) = run_active(&plain, HistoryLearner::default(), quick_config(&plain));
+        let plain_row = run_active(&plain, HistoryLearner::default(), quick_config(&plain));
         assert!(plain_row.circuit.is_none());
         assert_eq!(format_circuit_table(std::slice::from_ref(&plain_row)), "");
     }
@@ -849,9 +766,10 @@ mod tests {
         assert_eq!(fingerprint_digest(""), "cbf29ce484222325");
     }
 
-    /// The machine-readable suite output: structurally valid JSON (checked
-    /// with a tiny scanner: balanced braces/brackets outside strings), one
-    /// record per benchmark, and the digest of the suite fingerprint.
+    /// The machine-readable suite output: one line of valid JSON, the run
+    /// metadata and the digest of the suite fingerprint, and one record per
+    /// benchmark whose keys are exactly the schema's and whose counters are
+    /// its row's report.
     #[test]
     fn suite_json_shape() {
         let suite: Vec<_> = amle_benchmarks::full_suite()
@@ -860,7 +778,7 @@ mod tests {
             .take(2)
             .collect();
         assert_eq!(suite.len(), 2);
-        let results = run_suite(&suite, 1, |b| {
+        let rows = run_suite(&suite, 1, |b| {
             (
                 HistoryLearner::default(),
                 amle_core::ActiveLearnerConfig {
@@ -882,59 +800,86 @@ mod tests {
             condition_workers: 1,
             wall_time_s: 0.25,
         };
-        let json = suite_json(&meta, &suite, &results);
-        for needle in [
-            "\"schema\": 5",
-            "\"engine\": \"kinduction\"",
-            "\"learner\": \"history\"",
-            "\"fingerprint_digest\"",
-            "\"interner\"",
-            "\"canonical_rewrites\"",
-            "\"invariant_dag_nodes\"",
-            // CDCL work counters, one per benchmark record.
-            "\"decisions\"",
-            "\"propagations\"",
-            "\"conflicts\"",
-            "\"minimized_lits\"",
-            "\"mean_lbd\"",
-            // Conclusion-disjunct ledger counters.
-            "\"disj_encoded\"",
-            "\"disj_reused\"",
-            // Base-session frame-ledger counters.
-            "\"frames_encoded\"",
-            "\"frames_reused\"",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in:\n{json}");
-        }
-        for b in &suite {
-            assert!(json.contains(&format!("\"name\": \"{}\"", b.name)));
-        }
-        let expected_digest = fingerprint_digest(&suite_fingerprint(&suite, &results));
-        assert!(json.contains(&expected_digest));
-        // Synthetic benchmarks carry no circuit stats object.
-        assert!(!json.contains("\"circuit\""));
-        // Balanced-structure scan.
-        let (mut depth, mut brackets, mut in_string, mut escaped) = (0i32, 0i32, false, false);
-        for c in json.chars() {
-            if in_string {
-                match (escaped, c) {
-                    (true, _) => escaped = false,
-                    (false, '\\') => escaped = true,
-                    (false, '"') => in_string = false,
-                    _ => {}
-                }
-                continue;
+        let json = suite_json(&meta, &suite, &rows);
+        assert_eq!(json.lines().count(), 1, "one compact line");
+        let doc = parse_json(&json).unwrap();
+        assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(5));
+        assert_eq!(doc.get("engine").and_then(Json::as_str), Some("kinduction"));
+        assert_eq!(doc.get("learner").and_then(Json::as_str), Some("history"));
+        assert_eq!(doc.get("wall_time_s").and_then(Json::as_f64), Some(0.25));
+        assert_eq!(
+            doc.get("fingerprint_digest").and_then(Json::as_str),
+            Some(fingerprint_digest(&suite_fingerprint(&suite, &rows)).as_str())
+        );
+        let records = doc.get("benchmarks").and_then(Json::as_array).unwrap();
+        assert_eq!(records.len(), rows.len());
+        for ((record, row), benchmark) in records.iter().zip(&rows).zip(&suite) {
+            let report = &row.report;
+            let solver = report.solver_stats();
+            let checker = &report.checker_stats;
+            let interner = &report.interner;
+            let counters = [
+                ("iterations", report.iterations as u64),
+                ("states", report.num_states() as u64),
+                ("traces", report.trace_count as u64),
+                ("solve_calls", solver.solve_calls),
+                ("decisions", solver.decisions),
+                ("propagations", solver.propagations),
+                ("conflicts", solver.conflicts),
+                ("minimized_lits", solver.minimized_lits),
+                ("cache_hits", report.verdict_cache.hits),
+                ("cache_misses", report.verdict_cache.misses),
+                ("disj_encoded", checker.disj_encoded),
+                ("disj_reused", checker.disj_reused),
+                ("frames_encoded", checker.frames_encoded),
+                ("frames_reused", checker.frames_reused),
+                ("words_encoded", report.word_stats.words_encoded),
+                ("words_reused", report.word_stats.words_reused),
+                ("invariant_dag_nodes", invariant_dag_nodes(report)),
+            ];
+            for (key, value) in counters {
+                assert_eq!(record.get(key).and_then(Json::as_u64), Some(value), "{key}");
             }
-            match c {
-                '"' => in_string = true,
-                '{' => depth += 1,
-                '}' => depth -= 1,
-                '[' => brackets += 1,
-                ']' => brackets -= 1,
-                _ => {}
+            let record_interner = record.get("interner").unwrap();
+            for (key, value) in [
+                ("nodes_interned", interner.nodes_interned),
+                ("hits", interner.hits),
+                ("canonical_rewrites", interner.canonical_rewrites),
+            ] {
+                assert_eq!(record_interner.get(key).and_then(Json::as_u64), Some(value));
             }
-            assert!(depth >= 0 && brackets >= 0, "unbalanced JSON");
+            let text = |key: &str| record.get(key).and_then(Json::as_str);
+            assert_eq!(text("name"), Some(benchmark.name.as_str()));
+            let digest = fingerprint_digest(&report.semantic_fingerprint(benchmark.system.vars()));
+            assert_eq!(text("fingerprint_digest"), Some(digest.as_str()));
+            assert_eq!(
+                record.get("alpha").and_then(Json::as_f64),
+                Some(report.alpha)
+            );
+            assert_eq!(record.get("d").and_then(Json::as_f64), Some(row.d));
+            assert_eq!(
+                record.get("converged").and_then(Json::as_bool),
+                Some(report.converged)
+            );
+            // Exactly the schema's keys: synthetic benchmarks carry no
+            // circuit stats object.
+            let mut keys: Vec<&str> = counters.iter().map(|(key, _)| *key).collect();
+            keys.extend([
+                "alpha",
+                "converged",
+                "d",
+                "fingerprint_digest",
+                "interner",
+                "mean_lbd",
+                "name",
+                "solver_time_s",
+                "time_s",
+            ]);
+            keys.sort_unstable();
+            let Json::Object(fields) = record else {
+                panic!("record is not an object: {record:?}");
+            };
+            assert!(fields.keys().eq(keys), "{record:?}");
         }
-        assert_eq!((depth, brackets, in_string), (0, 0, false));
     }
 }

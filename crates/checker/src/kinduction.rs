@@ -31,8 +31,9 @@
 //! shorter query — frames beyond `k` simply extend any witness — so sessions
 //! can grow monotonically across queries with different bounds.
 //!
-//! [`CheckerMode::FreshPerQuery`] retains the original blob-per-query
-//! behaviour as a differential-testing oracle.
+//! Every session is built on first use, so a fresh checker per query gives
+//! the original blob-per-query behaviour; the differential tests use that as
+//! their from-scratch reference.
 
 use amle_bitblast::Encoder;
 use amle_expr::{Expr, ExprId, Valuation, Value, VarId};
@@ -106,8 +107,7 @@ pub struct CheckerStats {
     /// Base-session frame disjuncts answered from the activation ledger
     /// without re-encoding.
     pub frames_reused: u64,
-    /// Aggregated solver statistics across all sessions, including
-    /// sessions already retired.
+    /// Aggregated solver statistics across all sessions.
     pub solver: SolverStats,
 }
 
@@ -161,19 +161,6 @@ impl CheckerStats {
             solver: self.solver.since(&earlier.solver),
         }
     }
-}
-
-/// How the checker manages its solver sessions across queries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CheckerMode {
-    /// One persistent solver session per query shape; per-query constraints
-    /// are selected with assumption literals. The default.
-    #[default]
-    Incremental,
-    /// Re-encode and re-solve from scratch at every query, as the original
-    /// implementation did. Kept as a reference oracle for differential
-    /// testing and overhead measurements.
-    FreshPerQuery,
 }
 
 /// One persistent session: an encoder and the solver it owns.
@@ -239,22 +226,18 @@ impl Session {
 pub struct KInductionChecker<'a> {
     system: &'a System,
     stats: CheckerStats,
-    mode: CheckerMode,
     /// Fig. 3a session: one transition unrolling, query via assumptions.
     condition: Option<Session>,
     /// Fig. 3b base-case session: `Init` plus a growing unrolling.
     base: Option<Session>,
     /// Fig. 3b step-case session: a growing unrolling without `Init`.
     step: Option<Session>,
-    /// Solver statistics of sessions that have been dropped (fresh mode).
-    retired: SolverStats,
 }
 
 impl fmt::Debug for KInductionChecker<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("KInductionChecker")
             .field("system", &self.system.name())
-            .field("mode", &self.mode)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -264,25 +247,13 @@ impl<'a> KInductionChecker<'a> {
     /// Creates a checker for the given system with persistent incremental
     /// sessions.
     pub fn new(system: &'a System) -> Self {
-        Self::with_mode(system, CheckerMode::Incremental)
-    }
-
-    /// Creates a checker with an explicit session [`CheckerMode`].
-    pub fn with_mode(system: &'a System, mode: CheckerMode) -> Self {
         KInductionChecker {
             system,
             stats: CheckerStats::default(),
-            mode,
             condition: None,
             base: None,
             step: None,
-            retired: SolverStats::default(),
         }
-    }
-
-    /// The session mode of this checker.
-    pub fn mode(&self) -> CheckerMode {
-        self.mode
     }
 
     /// Statistics accumulated so far, including aggregated solver statistics
@@ -293,9 +264,9 @@ impl<'a> KInductionChecker<'a> {
         stats
     }
 
-    /// Aggregated solver statistics across all (live and retired) sessions.
+    /// Aggregated solver statistics across all sessions.
     pub fn solver_stats(&self) -> SolverStats {
-        let mut total = self.retired;
+        let mut total = SolverStats::default();
         for session in [&self.condition, &self.base, &self.step]
             .into_iter()
             .flatten()
@@ -488,34 +459,6 @@ impl<'a> KInductionChecker<'a> {
         session.solve(&assumptions)
     }
 
-    /// Runs one query against the session in `slot`, handling the mode
-    /// dispatch in one place: incremental mode reuses (or lazily builds) the
-    /// persistent session, fresh mode builds a throwaway session and folds
-    /// its solver statistics into `retired`.
-    fn run_query<R>(
-        mode: CheckerMode,
-        stats: &mut CheckerStats,
-        retired: &mut SolverStats,
-        slot: &mut Option<Session>,
-        make: impl FnOnce() -> Session,
-        query: impl FnOnce(&mut CheckerStats, &mut Session) -> R,
-    ) -> R {
-        match mode {
-            CheckerMode::Incremental => {
-                let mut session = slot.take().unwrap_or_else(make);
-                let result = query(stats, &mut session);
-                *slot = Some(session);
-                result
-            }
-            CheckerMode::FreshPerQuery => {
-                let mut session = make();
-                let result = query(stats, &mut session);
-                *retired += session.solver_stats();
-                result
-            }
-        }
-    }
-
     /// Checks a condition of the form
     /// `assume(r); X' = f(X); assert(s)` (Fig. 3a): is there a transition
     /// from a state satisfying `r` (and none of the `blocked` states) whose
@@ -548,15 +491,16 @@ impl<'a> KInductionChecker<'a> {
         let blocked: Vec<Expr> = blocked.iter().map(Expr::canonical).collect();
         let outgoing: Vec<Expr> = outgoing.iter().map(Expr::canonical).collect();
         let system = self.system;
-        Self::run_query(
-            self.mode,
+        let session = self
+            .condition
+            .get_or_insert_with(|| Self::condition_session(system));
+        Self::condition_query(
             &mut self.stats,
-            &mut self.retired,
-            &mut self.condition,
-            || Self::condition_session(system),
-            |stats, session| {
-                Self::condition_query(stats, session, system, &assumption, &blocked, &outgoing)
-            },
+            session,
+            system,
+            &assumption,
+            &blocked,
+            &outgoing,
         )
     }
 
@@ -582,27 +526,13 @@ impl<'a> KInductionChecker<'a> {
         let state_formula = &state_formula.canonical();
 
         let system = self.system;
-        let base = Self::run_query(
-            self.mode,
-            &mut self.stats,
-            &mut self.retired,
-            &mut self.base,
-            || Self::base_session(system),
-            |stats, session| Self::base_query(stats, session, system, state_formula, k),
-        );
-        if base == SolveResult::Sat {
+        let base = self.base.get_or_insert_with(|| Self::base_session(system));
+        if Self::base_query(&mut self.stats, base, system, state_formula, k) == SolveResult::Sat {
             return SpuriousResult::Reachable;
         }
 
-        let step = Self::run_query(
-            self.mode,
-            &mut self.stats,
-            &mut self.retired,
-            &mut self.step,
-            || Self::step_session(system),
-            |_, session| Self::step_query(session, system, state_formula, k),
-        );
-        if step == SolveResult::Unsat {
+        let step = self.step.get_or_insert_with(|| Self::step_session(system));
+        if Self::step_query(step, system, state_formula, k) == SolveResult::Unsat {
             SpuriousResult::Spurious
         } else {
             SpuriousResult::Inconclusive
@@ -828,7 +758,7 @@ mod tests {
 
     #[test]
     fn delta_and_full_conclusion_encodings_agree() {
-        // The delta-encoded session against two references: a fresh session
+        // The delta-encoded session against two references: a fresh checker
         // per query, which encodes every conclusion in full, and the explicit
         // engine. The same query sequence (growing, shrinking and permuted
         // conclusions) must give byte-identical verdicts and counterexamples.
@@ -840,7 +770,7 @@ mod tests {
             c.eq(&Expr::int_val(2, 4)),
         ];
         let mut delta = KInductionChecker::new(&sys);
-        let mut full = KInductionChecker::with_mode(&sys, CheckerMode::FreshPerQuery);
+        let mut full_solve_calls = 0;
         let mut explicit = ExplicitChecker::new(&sys);
         let init = sys.init_expr();
         let queries: [&[Expr]; 5] = [
@@ -852,11 +782,13 @@ mod tests {
         ];
         for outgoing in queries {
             let result = delta.check_condition(&init, &[], outgoing);
+            let mut full = KInductionChecker::new(&sys);
             assert_eq!(
                 result,
                 full.check_condition(&init, &[], outgoing),
                 "fresh sessions disagree on {outgoing:?}"
             );
+            full_solve_calls += full.stats().solver.solve_calls;
             assert_eq!(
                 result,
                 explicit.check_condition(&init, &[], outgoing),
@@ -866,7 +798,7 @@ mod tests {
         // Same number of solver queries either way — only encoding differs.
         assert_eq!(
             delta.stats().solver.solve_calls,
-            full.stats().solver.solve_calls,
+            full_solve_calls,
             "delta encoding changed the query count"
         );
     }
@@ -914,17 +846,17 @@ mod tests {
 
     #[test]
     fn chained_and_full_base_encodings_agree() {
-        // The chained base session against two references: a fresh session
+        // The chained base session against two references: a fresh checker
         // per query, which encodes the whole `0..=k` disjunction, and the
         // explicit engine. The same spurious-check sequence (growing,
         // repeated and shrinking bounds, reachable and unreachable targets)
-        // must give identical verdicts, with identical solve counts against
-        // the fresh sessions.
+        // must give identical verdicts, with identical solve counts summed
+        // over the fresh checkers.
         let sys = saturating_counter();
         let c_id = sys.vars().lookup("c").unwrap();
         let flag_id = sys.vars().lookup("flag").unwrap();
         let mut delta = KInductionChecker::new(&sys);
-        let mut full = KInductionChecker::with_mode(&sys, CheckerMode::FreshPerQuery);
+        let mut full_solve_calls = 0;
         let mut explicit = ExplicitChecker::new(&sys);
 
         let mut ghost = sys.initial_valuation();
@@ -945,11 +877,13 @@ mod tests {
         ];
         for (formula, k) in queries {
             let result = delta.check_spurious(formula, k);
+            let mut full = KInductionChecker::new(&sys);
             assert_eq!(
                 result,
                 full.check_spurious(formula, k),
                 "fresh sessions disagree at k={k}"
             );
+            full_solve_calls += full.stats().solver.solve_calls;
             assert_eq!(
                 result,
                 explicit.check_spurious(formula, k),
@@ -958,7 +892,7 @@ mod tests {
         }
         assert_eq!(
             delta.stats().solver.solve_calls,
-            full.stats().solver.solve_calls,
+            full_solve_calls,
             "base chaining changed the query count"
         );
         // The chain amortises: by the end reuse dominates fresh encodes.
@@ -991,12 +925,11 @@ mod tests {
         let _ = warm.check_condition(&Expr::true_(), &[], &[c.ne(&Expr::int_val(1, 4))]);
         let warmed = warm.check_condition(&Expr::true_(), &[], &conclusion);
 
-        // And the fresh-per-query oracle.
-        let mut fresh = KInductionChecker::with_mode(&sys, CheckerMode::FreshPerQuery);
-        let oracle = fresh.check_condition(&Expr::true_(), &[], &conclusion);
+        // And the from-scratch reference: a fresh checker for this query.
+        let oracle = KInductionChecker::new(&sys).check_condition(&Expr::true_(), &[], &conclusion);
 
         assert_eq!(direct, warmed, "session history changed the model");
-        assert_eq!(direct, oracle, "session mode changed the model");
+        assert_eq!(direct, oracle, "the from-scratch reference disagrees");
         match direct {
             CheckResult::Valid => panic!("condition should be violated"),
             CheckResult::Violated { from, to } => {

@@ -47,7 +47,7 @@ mod oracle;
 mod portfolio;
 
 pub use explicit::{ExplicitChecker, Odometer};
-pub use kinduction::{CheckResult, CheckerMode, CheckerStats, KInductionChecker, SpuriousResult};
+pub use kinduction::{CheckResult, CheckerStats, KInductionChecker, SpuriousResult};
 pub use oracle::{state_formula, OracleKind, DEFAULT_ROUTE_THRESHOLD};
 pub use portfolio::PortfolioOracle;
 

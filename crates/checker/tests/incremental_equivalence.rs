@@ -1,13 +1,14 @@
 //! Differential tests of the incremental checker sessions.
 //!
 //! The persistent, assumption-activated sessions must produce exactly the
-//! verdicts of the original from-scratch re-encoding
-//! ([`CheckerMode::FreshPerQuery`]) on every benchmark of the suite, and the
-//! aggregated solver statistics must grow monotonically as queries are
-//! issued at increasing k-induction bounds.
+//! verdicts of the original from-scratch re-encoding (a fresh
+//! [`KInductionChecker`] per query, whose sessions are built for that query
+//! alone) on every benchmark of the suite, and the aggregated solver
+//! statistics must grow monotonically as queries are issued at increasing
+//! k-induction bounds.
 
 use amle_benchmarks::all_benchmarks;
-use amle_checker::{state_formula, CheckResult, CheckerMode, KInductionChecker, SpuriousResult};
+use amle_checker::{state_formula, CheckResult, KInductionChecker, SpuriousResult};
 use amle_expr::{Expr, Valuation, VarId, VarSet};
 
 /// State formulas to probe reachability with: the initial valuation plus
@@ -35,9 +36,7 @@ fn incremental_and_fresh_sessions_agree_on_every_benchmark() {
         let system = &benchmark.system;
         let observables = &benchmark.observables;
         let mut incremental = KInductionChecker::new(system);
-        let mut fresh = KInductionChecker::with_mode(system, CheckerMode::FreshPerQuery);
-        assert_eq!(incremental.mode(), CheckerMode::Incremental);
-        assert_eq!(fresh.mode(), CheckerMode::FreshPerQuery);
+        let fresh = || KInductionChecker::new(system);
 
         let initial = system.initial_valuation();
         let k = benchmark.k.clamp(1, 8);
@@ -60,7 +59,7 @@ fn incremental_and_fresh_sessions_agree_on_every_benchmark() {
         for (assumption, conclusion) in &conditions {
             let conclusion = std::slice::from_ref(conclusion);
             let a = incremental.check_condition(assumption, &[], conclusion);
-            let b = fresh.check_condition(assumption, &[], conclusion);
+            let b = fresh().check_condition(assumption, &[], conclusion);
             // Verdicts must agree; specific counterexample transitions may
             // legitimately differ, but both must be genuine transitions.
             assert_eq!(
@@ -85,7 +84,7 @@ fn incremental_and_fresh_sessions_agree_on_every_benchmark() {
         // Spurious checks over reachable/perturbed state formulas.
         for formula in probe_formulas(system.vars(), observables, &benchmark.witnesses, &initial) {
             let a = incremental.check_spurious(&formula, k);
-            let b = fresh.check_spurious(&formula, k);
+            let b = fresh().check_spurious(&formula, k);
             assert_eq!(
                 a, b,
                 "spurious verdict mismatch on {} (k = {})",

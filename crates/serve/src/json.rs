@@ -2,8 +2,9 @@
 //!
 //! Originally this parser lived in `amle-bench`'s perf-diff module; the
 //! serving protocol speaks newline-delimited JSON over TCP, so the reader is
-//! promoted here and shared (the bench crate re-exports it — there is one
-//! parser in the workspace, not two drifting copies).
+//! promoted here and shared: the daemon's protocol, the bench crate's
+//! `suite --json` writer and its `perf-diff` reader all go through this one
+//! module, not drifting copies.
 //!
 //! The reader covers the full JSON grammar the suite documents and the
 //! protocol use, including `\uXXXX` escapes with surrogate pairs: a valid
@@ -204,7 +205,7 @@ pub fn obj<const N: usize>(pairs: [(&str, Json); N]) -> Json {
 
 /// Escapes a string for embedding in a JSON document (quotes, backslashes,
 /// control characters).
-pub fn json_escape(text: &str) -> String {
+fn json_escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for c in text.chars() {
         match c {

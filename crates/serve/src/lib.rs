@@ -24,7 +24,8 @@
 //!   model (DOT + fingerprint) after every refinement.
 //!
 //! The [`json`] module is the workspace's shared hand-rolled JSON
-//! reader/writer (promoted from the bench crate, which re-exports it).
+//! reader/writer (promoted from the bench crate, whose suite documents it
+//! also writes and reads).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
