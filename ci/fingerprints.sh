@@ -20,12 +20,14 @@
 # times, for perf-diff.
 #
 # `table1` regenerates the paper-shape Table I fingerprint under kinduction
+# (the paper's engine, passed explicitly because portfolio is the default)
 # and checks its digest. It then diffs a portfolio run with --cross-validate
 # against it, so every query routed to the explicit engine at the paper's
 # 50x50 shape is answered again by k-induction.
 #
-# `ktails` runs the quick Table I benchmarks with the k-tails learner and
-# checks their digest, so the loop is pinned under a second learner.
+# `ktails` runs the quick Table I benchmarks with the k-tails learner under
+# the default engine (portfolio) and checks their digest, so the loop is
+# pinned under a second learner.
 #
 # The fingerprint files (fp-*.txt) and suite-quick.json are written to the
 # repository root, where the digests expect them.
@@ -52,7 +54,7 @@ case "$family" in
         json=()
         ;;
     table1)
-        suite --table1-only --dump-fingerprint fp-table1.txt
+        suite --table1-only --engine kinduction --dump-fingerprint fp-table1.txt
         sha256sum -c ci/table1-paper.fingerprint.sha256
         suite --table1-only --engine portfolio --cross-validate \
             --dump-fingerprint fp-table1-portfolio.txt

@@ -3,10 +3,12 @@
 //! * A1 — learner choice: the default history learner vs k-tails state
 //!   merging, on a selection of benchmarks;
 //! * A2 — sensitivity of the run to the k-induction bound used for the
-//!   spurious-counterexample check.
+//!   spurious-counterexample check. A2 runs the k-induction engine alone,
+//!   so its `solves` column is the SAT work each bound costs.
 
 use amle_bench::{format_active_table, quick_config, run_active, run_learner_ablation};
 use amle_benchmarks::benchmark_by_name;
+use amle_core::OracleKind;
 use amle_learner::HistoryLearner;
 
 fn main() {
@@ -28,6 +30,7 @@ fn main() {
         for k in [1usize, 4, 8, 16, 32] {
             let mut config = quick_config(&benchmark);
             config.k = k;
+            config.oracle.engine = OracleKind::KInduction;
             rows.push(run_active(&benchmark, HistoryLearner::default(), config));
         }
         println!("{name}:");

@@ -13,6 +13,9 @@
 //!       [--cross-validate]
 //! ```
 //!
+//! Every `N` must be a positive integer; anything else (`0` included)
+//! prints the usage and exits with status 2.
+//!
 //! * `--workers N` — number of suite-level worker threads (benchmarks are
 //!   sharded across them). Defaults to 4.
 //! * `--condition-workers N` — worker count of the per-run condition-checking
@@ -68,10 +71,11 @@
 //!   quick Table I benchmark within 20 s; pair it with `--only`.
 //! * `--engine kinduction|portfolio` — the routing threshold of the
 //!   condition oracle (see `amle_checker::OracleKind::route_threshold`):
-//!   `kinduction` (the default, the paper's configuration) answers every
-//!   query by k-induction, `portfolio` routes queries on small input/state
-//!   products to the explicit-state engine. Fingerprints are byte-identical
-//!   across engines.
+//!   `portfolio` (the default) routes queries on small input/state products
+//!   to the explicit-state engine and the rest to k-induction, `kinduction`
+//!   (the paper's configuration) answers every query by k-induction.
+//!   Fingerprints are byte-identical across engines; the `solves`,
+//!   `Tsat(s)` and `%Tm` columns are not.
 //! * `--no-cache` — disable the cross-iteration verdict cache (enabled by
 //!   default; fingerprints are byte-identical either way).
 //! * `--cross-validate` — portfolio cross-validation: every explicitly
@@ -152,10 +156,13 @@ fn parse_options() -> Result<Options, ExitCode> {
         };
         let mut numeric = |name: &str| -> Result<usize, ExitCode> {
             let raw = value(name)?;
-            raw.parse().map_err(|_| {
-                eprintln!("{name} requires a positive integer, got `{raw}`");
-                usage()
-            })
+            match raw.parse() {
+                Ok(n) if n > 0 => Ok(n),
+                _ => {
+                    eprintln!("{name} requires a positive integer, got `{raw}`");
+                    Err(usage())
+                }
+            }
         };
         match arg.as_str() {
             "--workers" => options.workers = numeric("--workers")?,
@@ -202,9 +209,6 @@ fn parse_options() -> Result<Options, ExitCode> {
             }
         }
     }
-    options.workers = options.workers.max(1);
-    options.condition_workers = options.condition_workers.max(1);
-    options.repeat = options.repeat.max(1);
     Ok(options)
 }
 

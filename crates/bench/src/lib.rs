@@ -549,6 +549,7 @@ pub fn format_random_table(rows: &[RandomRow]) -> String {
 mod tests {
     use super::*;
     use amle_benchmarks::benchmark_by_name;
+    use amle_core::OracleKind;
     use amle_serve::json::parse_json;
 
     #[test]
@@ -610,9 +611,11 @@ mod tests {
         // CountEvents' condition cost (256) is far below the routing
         // threshold, so the portfolio's explicit engine answers queries.
         let mut config = quick_config(&b);
-        config.oracle.engine = amle_core::OracleKind::Portfolio;
+        config.oracle.engine = OracleKind::Portfolio;
         let row = run_active(&b, HistoryLearner::default(), config);
-        let baseline = run_active(&b, HistoryLearner::default(), quick_config(&b));
+        let mut baseline_config = quick_config(&b);
+        baseline_config.oracle.engine = OracleKind::KInduction;
+        let baseline = run_active(&b, HistoryLearner::default(), baseline_config);
         assert_eq!(
             row.report.semantic_fingerprint(b.system.vars()),
             baseline.report.semantic_fingerprint(b.system.vars()),
@@ -632,9 +635,13 @@ mod tests {
     #[test]
     fn verdict_cache_reduces_solve_calls_on_repeated_conditions() {
         let b = benchmark_by_name("CountEvents").unwrap();
+        // Under the default portfolio CountEvents makes no solver calls, so
+        // the SAT-work comparison pins the k-induction engine.
         let mut cached_config = quick_config(&b);
+        cached_config.oracle.engine = OracleKind::KInduction;
         cached_config.oracle.verdict_cache = true;
         let mut uncached_config = quick_config(&b);
+        uncached_config.oracle.engine = OracleKind::KInduction;
         uncached_config.oracle.verdict_cache = false;
         let cached = run_active(&b, HistoryLearner::default(), cached_config).report;
         let uncached = run_active(&b, HistoryLearner::default(), uncached_config).report;
@@ -679,7 +686,10 @@ mod tests {
     #[test]
     fn interner_stats_flow_into_rows_and_tables() {
         let b = benchmark_by_name("RedundantSensorPair").unwrap();
-        let row = run_active(&b, HistoryLearner::default(), quick_config(&b));
+        // The disjunct ledger is k-induction's; pin that engine.
+        let mut config = quick_config(&b);
+        config.oracle.engine = OracleKind::KInduction;
+        let row = run_active(&b, HistoryLearner::default(), config);
         let interner = &row.report.interner;
         assert!(interner.nodes_interned > 0, "a run must intern nodes");
         assert!(

@@ -19,3 +19,20 @@ fn random_sampling_rejects_a_zero_or_unparsable_budget() {
         assert!(output.stdout.is_empty(), "budget `{arg}` ran benchmarks");
     }
 }
+
+#[test]
+fn suite_rejects_zero_counts() {
+    for flag in ["--workers", "--condition-workers", "--repeat"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_suite"))
+            .args(["--quick", "--only", "HomeClimate", flag, "0"])
+            .output()
+            .expect("suite starts");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flag} 0: {stderr}");
+        assert!(
+            stderr.contains("usage: suite [--workers N]"),
+            "{flag} 0 printed no usage line: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{flag} 0 ran benchmarks");
+    }
+}

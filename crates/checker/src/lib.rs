@@ -36,7 +36,9 @@
 //! at most 5 × the routing threshold in evaluations. An [`OracleKind`] only
 //! sets its routing threshold ([`OracleKind::route_threshold`]): 0 for the
 //! paper's k-induction-only configuration, [`DEFAULT_ROUTE_THRESHOLD`] for
-//! the portfolio.
+//! the portfolio, which is the default. Both engines give the same verdicts
+//! and counterexamples, so the default changes how much SAT work a run
+//! does, not what it learns.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -49,13 +49,15 @@ pub fn state_formula(vars: &VarSet, state: &Valuation, over: &[VarId]) -> Expr {
 /// [`crate::PortfolioOracle`] the condition engine builds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum OracleKind {
-    /// The incremental SAT k-induction checker for every query. The paper's
-    /// configuration and the default.
-    #[default]
+    /// The incremental SAT k-induction checker for every query: the paper's
+    /// configuration.
     KInduction,
-    /// The portfolio: each query is routed by its estimated concrete size —
-    /// small input/state products go to the explicit engine, everything
-    /// else to k-induction.
+    /// The portfolio and the default: each query is routed by its estimated
+    /// concrete size — small input/state products go to the explicit engine,
+    /// everything else to k-induction. Both engines return the same verdicts
+    /// and counterexamples, so a run's semantic fingerprint equals the
+    /// [`OracleKind::KInduction`] run's.
+    #[default]
     Portfolio,
 }
 
@@ -115,6 +117,7 @@ mod tests {
         assert_eq!(OracleKind::from_name("sat"), Some(OracleKind::KInduction));
         assert_eq!(OracleKind::from_name("explicit"), None);
         assert_eq!(OracleKind::from_name("nonsense"), None);
+        assert_eq!(OracleKind::default(), OracleKind::Portfolio);
     }
 
     #[test]

@@ -622,12 +622,13 @@ mod tests {
         }
     }
 
-    /// An engine over `system` with `k = 4` and the default oracle stack, at
+    /// An engine over `system` with `k = 4` and the given oracle kind, at
     /// the worker count `AMLE_WORKERS` selects.
-    fn engine(system: &System, verdict_cache: bool) -> ConditionEngine<'_> {
+    fn engine(system: &System, kind: OracleKind, verdict_cache: bool) -> ConditionEngine<'_> {
         let config = ActiveLearnerConfig {
             k: 4,
             oracle: OracleConfig {
+                engine: kind,
                 verdict_cache,
                 ..OracleConfig::default()
             },
@@ -710,7 +711,7 @@ mod tests {
         let system = toggle_system();
         let s = system.vars().lookup("s").unwrap();
         let se = system.var(s);
-        let mut engine = engine(&system, true);
+        let mut engine = engine(&system, OracleKind::default(), true);
 
         // Iteration 1: both conditions hold.
         let unchanged = state_condition(0, se.clone(), vec![Expr::true_()]);
@@ -753,7 +754,7 @@ mod tests {
         let system = toggle_system();
         let s = system.vars().lookup("s").unwrap();
         let se = system.var(s);
-        let mut engine = engine(&system, true);
+        let mut engine = engine(&system, OracleKind::default(), true);
 
         let original = state_condition(0, se.clone(), vec![se.clone(), se.not()]);
         let first = engine.evaluate(std::slice::from_ref(&original));
@@ -788,7 +789,7 @@ mod tests {
         let system = toggle_system();
         let s = system.vars().lookup("s").unwrap();
         let se = system.var(s);
-        let mut engine = engine(&system, true);
+        let mut engine = engine(&system, OracleKind::default(), true);
         let at_state_0 = state_condition(0, se.clone(), vec![Expr::true_()]);
         let at_state_7 = state_condition(7, se, vec![Expr::true_()]);
         let first = engine.evaluate(std::slice::from_ref(&at_state_0));
@@ -799,8 +800,9 @@ mod tests {
 
     /// Cache on and cache off must produce identical evaluations (the cache
     /// only skips work); the oracle must not be consulted again on a hit.
-    #[test]
-    fn cached_evaluations_match_uncached_and_skip_the_oracle() {
+    /// Returns the checker work of the cached and the uncached engine after
+    /// three rounds of the same two conditions under `kind`.
+    fn cached_and_uncached_checker_stats(kind: OracleKind) -> (CheckerStats, CheckerStats) {
         let system = toggle_system();
         let s = system.vars().lookup("s").unwrap();
         let se = system.var(s);
@@ -809,8 +811,8 @@ mod tests {
             state_condition(1, se.clone(), vec![se.not()]),
         ];
 
-        let mut cached = engine(&system, true);
-        let mut uncached = engine(&system, false);
+        let mut cached = engine(&system, kind, true);
+        let mut uncached = engine(&system, kind, false);
 
         for round in 0..3 {
             let a = cached.evaluate(&conditions);
@@ -833,9 +835,26 @@ mod tests {
         assert_eq!(cached.cache_stats().hits, 2 * conditions.len() as u64);
         assert_eq!(uncached.cache_stats().hits, 0);
         assert_eq!(uncached.cache_stats().entries, 0);
+        (cached.checker_stats(), uncached.checker_stats())
+    }
+
+    #[test]
+    fn cached_evaluations_match_uncached_and_skip_the_oracle() {
+        let (cached, uncached) = cached_and_uncached_checker_stats(OracleKind::KInduction);
         assert!(
-            cached.checker_stats().solver.solve_calls < uncached.checker_stats().solver.solve_calls,
+            cached.solver.solve_calls < uncached.solver.solve_calls,
             "the cache must actually skip solver work"
+        );
+    }
+
+    /// The default portfolio routes the toggle's tiny queries to the
+    /// explicit engine, so there the cache must skip explicit queries.
+    #[test]
+    fn cached_evaluations_skip_the_explicit_engine_under_the_default_oracle() {
+        let (cached, uncached) = cached_and_uncached_checker_stats(OracleKind::default());
+        assert!(
+            cached.explicit_queries < uncached.explicit_queries,
+            "the cache must actually skip explicit-engine work"
         );
     }
 
@@ -852,7 +871,7 @@ mod tests {
             state_condition(1, se.clone(), vec![Expr::true_()]),
             state_condition(2, se.clone(), vec![Expr::true_()]),
         ];
-        let mut cached = engine(&system, true);
+        let mut cached = engine(&system, OracleKind::default(), true);
         let evaluation = cached.evaluate(&batch);
         assert_eq!(evaluation.held, 3, "duplicates must still get an outcome");
         assert_eq!(evaluation.cache_hits, 2);
@@ -860,7 +879,7 @@ mod tests {
         let stats = cached.cache_stats();
         assert_eq!((stats.hits, stats.misses), (2, 1));
 
-        let mut uncached = engine(&system, false);
+        let mut uncached = engine(&system, OracleKind::default(), false);
         let evaluation = uncached.evaluate(&batch);
         assert_eq!(evaluation.held, 3);
         assert_eq!(evaluation.cache_hits, 0);

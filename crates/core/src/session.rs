@@ -364,6 +364,10 @@ mod tests {
                 second.checker_stats.solver.solve_calls, 0,
                 "a fully cached refinement must not touch the solver"
             );
+            assert_eq!(
+                second.checker_stats.explicit_queries, 0,
+                "a fully cached refinement must not touch the explicit engine"
+            );
 
             let stats = session.stats();
             assert_eq!(stats.refinements, 2);

@@ -80,6 +80,19 @@ fn four_workers_match_one_worker_on_every_benchmark() {
             "{}: solve-call counts differ",
             benchmark.name
         );
+        // The default portfolio answers small queries explicitly; which
+        // engine answers a query, and the explicit work it costs, are
+        // functions of the query alone.
+        let attribution = |r: &RunReport| {
+            let c = &r.checker_stats;
+            (c.kinduction_queries, c.explicit_queries, c.explicit_work)
+        };
+        assert_eq!(
+            attribution(&sequential),
+            attribution(&parallel),
+            "{}: engine attribution differs",
+            benchmark.name
+        );
 
         // And the canonical rendering — everything above plus per-iteration
         // statistics — must be byte-identical.

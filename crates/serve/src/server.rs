@@ -34,7 +34,7 @@ use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -97,11 +97,7 @@ impl Server {
                 Ok(stream) => stream,
                 Err(_) => continue,
             };
-            let mut connections = self
-                .shared
-                .connections
-                .lock()
-                .expect("connection registry poisoned");
+            let mut connections = lock(&self.shared.connections);
             // Join the connections whose thread has ended; dropping the
             // registry's stream clone closes their socket.
             for (_, join) in connections.extract_if(.., |(_, join)| join.is_finished()) {
@@ -127,32 +123,28 @@ impl Server {
         // Drain sessions first: dropping the queue senders lets each actor
         // finish its buffered commands (replies still reach any waiting
         // connection threads) and exit.
-        let sessions = std::mem::take(
-            &mut *self
-                .shared
-                .sessions
-                .lock()
-                .expect("session registry poisoned"),
-        );
+        let sessions = std::mem::take(&mut *lock(&self.shared.sessions));
         for (_, handle) in sessions {
             drop(handle.tx);
             let _ = handle.join.join();
         }
 
         // Then sever the connections: reads unblock with EOF, threads exit.
-        let connections = std::mem::take(
-            &mut *self
-                .shared
-                .connections
-                .lock()
-                .expect("connection registry poisoned"),
-        );
+        let connections = std::mem::take(&mut *lock(&self.shared.connections));
         for (stream, join) in connections {
             let _ = stream.shutdown(Shutdown::Both);
             let _ = join.join();
         }
         Ok(())
     }
+}
+
+/// Locks a registry, recovering it if a panicking thread poisoned it. Each
+/// critical section changes its map only by whole operations (lookup,
+/// insert, remove, drain, take), so a panic while the lock is held leaves
+/// the map consistent, and every later request can still be served.
+fn lock<T>(registry: &Mutex<T>) -> MutexGuard<'_, T> {
+    registry.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn error_response(message: impl Into<String>, retriable: bool) -> Json {
@@ -255,7 +247,7 @@ fn session_name(request: &Json) -> Result<String, Json> {
 /// Registers a freshly spawned session under `name`, tearing the actor down
 /// again if the name was taken concurrently.
 fn register(shared: &Arc<Shared>, name: &str, handle: SessionHandle) -> Result<(), Json> {
-    let mut sessions = shared.sessions.lock().expect("session registry poisoned");
+    let mut sessions = lock(&shared.sessions);
     if sessions.contains_key(name) {
         drop(sessions);
         drop(handle.tx);
@@ -274,12 +266,7 @@ fn handle_open(request: &Json, shared: &Arc<Shared>) -> Json {
         Ok(name) => name,
         Err(response) => return response,
     };
-    if shared
-        .sessions
-        .lock()
-        .expect("session registry poisoned")
-        .contains_key(&name)
-    {
+    if lock(&shared.sessions).contains_key(&name) {
         return error_response(format!("session `{name}` already exists"), false);
     }
     let Some(system) = request.get("system").and_then(Json::as_str) else {
@@ -362,11 +349,7 @@ fn handle_close(request: &Json, shared: &Arc<Shared>) -> Json {
         Ok(name) => name,
         Err(response) => return response,
     };
-    let handle = shared
-        .sessions
-        .lock()
-        .expect("session registry poisoned")
-        .remove(&name);
+    let handle = lock(&shared.sessions).remove(&name);
     match handle {
         Some(handle) => {
             // Dropping the sender drains the queue; join waits for it.
@@ -405,7 +388,7 @@ fn handle_session_verb(op: &str, request: &Json, shared: &Arc<Shared>, writer: &
     // Clone the queue sender out of the registry and release the lock before
     // waiting on anything — registry access must stay O(lookup).
     let (tx, timeout_default) = {
-        let sessions = shared.sessions.lock().expect("session registry poisoned");
+        let sessions = lock(&shared.sessions);
         match sessions.get(&name) {
             Some(handle) => (handle.tx.clone(), handle.spec.request_timeout_ms),
             None => return error_response(format!("unknown session `{name}`"), false),
@@ -572,6 +555,28 @@ mod tests {
             thread::sleep(Duration::from_millis(50));
         };
         shut_down(probe, serving);
+    }
+
+    #[test]
+    fn a_poisoned_session_registry_still_serves() {
+        let (addr, shared, serving) = start();
+        let holder = Arc::clone(&shared);
+        let panicked = thread::spawn(move || {
+            let _sessions = holder.sessions.lock().unwrap();
+            panic!("a panic while the session registry is held");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(shared.sessions.is_poisoned());
+
+        let mut client = pinged(addr).expect("a served connection");
+        let open = r#"{"op":"open","session":"s","system":"HomeClimateControlCooler"}"#;
+        let opened = exchange(&mut client, Some(open)).expect("an open reply");
+        assert_eq!(opened.get("ok"), Some(&Json::Bool(true)), "{opened:?}");
+        let close = r#"{"op":"close","session":"s"}"#;
+        let closed = exchange(&mut client, Some(close)).expect("a close reply");
+        assert_eq!(closed.get("closed"), Some(&Json::from("s")), "{closed:?}");
+        shut_down(client, serving);
     }
 
     #[test]

@@ -821,7 +821,7 @@ mod tests {
             max_spurious_rounds: 3,
             workers: 2,
             learner: "ktails".to_string(),
-            engine: OracleKind::Portfolio,
+            engine: OracleKind::KInduction,
             verdict_cache: false,
             queue_capacity: 7,
             request_timeout_ms: 1234,

@@ -37,8 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\nDOT:\n{}", report.abstraction.to_dot(vars));
 
-    // The checking phase runs through the incremental SAT backend; its
-    // aggregated statistics surface in the report.
+    // The default portfolio answers the small queries by explicit-state
+    // search and the rest through the incremental SAT backend; the SAT
+    // statistics surface in the report.
     let solver = report.solver_stats();
     assert!(solver.solve_calls > 0, "no SAT queries were issued");
     println!(
