@@ -20,23 +20,29 @@
 //!   `HomeClimateControlCooler`).
 //! * `--sessions N` / `--batches N` / `--traces N` / `--length N` — load
 //!   shape: sessions, ingest+refine rounds per session, traces per batch,
-//!   trace length (defaults 1 / 2 / 8 / 12).
+//!   trace length (defaults 1 / 2 / 8 / 12). Each must be at least 1, and
+//!   the length at least 2.
 //! * `--seed N` — base RNG seed (default 7).
-//! * `--workers N` — condition-checking workers per session (default 1).
+//! * `--workers N` — condition-checking workers per session (default 1, at
+//!   least 1).
 //! * `--expect-converged` — exit non-zero unless every session's final
 //!   refinement reports `converged: true` (the CI smoke gate).
 //! * `--shutdown` — send `shutdown` after the load and wait for the
 //!   acknowledgement, so the daemon process exits cleanly.
+//!
+//! A missing, unparsable or too small value prints the usage and exits 2
+//! before any connection is tried. Every request goes out as one line in
+//! one write, through `amle_serve::Client`.
 
 use amle_bench::fingerprint_digest;
 use amle_benchmarks::benchmark_by_name;
-use amle_serve::json::{parse_json, Json};
-use amle_system::{wire, Simulator};
+use amle_serve::json::{obj, Json};
+use amle_serve::{trace_batch, Client};
+use amle_system::Simulator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{BufRead, BufReader, Write as _};
-use std::net::TcpStream;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 struct Options {
@@ -82,21 +88,15 @@ fn parse_options() -> Result<Options, ExitCode> {
                 usage()
             })
         };
-        fn numeric<T: std::str::FromStr>(name: &str, raw: &str) -> Result<T, ExitCode> {
-            raw.parse().map_err(|_| {
-                eprintln!("{name} requires a number, got `{raw}`");
-                usage()
-            })
-        }
         match arg.as_str() {
             "--addr" => options.addr = value("--addr")?,
             "--system" => options.system = value("--system")?,
-            "--sessions" => options.sessions = numeric("--sessions", &value("--sessions")?)?,
-            "--batches" => options.batches = numeric("--batches", &value("--batches")?)?,
-            "--traces" => options.traces = numeric("--traces", &value("--traces")?)?,
-            "--length" => options.length = numeric("--length", &value("--length")?)?,
-            "--seed" => options.seed = numeric("--seed", &value("--seed")?)?,
-            "--workers" => options.workers = numeric("--workers", &value("--workers")?)?,
+            "--sessions" => options.sessions = at_least("--sessions", &value("--sessions")?, 1)?,
+            "--batches" => options.batches = at_least("--batches", &value("--batches")?, 1)?,
+            "--traces" => options.traces = at_least("--traces", &value("--traces")?, 1)?,
+            "--length" => options.length = at_least("--length", &value("--length")?, 2)?,
+            "--seed" => options.seed = at_least("--seed", &value("--seed")?, 0)?,
+            "--workers" => options.workers = at_least("--workers", &value("--workers")?, 1)?,
             "--expect-converged" => options.expect_converged = true,
             "--shutdown" => options.shutdown = true,
             "--help" | "-h" => return Err(usage()),
@@ -106,89 +106,62 @@ fn parse_options() -> Result<Options, ExitCode> {
             }
         }
     }
-    options.sessions = options.sessions.max(1);
-    options.batches = options.batches.max(1);
-    options.traces = options.traces.max(1);
-    options.length = options.length.max(2);
-    options.workers = options.workers.max(1);
     Ok(options)
 }
 
-/// One protocol connection: a request line out, a response line in.
-struct Client {
-    reader: BufReader<TcpStream>,
-    stream: TcpStream,
-}
-
-impl Client {
-    /// Connects, retrying for up to ~10s so a freshly spawned daemon has
-    /// time to bind.
-    fn connect(addr: &str) -> Result<Client, String> {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match TcpStream::connect(addr) {
-                Ok(stream) => {
-                    let reader = BufReader::new(
-                        stream
-                            .try_clone()
-                            .map_err(|e| format!("clone stream: {e}"))?,
-                    );
-                    return Ok(Client { reader, stream });
-                }
-                Err(e) if Instant::now() < deadline => {
-                    let _ = e;
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-                Err(e) => return Err(format!("cannot connect to {addr}: {e}")),
-            }
+/// Parses `raw` as the value of `name`, which must be at least `min`.
+fn at_least<T: FromStr + PartialOrd + std::fmt::Display>(
+    name: &str,
+    raw: &str,
+    min: T,
+) -> Result<T, ExitCode> {
+    match raw.parse() {
+        Ok(n) if n >= min => Ok(n),
+        _ => {
+            eprintln!("{name} requires an integer of at least {min}, got `{raw}`");
+            Err(usage())
         }
-    }
-
-    fn send(&mut self, request: &Json) -> Result<Json, String> {
-        self.stream
-            .write_all(request.render().as_bytes())
-            .and_then(|()| self.stream.write_all(b"\n"))
-            .map_err(|e| format!("write request: {e}"))?;
-        let mut line = String::new();
-        self.reader
-            .read_line(&mut line)
-            .map_err(|e| format!("read response: {e}"))?;
-        if line.is_empty() {
-            return Err("daemon closed the connection".to_string());
-        }
-        parse_json(line.trim_end()).map_err(|e| format!("bad response line {line:?}: {e}"))
-    }
-
-    /// Sends, retrying retriable rejections (full queue, expired deadline)
-    /// with linear backoff. Non-retriable errors are final.
-    fn send_retry(&mut self, request: &Json) -> Result<Json, String> {
-        for attempt in 0..50u64 {
-            let response = self.send(request)?;
-            if response.get("ok").and_then(Json::as_bool) == Some(true) {
-                return Ok(response);
-            }
-            let retriable = response.get("retriable").and_then(Json::as_bool) == Some(true);
-            let error = response
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown error")
-                .to_string();
-            if !retriable {
-                return Err(error);
-            }
-            std::thread::sleep(Duration::from_millis(50 * (attempt + 1)));
-        }
-        Err("retriable rejection persisted after 50 attempts".to_string())
     }
 }
 
-fn req<const N: usize>(op: &str, fields: [(&str, Json); N]) -> Json {
-    let mut pairs = vec![("op".to_string(), Json::from(op))];
-    pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    pairs.into_iter().collect()
+/// Connects, retrying for up to ~10s so a freshly spawned daemon has time
+/// to bind.
+fn connect(addr: &str) -> Result<Client, String> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match Client::connect(addr) {
+            Ok(client) => return Ok(client),
+            Err(_) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            Err(e) => return Err(format!("cannot connect to {addr}: {e}")),
+        }
+    }
 }
 
-fn trace_batch(options: &Options, session: usize, batch: usize) -> Result<Json, String> {
+/// Sends, retrying retriable rejections (full queue, expired deadline) with
+/// linear backoff. Non-retriable errors are final.
+fn send_retry(client: &mut Client, request: &Json) -> Result<Json, String> {
+    for attempt in 0..50u64 {
+        let response = client.send(request).map_err(|e| e.to_string())?;
+        if response.get("ok").and_then(Json::as_bool) == Some(true) {
+            return Ok(response);
+        }
+        let retriable = response.get("retriable").and_then(Json::as_bool) == Some(true);
+        let error = response
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap_or("unknown error")
+            .to_string();
+        if !retriable {
+            return Err(error);
+        }
+        std::thread::sleep(Duration::from_millis(50 * (attempt + 1)));
+    }
+    Err("retriable rejection persisted after 50 attempts".to_string())
+}
+
+fn simulated_batch(options: &Options, session: usize, batch: usize) -> Result<Json, String> {
     let benchmark = benchmark_by_name(&options.system)
         .ok_or_else(|| format!("unknown system `{}`", options.system))?;
     let seed = options
@@ -198,45 +171,29 @@ fn trace_batch(options: &Options, session: usize, batch: usize) -> Result<Json, 
     let mut rng = StdRng::seed_from_u64(seed);
     let traces =
         Simulator::new(&benchmark.system).random_traces(options.traces, options.length, &mut rng);
-    Ok(traces
-        .iter()
-        .map(|t| -> Json {
-            wire::trace_to_rows(t)
-                .into_iter()
-                .map(|row| -> Json { row.into_iter().map(Json::from).collect() })
-                .collect()
-        })
-        .collect())
+    Ok(trace_batch(traces.iter()))
 }
 
 fn drive_session(options: &Options, index: usize) -> Result<(bool, String), String> {
     let name = format!("load-{index}");
-    let mut client = Client::connect(&options.addr)?;
-    let config: Json = [
-        ("workers".to_string(), Json::from(options.workers)),
-        ("k".to_string(), Json::Null),
-    ]
-    .into_iter()
-    .filter(|(_, v)| *v != Json::Null)
-    .collect();
-    client.send_retry(&req(
-        "open",
-        [
-            ("session", Json::from(name.as_str())),
+    let mut client = connect(&options.addr)?;
+    let session = || ("session", Json::from(name.as_str()));
+    send_retry(
+        &mut client,
+        &obj([
+            ("op", "open".into()),
+            session(),
             ("system", Json::from(options.system.as_str())),
-            ("config", config),
-        ],
-    ))?;
+            ("config", obj([("workers", Json::from(options.workers))])),
+        ]),
+    )?;
     let mut converged = false;
     let mut digest = String::new();
     for batch in 0..options.batches {
-        let traces = trace_batch(options, index, batch)?;
-        client.send_retry(&req(
-            "ingest",
-            [("session", Json::from(name.as_str())), ("traces", traces)],
-        ))?;
-        let refined =
-            client.send_retry(&req("refine", [("session", Json::from(name.as_str()))]))?;
+        let traces = simulated_batch(options, index, batch)?;
+        let ingest = obj([("op", "ingest".into()), session(), ("traces", traces)]);
+        send_retry(&mut client, &ingest)?;
+        let refined = send_retry(&mut client, &obj([("op", "refine".into()), session()]))?;
         converged = refined.get("converged").and_then(Json::as_bool) == Some(true);
         digest = refined
             .get("fingerprint_digest")
@@ -262,7 +219,7 @@ fn drive_session(options: &Options, index: usize) -> Result<(bool, String), Stri
                 .unwrap_or(f64::NAN),
         );
     }
-    client.send_retry(&req("close", [("session", Json::from(name.as_str()))]))?;
+    send_retry(&mut client, &obj([("op", "close".into()), session()]))?;
     Ok((converged, digest))
 }
 
@@ -315,7 +272,8 @@ fn main() -> ExitCode {
     }
 
     if options.shutdown {
-        match Client::connect(&options.addr).and_then(|mut c| c.send_retry(&req("shutdown", []))) {
+        let shutdown = obj([("op", "shutdown".into())]);
+        match connect(&options.addr).and_then(|mut client| send_retry(&mut client, &shutdown)) {
             Ok(_) => println!("daemon acknowledged shutdown"),
             Err(e) => {
                 eprintln!("shutdown failed: {e}");

@@ -35,7 +35,12 @@
 //!   identical across repeats). Best-of-N is what `perf-diff` regression
 //!   gating should consume: on a busy machine a single run's wall time
 //!   flaps by tens of milliseconds, while the minimum estimates the
-//!   noise-free cost.
+//!   noise-free cost. The repeats share one process, so each repeat after
+//!   the first starts with the process-global expression interner and
+//!   canonical memo warm, and the kept run is usually a warm one: its
+//!   `interner` counters are not comparable with a single run's, and they
+//!   vary with which repeat was fastest. Compare `--repeat` documents only
+//!   with `--repeat` documents.
 //! * `--table1-only` — restrict the suite to the Table I benchmarks; without
 //!   `--quick` this is the paper's Table I experiment (its "Our Algorithm"
 //!   columns at the paper's 50×50 shape).

@@ -239,6 +239,11 @@ pub struct SuiteRunMeta {
 /// only, a `circuit` object of netlist statistics (input/latch/gate counts
 /// and cone-of-influence survivors). Times keep 6 decimals, `mean_lbd` and
 /// the interner `hit_rate` 4.
+///
+/// Under `suite --repeat N` each record is the benchmark's fastest run. The
+/// repeats share one process, whose expression interner and canonical memo
+/// stay warm after the first, so such a record's `interner` counters are
+/// those of a warm run and cannot be compared with a single run's.
 pub fn suite_json(meta: &SuiteRunMeta, benchmarks: &[Benchmark], rows: &[ActiveRow]) -> String {
     assert_eq!(
         benchmarks.len(),

@@ -4,19 +4,21 @@
 //! [`MAX_REQUEST_BYTES`], one object with an `"op"` field; each response is
 //! one line, `{"ok":true,...}` or `{"ok":false,"error":...,"retriable":...}`.
 //! Connections that subscribed to a session additionally receive
-//! `{"event":"refinement",...}` lines interleaved between responses (all
-//! writes to a connection go through one mutex, so lines never shear).
+//! `{"event":"refinement",...}` lines interleaved between responses. Every
+//! line goes out through [`crate::write_line`] in one write, under the
+//! connection's one mutex, so lines never shear.
 //!
 //! Threading model: one thread per connection (blocking reads), one *actor*
 //! thread per session (see [`crate::session_actor`]). Connection threads
-//! never run learning work — they decode requests, `try_send` into the
-//! session's bounded queue (full queue ⇒ immediate retriable rejection, the
-//! accept loop is never blocked by a slow session), and wait for the reply
-//! with the request's deadline.
+//! never run learning work — they parse a request, `try_send` it as it is
+//! into the session's bounded queue (full queue ⇒ immediate retriable
+//! rejection, the accept loop is never blocked by a slow session), and wait
+//! for the reply with the request's deadline.
 //!
-//! The daemon serves at most [`MAX_CONNECTIONS`] connections at once. The
-//! accept loop joins connections whose thread has ended, so a closed
-//! connection releases its socket; a connection beyond the cap gets one
+//! The daemon serves at most [`MAX_CONNECTIONS`] connections at once. A
+//! connection thread shuts its socket down when it ends, so the peer sees
+//! EOF at once, and the accept loop joins the ended threads, so a closed
+//! connection releases its descriptor; a connection beyond the cap gets one
 //! retriable error line and is closed.
 //!
 //! Graceful shutdown (the `shutdown` verb): stop accepting, drop every
@@ -26,11 +28,11 @@
 
 use crate::json::{obj, parse_json, Json};
 use crate::session_actor::{
-    decode_trace_batch, parse_snapshot, spawn_session, Command, EventSink, SessionHandle,
-    SessionSpec,
+    parse_snapshot, send, spawn_session, Command, EventSink, SessionHandle, SessionSpec,
 };
+use crate::{error_response, write_line};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::io::{BufRead, BufReader, Read as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
@@ -108,8 +110,7 @@ impl Server {
                 drop(connections);
                 let message =
                     format!("the daemon serves at most {MAX_CONNECTIONS} connections; retry later");
-                let line = error_response(message, true).render() + "\n";
-                let _ = stream.write_all(line.as_bytes());
+                let _ = write_line(&mut stream, &error_response(message, true));
                 continue;
             }
             let peer = stream
@@ -147,76 +148,60 @@ fn lock<T>(registry: &Mutex<T>) -> MutexGuard<'_, T> {
     registry.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn error_response(message: impl Into<String>, retriable: bool) -> Json {
-    obj([
-        ("ok", Json::Bool(false)),
-        ("error", Json::from(message.into())),
-        ("retriable", Json::Bool(retriable)),
-    ])
-}
-
-fn write_line(writer: &EventSink, line: &str) -> bool {
-    let Ok(mut stream) = writer.lock() else {
-        return false;
-    };
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush())
-        .is_ok()
-}
-
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
-    let mut reader = match stream.try_clone() {
-        Ok(clone) => BufReader::new(clone),
-        Err(_) => return,
-    };
-    let writer: EventSink = Arc::new(Mutex::new(stream));
+    if let Ok(writer) = stream.try_clone() {
+        let writer: EventSink = Arc::new(Mutex::new(writer));
+        serve_requests(BufReader::new(&stream), &shared, &writer);
+    }
+    // Shut the socket on every way out: the registry's clone of the stream
+    // stays open until the next accept joins this thread, and a subscribed
+    // actor may hold the writer longer still, but the peer sees EOF now.
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Answers the connection's request lines until the peer closes, a reply
+/// cannot be written, a line exceeds [`MAX_REQUEST_BYTES`] or the daemon
+/// shuts down.
+fn serve_requests(mut reader: BufReader<&TcpStream>, shared: &Arc<Shared>, writer: &EventSink) {
     let limit = MAX_REQUEST_BYTES as u64 + 1;
     let mut bytes = Vec::new();
     loop {
         bytes.clear();
         match (&mut reader).take(limit).read_until(b'\n', &mut bytes) {
-            Ok(0) | Err(_) => break,
+            Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
-        if bytes.last() == Some(&b'\n') {
-            bytes.pop();
-            if bytes.last() == Some(&b'\r') {
-                bytes.pop();
-            }
-        } else if bytes.len() > MAX_REQUEST_BYTES {
+        // The parser skips the line's `\n` (and a `\r` before it) as
+        // whitespace; a line without one that fills the limit is too long.
+        if bytes.last() != Some(&b'\n') && bytes.len() > MAX_REQUEST_BYTES {
             let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
-            write_line(&writer, &error_response(message, false).render());
-            if let Ok(stream) = writer.lock() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-            break;
+            send(writer, &error_response(message, false));
+            return;
         }
-        let Ok(line) = std::str::from_utf8(&bytes) else {
-            break;
-        };
-        if line.trim().is_empty() {
+        if bytes.trim_ascii().is_empty() {
             continue;
         }
-        match process_request(line, &shared, &writer) {
+        match process_request(&bytes, shared, writer) {
             Some(response) => {
-                if !write_line(&writer, &response.render()) {
-                    break;
+                if !send(writer, &response) {
+                    return;
                 }
             }
             // The handler already wrote the reply (shutdown does, so the
             // line is on the wire before the drain severs this stream).
-            None => break,
+            None => return,
         }
     }
 }
 
-/// Dispatches one request. Returns `Some(response)` for the caller to write,
-/// or `None` when the handler wrote the reply itself and the connection loop
-/// should end.
-fn process_request(line: &str, shared: &Arc<Shared>, writer: &EventSink) -> Option<Json> {
-    let request = match parse_json(line) {
+/// Dispatches one request line. Returns `Some(response)` for the caller to
+/// write, or `None` when the handler wrote the reply itself and the
+/// connection should end.
+fn process_request(line: &[u8], shared: &Arc<Shared>, writer: &EventSink) -> Option<Json> {
+    let parsed = std::str::from_utf8(line)
+        .map_err(|e| e.to_string())
+        .and_then(parse_json);
+    let request = match parsed {
         Ok(request) => request,
         Err(e) => return Some(error_response(format!("malformed request: {e}"), false)),
     };
@@ -230,7 +215,7 @@ fn process_request(line: &str, shared: &Arc<Shared>, writer: &EventSink) -> Opti
         "close" => handle_close(&request, shared),
         "shutdown" => return handle_shutdown(shared, writer),
         "ingest" | "refine" | "model" | "stats" | "snapshot" | "subscribe" | "sleep" => {
-            handle_session_verb(op, &request, shared, writer)
+            handle_session_verb(request, shared, writer)
         }
         other => error_response(format!("unknown op `{other}`"), false),
     })
@@ -372,7 +357,7 @@ fn handle_shutdown(shared: &Arc<Shared>, writer: &EventSink) -> Option<Json> {
         ("ok", Json::Bool(true)),
         ("shutting_down", Json::Bool(true)),
     ]);
-    let _ = write_line(writer, &response.render());
+    send(writer, &response);
     shared.shutting_down.store(true, Ordering::SeqCst);
     // Unblock the accept loop; it sees the flag and starts the drain. The
     // dummy connection is accepted and immediately discarded.
@@ -380,8 +365,10 @@ fn handle_shutdown(shared: &Arc<Shared>, writer: &EventSink) -> Option<Json> {
     None
 }
 
-fn handle_session_verb(op: &str, request: &Json, shared: &Arc<Shared>, writer: &EventSink) -> Json {
-    let name = match session_name(request) {
+/// Queues a session verb for its actor, as the request itself, and waits
+/// for the reply under the request's deadline.
+fn handle_session_verb(request: Json, shared: &Arc<Shared>, writer: &EventSink) -> Json {
+    let name = match session_name(&request) {
         Ok(name) => name,
         Err(response) => return response,
     };
@@ -400,50 +387,12 @@ fn handle_session_verb(op: &str, request: &Json, shared: &Arc<Shared>, writer: &
         .unwrap_or(timeout_default)
         .max(1);
 
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let command = match op {
-        "ingest" => {
-            let Some(traces) = request.get("traces").and_then(Json::as_array) else {
-                return error_response("ingest lacks a `traces` array", false);
-            };
-            match decode_trace_batch(traces) {
-                Ok(traces) => Command::Ingest {
-                    traces,
-                    reply: reply_tx,
-                },
-                Err(e) => return error_response(e, false),
-            }
-        }
-        "refine" => Command::Refine { reply: reply_tx },
-        "model" => Command::Model {
-            format: request
-                .get("format")
-                .and_then(Json::as_str)
-                .unwrap_or("dot")
-                .to_string(),
-            reply: reply_tx,
-        },
-        "stats" => Command::Stats { reply: reply_tx },
-        "snapshot" => {
-            let Some(path) = request.get("path").and_then(Json::as_str) else {
-                return error_response("snapshot lacks a `path` field", false);
-            };
-            Command::Snapshot {
-                path: path.to_string(),
-                reply: reply_tx,
-            }
-        }
-        "subscribe" => Command::Subscribe {
-            sink: Arc::clone(writer),
-            reply: reply_tx,
-        },
-        "sleep" => Command::Sleep {
-            ms: request.get("ms").and_then(Json::as_u64).unwrap_or(100),
-            reply: reply_tx,
-        },
-        _ => unreachable!("dispatcher routes only session verbs here"),
+    let (reply, reply_rx) = mpsc::channel();
+    let command = Command {
+        request,
+        sink: Arc::clone(writer),
+        reply,
     };
-
     // The backpressure seam: a full queue rejects instead of blocking.
     match tx.try_send(command) {
         Ok(()) => {}
@@ -473,10 +422,14 @@ fn handle_session_verb(op: &str, request: &Json, shared: &Arc<Shared>, writer: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Client;
+    use std::io::Write as _;
     use std::thread;
     use std::time::Instant;
 
-    const PING: &str = r#"{"op":"ping"}"#;
+    fn ping() -> Json {
+        obj([("op", "ping".into())])
+    }
 
     /// A daemon serving on its own thread, with its registry in reach.
     fn start() -> (SocketAddr, Arc<Shared>, JoinHandle<std::io::Result<()>>) {
@@ -489,39 +442,28 @@ mod tests {
         )
     }
 
-    fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
-        let stream = TcpStream::connect(addr).expect("connect to the daemon");
-        stream
+    /// A client whose reads time out, so a daemon that never answers fails
+    /// the test instead of hanging it.
+    fn connect(addr: SocketAddr) -> Client {
+        let client = Client::connect(addr).expect("connect to the daemon");
+        client
+            .stream()
             .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("set a read timeout");
-        BufReader::new(stream)
+        client
     }
 
-    /// Sends `request` (if any) and reads one line back; `None` when the
-    /// daemon closed the connection instead.
-    fn exchange(client: &mut BufReader<TcpStream>, request: Option<&str>) -> Option<Json> {
-        if let Some(request) = request {
-            client
-                .get_mut()
-                .write_all(format!("{request}\n").as_bytes())
-                .ok()?;
-        }
-        let mut line = String::new();
-        match client.read_line(&mut line) {
-            Ok(n) if n > 0 => parse_json(line.trim_end()).ok(),
-            _ => None,
-        }
-    }
-
-    fn pinged(addr: SocketAddr) -> Option<BufReader<TcpStream>> {
+    fn pinged(addr: SocketAddr) -> Option<Client> {
         let mut client = connect(addr);
-        let reply = exchange(&mut client, Some(PING))?;
+        let reply = client.send(&ping()).ok()?;
         (reply.get("pong") == Some(&Json::Bool(true))).then_some(client)
     }
 
     /// Shuts the daemon down through a served client and waits for the drain.
-    fn shut_down(mut client: BufReader<TcpStream>, serving: JoinHandle<std::io::Result<()>>) {
-        let reply = exchange(&mut client, Some(r#"{"op":"shutdown"}"#)).expect("a reply");
+    fn shut_down(mut client: Client, serving: JoinHandle<std::io::Result<()>>) {
+        let reply = client
+            .send(&obj([("op", "shutdown".into())]))
+            .expect("a reply");
         assert_eq!(reply.get("shutting_down"), Some(&Json::Bool(true)));
         serving.join().unwrap().unwrap();
     }
@@ -571,10 +513,14 @@ mod tests {
 
         let mut client = pinged(addr).expect("a served connection");
         let open = r#"{"op":"open","session":"s","system":"HomeClimateControlCooler"}"#;
-        let opened = exchange(&mut client, Some(open)).expect("an open reply");
+        let opened = client
+            .send(&parse_json(open).unwrap())
+            .expect("an open reply");
         assert_eq!(opened.get("ok"), Some(&Json::Bool(true)), "{opened:?}");
         let close = r#"{"op":"close","session":"s"}"#;
-        let closed = exchange(&mut client, Some(close)).expect("a close reply");
+        let closed = client
+            .send(&parse_json(close).unwrap())
+            .expect("a close reply");
         assert_eq!(closed.get("closed"), Some(&Json::from("s")), "{closed:?}");
         shut_down(client, serving);
     }
@@ -587,10 +533,10 @@ mod tests {
             .collect();
         // The refusal arrives unasked, and then the daemon closes.
         let mut refused = connect(addr);
-        let refusal = exchange(&mut refused, None).expect("a refusal line");
+        let refusal = refused.read_line().expect("a refusal line");
         assert_eq!(refusal.get("ok"), Some(&Json::Bool(false)));
         assert_eq!(refusal.get("retriable"), Some(&Json::Bool(true)));
-        assert!(exchange(&mut refused, None).is_none());
+        assert!(refused.read_line().is_err());
 
         // Once a served client closes (its thread ends just after), a new
         // client is served.
@@ -604,5 +550,23 @@ mod tests {
             thread::sleep(Duration::from_millis(20));
         }
         shut_down(clients.pop().unwrap(), serving);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_refused_and_the_connection_served_on() {
+        let (addr, _, serving) = start();
+        let mut client = connect(addr);
+        client
+            .stream()
+            .write_all(b"\xff\xfe\n")
+            .expect("write a line that is not UTF-8");
+        let refused = client.read_line().expect("an error line");
+        assert_eq!(refused.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(refused.get("retriable"), Some(&Json::Bool(false)));
+        let error = refused.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.starts_with("malformed request"), "{error}");
+        let pong = client.send(&ping()).expect("a pong");
+        assert_eq!(pong.get("pong"), Some(&Json::Bool(true)));
+        shut_down(client, serving);
     }
 }

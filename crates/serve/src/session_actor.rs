@@ -8,11 +8,17 @@
 //! the request with a retriable error instead of blocking the accept loop
 //! behind a long refinement.
 //!
+//! A session verb reaches the actor as the request itself ([`Command`]),
+//! and one handler decodes and answers it. The actor logs every successful
+//! `ingest` and `refine` request; a snapshot writes that log, and `restore`
+//! feeds it back through the same handler before the session serves.
+//!
 //! Dropping every sender of the queue is the graceful-shutdown signal: the
 //! channel delivers all buffered commands before disconnecting, so an actor
 //! drains in-flight work (refinements included) and then exits.
 
-use crate::json::{obj, Json};
+use crate::json::{obj, parse_json, Json};
+use crate::{error_response, write_line};
 use amle_automaton::{display_expr, Nfa};
 use amle_benchmarks::{benchmark_by_name, Benchmark};
 use amle_core::{
@@ -22,11 +28,11 @@ use amle_core::{
 use amle_learner::LearnerKind;
 use amle_system::wire;
 use amle_system::System;
-use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Default bound of a session's command queue.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
@@ -203,68 +209,27 @@ fn make_learner(name: &str) -> Result<LearnerKind, String> {
     })
 }
 
-/// One replayable session operation (the snapshot file's event log).
-#[derive(Debug, Clone)]
-pub enum ReplayOp {
-    /// A trace batch, as raw wire rows.
-    Ingest(Vec<Vec<Vec<i64>>>),
-    /// A completed refinement.
-    Refine,
-}
-
-/// A subscriber's write half: events interleave with the connection's own
-/// responses, so every write goes through the shared mutex.
+/// A connection's write half. Subscriber events interleave with the
+/// connection's own replies, so every line goes through this mutex whole.
 pub type EventSink = Arc<Mutex<TcpStream>>;
 
-/// A command delivered to a session actor. Every variant carries a reply
-/// channel; the serving layer waits on it with the request's deadline.
-pub enum Command {
-    /// Fold a batch of wire-encoded traces into the store.
-    Ingest {
-        /// The batch, one row matrix per trace.
-        traces: Vec<Vec<Vec<i64>>>,
-        /// Reply channel.
-        reply: Sender<Json>,
-    },
-    /// Run the refinement loop over the current store.
-    Refine {
-        /// Reply channel.
-        reply: Sender<Json>,
-    },
-    /// Render the current model.
-    Model {
-        /// `"dot"` or `"json"`.
-        format: String,
-        /// Reply channel.
-        reply: Sender<Json>,
-    },
-    /// Report the session's cumulative counters.
-    Stats {
-        /// Reply channel.
-        reply: Sender<Json>,
-    },
-    /// Serialize the session's replay log to a file.
-    Snapshot {
-        /// Destination path.
-        path: String,
-        /// Reply channel.
-        reply: Sender<Json>,
-    },
-    /// Attach a model-delta subscriber.
-    Subscribe {
-        /// The subscriber connection's write half.
-        sink: EventSink,
-        /// Reply channel.
-        reply: Sender<Json>,
-    },
-    /// Diagnostics: hold the actor busy for a bounded interval so tests can
-    /// fill the command queue deterministically.
-    Sleep {
-        /// Busy interval in milliseconds (capped at 5000).
-        ms: u64,
-        /// Reply channel.
-        reply: Sender<Json>,
-    },
+/// Writes `message` to a connection as one line (see [`write_line`]);
+/// false once the connection is gone.
+pub(crate) fn send(sink: &EventSink, message: &Json) -> bool {
+    sink.lock()
+        .is_ok_and(|mut stream| write_line(&mut *stream, message).is_ok())
+}
+
+/// A session verb on its way to the actor: the request itself, the
+/// connection it arrived on (`subscribe` registers it) and the reply channel
+/// the serving layer waits on with the request's deadline.
+pub struct Command {
+    /// The request object, `op` field included.
+    pub request: Json,
+    /// The requesting connection's write half.
+    pub sink: EventSink,
+    /// Reply channel.
+    pub reply: Sender<Json>,
 }
 
 /// The serving layer's handle to a running actor.
@@ -288,14 +253,15 @@ pub struct ReadyInfo {
     pub last_fingerprint_digest: Option<String>,
 }
 
-/// Spawns a session actor, replaying `replay` first (empty for a fresh
-/// `open`) and returning its [`ReadyInfo`] replay summary. Blocks until the
-/// actor finished replaying; a replay failure or a store-digest mismatch
-/// tears the actor down and is returned as `Err`.
+/// Spawns a session actor, first replaying `replay` (a snapshot's recorded
+/// `ingest` and `refine` requests; empty for a fresh `open`) and returning
+/// its [`ReadyInfo`] replay summary. Blocks until the actor finished
+/// replaying; a replay failure or a store-digest mismatch tears the actor
+/// down and is returned as `Err`.
 pub fn spawn_session(
     name: String,
     spec: SessionSpec,
-    replay: Vec<ReplayOp>,
+    replay: Vec<Json>,
     expected_store_digest: Option<String>,
 ) -> Result<(SessionHandle, ReadyInfo), String> {
     let benchmark = benchmark_by_name(&spec.system)
@@ -332,10 +298,17 @@ pub fn spawn_session(
     }
 }
 
-/// State the actor keeps besides the [`Session`] itself.
-struct ActorState {
+/// One session: the resident [`Session`] and what the actor keeps beside
+/// it.
+struct Actor<'a> {
     name: String,
-    ops_log: Vec<ReplayOp>,
+    spec: SessionSpec,
+    system: &'a System,
+    session: Session<'a, LearnerKind>,
+    /// Every `ingest` and `refine` request that succeeded, rendered as a
+    /// snapshot records it: the text of a trace batch takes a fraction of
+    /// the memory of its parsed form.
+    ops_log: Vec<String>,
     subscribers: Vec<EventSink>,
     last_fingerprint: Option<String>,
     last_model: Option<Nfa>,
@@ -345,7 +318,7 @@ fn actor_main(
     name: String,
     spec: SessionSpec,
     benchmark: Benchmark,
-    replay: Vec<ReplayOp>,
+    replay: Vec<Json>,
     expected_store_digest: Option<String>,
     rx: Receiver<Command>,
     ready: Sender<Result<ReadyInfo, String>>,
@@ -361,56 +334,42 @@ fn actor_main(
             return;
         }
     };
-    let mut session = Session::new(&system, learner, config);
-    let mut state = ActorState {
+    let mut actor = Actor {
         name,
+        spec,
+        system: &system,
+        session: Session::new(&system, learner, config),
         ops_log: Vec::new(),
         subscribers: Vec::new(),
         last_fingerprint: None,
         last_model: None,
     };
 
-    // Replay the snapshot's event log: same system, same config, same
-    // batches in the same order ⇒ the deterministic pipeline reproduces the
-    // exact pre-snapshot state (store contents, learner state, verdict
-    // cache), which the store digest then witnesses.
+    // Replay the snapshot's recorded requests through the live handler:
+    // same system, same config, same batches in the same order ⇒ the
+    // deterministic pipeline reproduces the exact pre-snapshot state (store
+    // contents, learner state, verdict cache), which the store digest then
+    // witnesses.
     let mut info = ReadyInfo {
         replayed_ingests: 0,
         replayed_refines: 0,
         last_fingerprint_digest: None,
     };
-    for op in replay {
-        match op {
-            ReplayOp::Ingest(traces) => {
-                let response = do_ingest(&mut session, &mut state, &system, traces);
-                if response.get("ok") != Some(&Json::Bool(true)) {
-                    let reason = response
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("replay failed")
-                        .to_string();
-                    let _ = ready.send(Err(format!("replay ingest failed: {reason}")));
-                    return;
-                }
-                info.replayed_ingests += 1;
-            }
-            ReplayOp::Refine => {
-                let response = do_refine(&mut session, &mut state, &system);
-                if response.get("ok") != Some(&Json::Bool(true)) {
-                    let reason = response
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("replay failed")
-                        .to_string();
-                    let _ = ready.send(Err(format!("replay refine failed: {reason}")));
-                    return;
-                }
-                info.replayed_refines += 1;
-            }
+    for (i, request) in replay.into_iter().enumerate() {
+        let refine = request.get("op").and_then(Json::as_str) == Some("refine");
+        let response = actor.handle(request, None);
+        if let Some(reason) = response.get("error").and_then(Json::as_str) {
+            let _ = ready.send(Err(format!("replaying ops[{i}] failed: {reason}")));
+            return;
+        }
+        if refine {
+            info.replayed_refines += 1;
+        } else {
+            info.replayed_ingests += 1;
         }
     }
     if let Some(expected) = expected_store_digest {
-        let actual = wire::rows_digest(&wire::store_rows(session.store()));
+        let actual = wire::rows_digest(&wire::store_rows(actor.session.store()));
         if actual != expected {
             let _ = ready.send(Err(format!(
                 "snapshot integrity check failed: store digest {actual} != recorded {expected}"
@@ -418,178 +377,247 @@ fn actor_main(
             return;
         }
     }
-    info.last_fingerprint_digest = state.last_fingerprint.as_deref().map(fingerprint_digest);
+    info.last_fingerprint_digest = actor.last_fingerprint.as_deref().map(fingerprint_digest);
     let _ = ready.send(Ok(info));
 
     // The command loop. `recv` returns `Err` only once every sender is gone
     // *and* the buffered commands are drained — that is the graceful
     // shutdown contract.
-    while let Ok(command) = rx.recv() {
-        match command {
-            Command::Ingest { traces, reply } => {
-                let response = do_ingest(&mut session, &mut state, &system, traces);
-                let _ = reply.send(response);
-            }
-            Command::Refine { reply } => {
-                let response = do_refine(&mut session, &mut state, &system);
-                let _ = reply.send(response);
-            }
-            Command::Model { format, reply } => {
-                let _ = reply.send(do_model(&state, &system, &format));
-            }
-            Command::Stats { reply } => {
-                let _ = reply.send(do_stats(&session, &state, &spec));
-            }
-            Command::Snapshot { path, reply } => {
-                let _ = reply.send(do_snapshot(&session, &state, &spec, &path));
-            }
-            Command::Subscribe { sink, reply } => {
-                state.subscribers.push(sink);
-                let _ = reply.send(obj([
-                    ("ok", Json::Bool(true)),
-                    ("subscribed", Json::from(state.name.as_str())),
-                    (
-                        "fingerprint_digest",
-                        state
-                            .last_fingerprint
-                            .as_deref()
-                            .map(|fp| Json::from(fingerprint_digest(fp)))
-                            .unwrap_or(Json::Null),
-                    ),
-                ]));
-            }
-            Command::Sleep { ms, reply } => {
-                std::thread::sleep(std::time::Duration::from_millis(ms.min(5000)));
-                let _ = reply.send(obj([
-                    ("ok", Json::Bool(true)),
-                    ("slept_ms", Json::from(ms)),
-                ]));
-            }
-        }
+    while let Ok(Command {
+        request,
+        sink,
+        reply,
+    }) = rx.recv()
+    {
+        let _ = reply.send(actor.handle(request, Some(&sink)));
     }
 }
 
-fn error_response(message: String, retriable: bool) -> Json {
-    obj([
-        ("ok", Json::Bool(false)),
-        ("error", Json::from(message)),
-        ("retriable", Json::Bool(retriable)),
-    ])
-}
-
-fn do_ingest(
-    session: &mut Session<'_, LearnerKind>,
-    state: &mut ActorState,
-    system: &System,
-    traces: Vec<Vec<Vec<i64>>>,
-) -> Json {
-    let mut decoded = Vec::with_capacity(traces.len());
-    for (i, rows) in traces.iter().enumerate() {
-        match wire::trace_from_rows(system.vars(), rows) {
-            Ok(trace) if !trace.is_empty() => decoded.push(trace),
-            Ok(_) => return error_response(format!("trace {i} is empty"), false),
-            Err(e) => return error_response(format!("trace {i}: {e}"), false),
+impl Actor<'_> {
+    /// Decodes and answers one session verb. Live requests arrive with
+    /// their connection; on restore, a snapshot's recorded `ingest` and
+    /// `refine` requests arrive with none.
+    fn handle(&mut self, request: Json, sink: Option<&EventSink>) -> Json {
+        match (request.get("op").and_then(Json::as_str), sink) {
+            (Some("ingest"), _) => self.ingest(request),
+            (Some("refine"), _) => self.refine(request),
+            (Some("model"), _) => self.model(
+                request
+                    .get("format")
+                    .and_then(Json::as_str)
+                    .unwrap_or("dot"),
+            ),
+            (Some("stats"), _) => self.stats(),
+            (Some("snapshot"), _) => match request.get("path").and_then(Json::as_str) {
+                Some(path) => self.snapshot(path),
+                None => error_response("snapshot lacks a `path` field", false),
+            },
+            (Some("subscribe"), Some(sink)) => {
+                self.subscribers.push(Arc::clone(sink));
+                obj([
+                    ("ok", Json::Bool(true)),
+                    ("subscribed", Json::from(self.name.as_str())),
+                    ("fingerprint_digest", self.last_digest()),
+                ])
+            }
+            // Diagnostics: hold the actor busy for a bounded interval so
+            // tests can fill the command queue deterministically.
+            (Some("sleep"), _) => {
+                let ms = request.get("ms").and_then(Json::as_u64).unwrap_or(100);
+                std::thread::sleep(Duration::from_millis(ms.min(5000)));
+                obj([("ok", Json::Bool(true)), ("slept_ms", Json::from(ms))])
+            }
+            (op, _) => error_response(
+                format!("`{}` is not a session verb here", op.unwrap_or("")),
+                false,
+            ),
         }
     }
-    let outcome = session.ingest(decoded);
-    state.ops_log.push(ReplayOp::Ingest(traces));
-    obj([
-        ("ok", Json::Bool(true)),
-        ("accepted", Json::from(outcome.accepted)),
-        ("duplicates", Json::from(outcome.duplicates)),
-        ("traces", Json::from(session.trace_count())),
-    ])
-}
 
-fn do_refine(
-    session: &mut Session<'_, LearnerKind>,
-    state: &mut ActorState,
-    system: &System,
-) -> Json {
-    let report = match session.refine() {
-        Ok(report) => report,
-        Err(e) => return error_response(e.to_string(), false),
-    };
-    let fingerprint = report.semantic_fingerprint(system.vars());
-    let digest = fingerprint_digest(&fingerprint);
-    state.ops_log.push(ReplayOp::Refine);
-    state.last_fingerprint = Some(fingerprint.clone());
-    state.last_model = Some(report.abstraction.clone());
+    /// Appends a successful `ingest` or `refine` request to the log, without
+    /// the fields a replay does not read (`session`, `timeout_ms`).
+    fn log(&mut self, mut request: Json) {
+        if let Json::Object(fields) = &mut request {
+            fields.retain(|key, _| key == "op" || key == "traces");
+        }
+        self.ops_log.push(request.render());
+    }
 
-    // Push the model delta to every subscriber; a dead sink is dropped.
-    let event = obj([
-        ("event", Json::from("refinement")),
-        ("session", Json::from(state.name.as_str())),
-        ("alpha", Json::Number(report.alpha)),
-        ("converged", Json::Bool(report.converged)),
-        ("iterations", Json::from(report.iterations)),
-        ("fingerprint_digest", Json::from(digest.as_str())),
-        ("fingerprint", Json::from(fingerprint.as_str())),
-        ("dot", Json::from(report.abstraction.to_dot(system.vars()))),
-    ])
-    .render();
-    state.subscribers.retain(|sink| {
-        let Ok(mut stream) = sink.lock() else {
-            return false;
+    /// The digest of the latest refinement's fingerprint; null before the
+    /// first.
+    fn last_digest(&self) -> Json {
+        self.last_fingerprint
+            .as_deref()
+            .map(|fp| Json::from(fingerprint_digest(fp)))
+            .unwrap_or(Json::Null)
+    }
+
+    fn ingest(&mut self, request: Json) -> Json {
+        let Some(batch) = request.get("traces").and_then(Json::as_array) else {
+            return error_response("ingest lacks a `traces` array", false);
         };
-        stream
-            .write_all(event.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
-            .and_then(|()| stream.flush())
-            .is_ok()
-    });
-
-    obj([
-        ("ok", Json::Bool(true)),
-        ("alpha", Json::Number(report.alpha)),
-        ("converged", Json::Bool(report.converged)),
-        ("iterations", Json::from(report.iterations)),
-        ("states", Json::from(report.abstraction.num_states())),
-        (
-            "transitions",
-            Json::from(report.abstraction.num_transitions()),
-        ),
-        ("traces", Json::from(session.trace_count())),
-        ("fingerprint", Json::from(fingerprint)),
-        ("fingerprint_digest", Json::from(digest)),
-    ])
-}
-
-fn do_model(state: &ActorState, system: &System, format: &str) -> Json {
-    let Some(model) = &state.last_model else {
-        return error_response("no model yet: refine first".to_string(), false);
-    };
-    match format {
-        "dot" => obj([
-            ("ok", Json::Bool(true)),
-            ("format", Json::from("dot")),
-            ("dot", Json::from(model.to_dot(system.vars()))),
-        ]),
-        "json" => {
-            let transitions: Json = model
-                .transitions()
-                .iter()
-                .map(|t| {
-                    obj([
-                        ("from", Json::from(t.from.index())),
-                        ("to", Json::from(t.to.index())),
-                        ("guard", Json::from(display_expr(&t.guard, system.vars()))),
-                    ])
-                })
-                .collect();
-            let initial: Json = model
-                .initial_states()
-                .map(|s| Json::from(s.index()))
-                .collect();
-            obj([
-                ("ok", Json::Bool(true)),
-                ("format", Json::from("json")),
-                ("states", Json::from(model.num_states())),
-                ("initial", initial),
-                ("transitions", transitions),
-            ])
+        let rows = match decode_trace_batch(batch) {
+            Ok(rows) => rows,
+            Err(e) => return error_response(e, false),
+        };
+        let mut traces = Vec::with_capacity(rows.len());
+        for (i, rows) in rows.iter().enumerate() {
+            match wire::trace_from_rows(self.system.vars(), rows) {
+                Ok(trace) if !trace.is_empty() => traces.push(trace),
+                Ok(_) => return error_response(format!("trace {i} is empty"), false),
+                Err(e) => return error_response(format!("trace {i}: {e}"), false),
+            }
         }
-        other => error_response(format!("unknown model format `{other}` (dot|json)"), false),
+        let outcome = self.session.ingest(traces);
+        self.log(request);
+        obj([
+            ("ok", Json::Bool(true)),
+            ("accepted", Json::from(outcome.accepted)),
+            ("duplicates", Json::from(outcome.duplicates)),
+            ("traces", Json::from(self.session.trace_count())),
+        ])
+    }
+
+    fn refine(&mut self, request: Json) -> Json {
+        let report = match self.session.refine() {
+            Ok(report) => report,
+            Err(e) => return error_response(e.to_string(), false),
+        };
+        self.log(request);
+        let vars = self.system.vars();
+        let fingerprint = report.semantic_fingerprint(vars);
+        let digest = fingerprint_digest(&fingerprint);
+
+        // Push the model to every subscriber; a dead one is dropped.
+        let event = obj([
+            ("event", Json::from("refinement")),
+            ("session", Json::from(self.name.as_str())),
+            ("alpha", Json::Number(report.alpha)),
+            ("converged", Json::Bool(report.converged)),
+            ("iterations", Json::from(report.iterations)),
+            ("fingerprint_digest", Json::from(digest.as_str())),
+            ("fingerprint", Json::from(fingerprint.as_str())),
+            ("dot", Json::from(report.abstraction.to_dot(vars))),
+        ]);
+        self.subscribers.retain(|sink| send(sink, &event));
+
+        let response = obj([
+            ("ok", Json::Bool(true)),
+            ("alpha", Json::Number(report.alpha)),
+            ("converged", Json::Bool(report.converged)),
+            ("iterations", Json::from(report.iterations)),
+            ("states", Json::from(report.abstraction.num_states())),
+            (
+                "transitions",
+                Json::from(report.abstraction.num_transitions()),
+            ),
+            ("traces", Json::from(self.session.trace_count())),
+            ("fingerprint", Json::from(fingerprint.as_str())),
+            ("fingerprint_digest", Json::from(digest)),
+        ]);
+        self.last_fingerprint = Some(fingerprint);
+        self.last_model = Some(report.abstraction);
+        response
+    }
+
+    fn model(&self, format: &str) -> Json {
+        let Some(model) = &self.last_model else {
+            return error_response("no model yet: refine first", false);
+        };
+        let vars = self.system.vars();
+        match format {
+            "dot" => obj([
+                ("ok", Json::Bool(true)),
+                ("format", Json::from("dot")),
+                ("dot", Json::from(model.to_dot(vars))),
+            ]),
+            "json" => {
+                let transitions: Json = model
+                    .transitions()
+                    .iter()
+                    .map(|t| {
+                        obj([
+                            ("from", Json::from(t.from.index())),
+                            ("to", Json::from(t.to.index())),
+                            ("guard", Json::from(display_expr(&t.guard, vars))),
+                        ])
+                    })
+                    .collect();
+                let initial: Json = model
+                    .initial_states()
+                    .map(|s| Json::from(s.index()))
+                    .collect();
+                obj([
+                    ("ok", Json::Bool(true)),
+                    ("format", Json::from("json")),
+                    ("states", Json::from(model.num_states())),
+                    ("initial", initial),
+                    ("transitions", transitions),
+                ])
+            }
+            other => error_response(format!("unknown model format `{other}` (dot|json)"), false),
+        }
+    }
+
+    fn stats(&self) -> Json {
+        let stats = self.session.stats();
+        let [store, cache, checker] = stats_json(&stats);
+        // The expression interner is process-global and never shrinks; a
+        // resident daemon must watch it as a gauge, not per-session deltas.
+        let interner = InternerStats::snapshot();
+        obj([
+            ("ok", Json::Bool(true)),
+            ("session", Json::from(self.name.as_str())),
+            ("system", Json::from(self.spec.system.as_str())),
+            ("workers", Json::from(self.spec.workers)),
+            ("engine", Json::from(self.spec.engine.name())),
+            ("learner", Json::from(self.spec.learner.as_str())),
+            ("ingested_traces", Json::from(stats.ingested_traces)),
+            ("duplicate_traces", Json::from(stats.duplicate_traces)),
+            ("refinements", Json::from(stats.refinements)),
+            ("subscribers", Json::from(self.subscribers.len())),
+            store,
+            cache,
+            checker,
+            (
+                "interner_gauge",
+                obj([
+                    ("nodes_interned", Json::from(interner.nodes_interned)),
+                    ("hits", Json::from(interner.hits)),
+                    (
+                        "canonical_rewrites",
+                        Json::from(interner.canonical_rewrites),
+                    ),
+                ]),
+            ),
+        ])
+    }
+
+    fn snapshot(&self, path: &str) -> Json {
+        let store_digest = wire::rows_digest(&wire::store_rows(self.session.store()));
+        let doc = obj([
+            ("schema", Json::from(SNAPSHOT_SCHEMA)),
+            ("kind", Json::from(SNAPSHOT_KIND)),
+            ("config", self.spec.to_json()),
+            ("store_digest", Json::from(store_digest.as_str())),
+            ("last_fingerprint_digest", self.last_digest()),
+            (
+                "ops",
+                self.ops_log
+                    .iter()
+                    .map(|op| parse_json(op).expect("the log holds requests this actor rendered"))
+                    .collect(),
+            ),
+        ]);
+        match std::fs::write(path, doc.render() + "\n") {
+            Ok(()) => obj([
+                ("ok", Json::Bool(true)),
+                ("path", Json::from(path)),
+                ("store_digest", Json::from(store_digest)),
+                ("ops", Json::from(self.ops_log.len())),
+            ]),
+            Err(e) => error_response(format!("cannot write snapshot to {path}: {e}"), false),
+        }
     }
 }
 
@@ -649,100 +677,16 @@ fn stats_json(stats: &SessionStats) -> [(&'static str, Json); 3] {
     ]
 }
 
-fn do_stats(session: &Session<'_, LearnerKind>, state: &ActorState, spec: &SessionSpec) -> Json {
-    let stats = session.stats();
-    let [store, cache, checker] = stats_json(&stats);
-    // The expression interner is process-global and never shrinks; a
-    // resident daemon must watch it as a gauge, not per-session deltas.
-    let interner = InternerStats::snapshot();
-    obj([
-        ("ok", Json::Bool(true)),
-        ("session", Json::from(state.name.as_str())),
-        ("system", Json::from(spec.system.as_str())),
-        ("workers", Json::from(spec.workers)),
-        ("engine", Json::from(spec.engine.name())),
-        ("learner", Json::from(spec.learner.as_str())),
-        ("ingested_traces", Json::from(stats.ingested_traces)),
-        ("duplicate_traces", Json::from(stats.duplicate_traces)),
-        ("refinements", Json::from(stats.refinements)),
-        ("subscribers", Json::from(state.subscribers.len())),
-        store,
-        cache,
-        checker,
-        (
-            "interner_gauge",
-            obj([
-                ("nodes_interned", Json::from(interner.nodes_interned)),
-                ("hits", Json::from(interner.hits)),
-                (
-                    "canonical_rewrites",
-                    Json::from(interner.canonical_rewrites),
-                ),
-            ]),
-        ),
-    ])
-}
-
 /// Snapshot file schema version.
 pub const SNAPSHOT_SCHEMA: u64 = 1;
 
 /// Snapshot file `kind` marker.
 pub const SNAPSHOT_KIND: &str = "amle-session-snapshot";
 
-fn do_snapshot(
-    session: &Session<'_, LearnerKind>,
-    state: &ActorState,
-    spec: &SessionSpec,
-    path: &str,
-) -> Json {
-    let ops: Json = state
-        .ops_log
-        .iter()
-        .map(|op| match op {
-            ReplayOp::Ingest(traces) => {
-                let traces: Json = traces
-                    .iter()
-                    .map(|rows| -> Json {
-                        rows.iter()
-                            .map(|row| -> Json { row.iter().map(|v| Json::from(*v)).collect() })
-                            .collect()
-                    })
-                    .collect();
-                obj([("op", Json::from("ingest")), ("traces", traces)])
-            }
-            ReplayOp::Refine => obj([("op", Json::from("refine"))]),
-        })
-        .collect();
-    let store_digest = wire::rows_digest(&wire::store_rows(session.store()));
-    let doc = obj([
-        ("schema", Json::from(SNAPSHOT_SCHEMA)),
-        ("kind", Json::from(SNAPSHOT_KIND)),
-        ("config", spec.to_json()),
-        ("store_digest", Json::from(store_digest.as_str())),
-        (
-            "last_fingerprint_digest",
-            state
-                .last_fingerprint
-                .as_deref()
-                .map(|fp| Json::from(fingerprint_digest(fp)))
-                .unwrap_or(Json::Null),
-        ),
-        ("ops", ops),
-    ]);
-    match std::fs::write(path, doc.render() + "\n") {
-        Ok(()) => obj([
-            ("ok", Json::Bool(true)),
-            ("path", Json::from(path)),
-            ("store_digest", Json::from(store_digest)),
-            ("ops", Json::from(state.ops_log.len())),
-        ]),
-        Err(e) => error_response(format!("cannot write snapshot to {path}: {e}"), false),
-    }
-}
-
-/// Parses a snapshot file into its spec, replay log and recorded store
-/// digest.
-pub fn parse_snapshot(text: &str) -> Result<(SessionSpec, Vec<ReplayOp>, String), String> {
+/// Parses a snapshot file into its spec, its recorded `ingest` and `refine`
+/// requests and its store digest. The requests are replayed through the
+/// actor's live handler, so any other verb in the log is refused here.
+pub fn parse_snapshot(text: &str) -> Result<(SessionSpec, Vec<Json>, String), String> {
     let doc = crate::json::parse_json(text)?;
     if doc.get("kind").and_then(Json::as_str) != Some(SNAPSHOT_KIND) {
         return Err("not an amle session snapshot".to_string());
@@ -760,29 +704,21 @@ pub fn parse_snapshot(text: &str) -> Result<(SessionSpec, Vec<ReplayOp>, String)
         .and_then(Json::as_str)
         .ok_or("snapshot lacks `store_digest`")?
         .to_string();
-    let ops_json = doc
+    let ops = doc
         .get("ops")
         .and_then(Json::as_array)
         .ok_or("snapshot lacks an `ops` array")?;
-    let mut ops = Vec::with_capacity(ops_json.len());
-    for (i, op) in ops_json.iter().enumerate() {
+    for (i, op) in ops.iter().enumerate() {
         match op.get("op").and_then(Json::as_str) {
-            Some("ingest") => {
-                let traces = op
-                    .get("traces")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| format!("ops[{i}]: ingest lacks `traces`"))?;
-                ops.push(ReplayOp::Ingest(decode_trace_batch(traces)?));
-            }
-            Some("refine") => ops.push(ReplayOp::Refine),
+            Some("ingest" | "refine") => {}
             other => return Err(format!("ops[{i}]: unknown op {other:?}")),
         }
     }
-    Ok((spec, ops, store_digest))
+    Ok((spec, ops.to_vec(), store_digest))
 }
 
 /// Decodes the protocol's trace-batch shape (array of row matrices of
-/// integers) into wire rows.
+/// integers, as [`crate::trace_batch`] encodes it) into wire rows.
 pub fn decode_trace_batch(traces: &[Json]) -> Result<Vec<Vec<Vec<i64>>>, String> {
     let mut batch = Vec::with_capacity(traces.len());
     for (t, trace) in traces.iter().enumerate() {

@@ -8,14 +8,14 @@
 
 use amle_benchmarks::{benchmark_by_name, Benchmark};
 use amle_core::{ActiveLearner, ActiveLearnerConfig, ParallelConfig};
-use amle_serve::json::{parse_json, Json};
+use amle_serve::json::{obj, parse_json, Json};
 use amle_serve::server::MAX_REQUEST_BYTES;
-use amle_serve::Server;
-use amle_system::{wire, Simulator, Trace, TraceSet};
+use amle_serve::{trace_batch, Client, Server};
+use amle_system::{Simulator, Trace, TraceSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write as _;
+use std::net::SocketAddr;
 use std::thread;
 use std::time::Duration;
 
@@ -29,79 +29,34 @@ fn start_server() -> (SocketAddr, thread::JoinHandle<std::io::Result<()>>) {
     (addr, thread::spawn(move || server.run()))
 }
 
-/// A tiny protocol client: one request line out, one response line in.
-struct Client {
-    reader: BufReader<TcpStream>,
-    stream: TcpStream,
+fn connect(addr: SocketAddr) -> Client {
+    Client::connect(addr).expect("connect to daemon")
 }
 
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-        Client { reader, stream }
-    }
-
-    fn read_line(&mut self) -> Json {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read line");
-        parse_json(line.trim_end()).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"))
-    }
-
-    fn send_raw(&mut self, line: &str) -> Json {
-        self.stream
-            .write_all(line.as_bytes())
-            .and_then(|()| self.stream.write_all(b"\n"))
-            .expect("write request");
-        self.read_line()
-    }
-
-    fn send(&mut self, request: &Json) -> Json {
-        self.send_raw(&request.render())
-    }
-
-    fn send_ok(&mut self, request: &Json) -> Json {
-        let response = self.send(request);
-        assert_eq!(
-            response.get("ok"),
-            Some(&Json::Bool(true)),
-            "expected success, got {}",
-            response.render()
-        );
-        response
-    }
-}
-
-fn req<const N: usize>(op: &str, fields: [(&str, Json); N]) -> Json {
-    let mut pairs = vec![("op".to_string(), Json::from(op))];
-    pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    pairs.into_iter().collect()
+/// The reply of a request that must succeed.
+fn ok(reply: std::io::Result<Json>) -> Json {
+    let reply = reply.expect("a reply line");
+    assert_eq!(
+        reply.get("ok"),
+        Some(&Json::Bool(true)),
+        "expected success, got {}",
+        reply.render()
+    );
+    reply
 }
 
 fn cooler() -> Benchmark {
     benchmark_by_name(COOLER).expect("cooler benchmark exists")
 }
 
-/// Deterministic trace batches for the cooler, as both `Trace`s (for the
-/// local batch run) and wire-encoded JSON (for the protocol).
+/// A deterministic trace batch for the cooler: the local batch run takes the
+/// `Trace`s and the protocol their `trace_batch` encoding.
 fn sample_batch(benchmark: &Benchmark, count: usize, length: usize, seed: u64) -> Vec<Trace> {
     let mut rng = StdRng::seed_from_u64(seed);
     Simulator::new(&benchmark.system)
         .random_traces(count, length, &mut rng)
         .iter()
         .cloned()
-        .collect()
-}
-
-fn encode_batch(traces: &[Trace]) -> Json {
-    traces
-        .iter()
-        .map(|t| -> Json {
-            wire::trace_to_rows(t)
-                .into_iter()
-                .map(|row| -> Json { row.into_iter().map(Json::from).collect() })
-                .collect()
-        })
         .collect()
 }
 
@@ -143,45 +98,39 @@ fn concurrent_sessions_match_batch_run_and_stream_models() {
         .map(|(name, workers, seed)| {
             let benchmark = benchmark.clone();
             thread::spawn(move || {
-                let mut client = Client::connect(addr);
-                client.send_ok(&req(
-                    "open",
-                    [
-                        ("session", Json::from(name.as_str())),
-                        ("system", Json::from(COOLER)),
-                        (
-                            "config",
-                            [("workers".to_string(), Json::from(workers))]
-                                .into_iter()
-                                .collect(),
-                        ),
-                    ],
-                ));
+                let mut client = connect(addr);
+                ok(client.send(&obj([
+                    ("op", "open".into()),
+                    ("session", Json::from(name.as_str())),
+                    ("system", Json::from(COOLER)),
+                    ("config", obj([("workers", Json::from(workers))])),
+                ])));
 
                 // A second connection subscribes to streamed model deltas.
-                let mut subscriber = Client::connect(addr);
-                subscriber.send_ok(&req("subscribe", [("session", Json::from(name.as_str()))]));
+                let mut subscriber = connect(addr);
+                ok(subscriber.send(&obj([
+                    ("op", "subscribe".into()),
+                    ("session", Json::from(name.as_str())),
+                ])));
 
                 let batch1 = sample_batch(&benchmark, 6, 10, seed);
                 let batch2 = sample_batch(&benchmark, 6, 10, seed + 1);
-                let ingested = client.send_ok(&req(
-                    "ingest",
-                    [
-                        ("session", Json::from(name.as_str())),
-                        ("traces", encode_batch(&batch1)),
-                    ],
-                ));
+                let ingested = ok(client.send(&obj([
+                    ("op", "ingest".into()),
+                    ("session", Json::from(name.as_str())),
+                    ("traces", trace_batch(&batch1)),
+                ])));
                 assert_eq!(ingested.get("accepted").unwrap().as_u64(), Some(6));
-                client.send_ok(&req(
-                    "ingest",
-                    [
-                        ("session", Json::from(name.as_str())),
-                        ("traces", encode_batch(&batch2)),
-                    ],
-                ));
+                ok(client.send(&obj([
+                    ("op", "ingest".into()),
+                    ("session", Json::from(name.as_str())),
+                    ("traces", trace_batch(&batch2)),
+                ])));
 
-                let refined =
-                    client.send_ok(&req("refine", [("session", Json::from(name.as_str()))]));
+                let refined = ok(client.send(&obj([
+                    ("op", "refine".into()),
+                    ("session", Json::from(name.as_str())),
+                ])));
                 let daemon_fp = refined.get("fingerprint").unwrap().as_str().unwrap();
                 let expected = batch_fingerprint(&benchmark, &[batch1, batch2], workers);
                 assert_eq!(
@@ -191,7 +140,7 @@ fn concurrent_sessions_match_batch_run_and_stream_models() {
                 assert_eq!(refined.get("converged"), Some(&Json::Bool(true)));
 
                 // The subscriber received the same model, pushed not polled.
-                let event = subscriber.read_line();
+                let event = subscriber.read_line().unwrap();
                 assert_eq!(event.get("event").unwrap().as_str(), Some("refinement"));
                 assert_eq!(
                     event.get("fingerprint").unwrap().as_str(),
@@ -207,7 +156,10 @@ fn concurrent_sessions_match_batch_run_and_stream_models() {
 
                 // Stats expose the session's counters and the process-global
                 // interner gauge.
-                let stats = client.send_ok(&req("stats", [("session", Json::from(name.as_str()))]));
+                let stats = ok(client.send(&obj([
+                    ("op", "stats".into()),
+                    ("session", Json::from(name.as_str())),
+                ])));
                 assert_eq!(stats.get("refinements").unwrap().as_u64(), Some(1));
                 assert_eq!(stats.get("ingested_traces").unwrap().as_u64(), Some(12));
                 assert!(
@@ -221,7 +173,10 @@ fn concurrent_sessions_match_batch_run_and_stream_models() {
                         > 0
                 );
 
-                client.send_ok(&req("close", [("session", Json::from(name.as_str()))]));
+                ok(client.send(&obj([
+                    ("op", "close".into()),
+                    ("session", Json::from(name.as_str())),
+                ])));
             })
         })
         .collect();
@@ -229,8 +184,8 @@ fn concurrent_sessions_match_batch_run_and_stream_models() {
         handle.join().expect("client thread");
     }
 
-    let mut closer = Client::connect(addr);
-    closer.send_ok(&req("shutdown", []));
+    let mut closer = connect(addr);
+    ok(closer.send(&obj([("op", "shutdown".into())])));
     server.join().expect("server thread").expect("server io");
 }
 
@@ -250,75 +205,69 @@ fn snapshot_restore_round_trip_is_byte_identical() {
 
     // First daemon: ingest, refine, snapshot, then keep going to produce
     // the continuation the restored session must reproduce.
-    let mut client = Client::connect(addr);
-    client.send_ok(&req(
-        "open",
-        [
-            ("session", Json::from("cooler")),
-            ("system", Json::from(COOLER)),
-        ],
-    ));
-    client.send_ok(&req(
-        "ingest",
-        [
-            ("session", Json::from("cooler")),
-            ("traces", encode_batch(&batch1)),
-        ],
-    ));
-    let refined1 = client.send_ok(&req("refine", [("session", Json::from("cooler"))]));
+    let mut client = connect(addr);
+    ok(client.send(&obj([
+        ("op", "open".into()),
+        ("session", Json::from("cooler")),
+        ("system", Json::from(COOLER)),
+    ])));
+    ok(client.send(&obj([
+        ("op", "ingest".into()),
+        ("session", Json::from("cooler")),
+        ("traces", trace_batch(&batch1)),
+    ])));
+    let refined1 = ok(client.send(&obj([
+        ("op", "refine".into()),
+        ("session", Json::from("cooler")),
+    ])));
     let digest1 = refined1
         .get("fingerprint_digest")
         .unwrap()
         .as_str()
         .unwrap()
         .to_string();
-    let snapshot = client.send_ok(&req(
-        "snapshot",
-        [
-            ("session", Json::from("cooler")),
-            ("path", Json::from(path_str.as_str())),
-        ],
-    ));
+    let snapshot = ok(client.send(&obj([
+        ("op", "snapshot".into()),
+        ("session", Json::from("cooler")),
+        ("path", Json::from(path_str.as_str())),
+    ])));
     assert!(snapshot.get("store_digest").unwrap().as_str().is_some());
 
-    client.send_ok(&req(
-        "ingest",
-        [
-            ("session", Json::from("cooler")),
-            ("traces", encode_batch(&batch2)),
-        ],
-    ));
-    let refined2 = client.send_ok(&req("refine", [("session", Json::from("cooler"))]));
+    ok(client.send(&obj([
+        ("op", "ingest".into()),
+        ("session", Json::from("cooler")),
+        ("traces", trace_batch(&batch2)),
+    ])));
+    let refined2 = ok(client.send(&obj([
+        ("op", "refine".into()),
+        ("session", Json::from("cooler")),
+    ])));
     let fp2 = refined2
         .get("fingerprint")
         .unwrap()
         .as_str()
         .unwrap()
         .to_string();
-    let model2 = client.send_ok(&req(
-        "model",
-        [
-            ("session", Json::from("cooler")),
-            ("format", Json::from("dot")),
-        ],
-    ));
+    let model2 = ok(client.send(&obj([
+        ("op", "model".into()),
+        ("session", Json::from("cooler")),
+        ("format", Json::from("dot")),
+    ])));
     let dot2 = model2.get("dot").unwrap().as_str().unwrap().to_string();
 
     // Graceful shutdown with the session still open: the daemon drains it.
-    client.send_ok(&req("shutdown", []));
+    ok(client.send(&obj([("op", "shutdown".into())])));
     server.join().expect("server thread").expect("server io");
 
     // Second daemon instance (fresh process state as far as the session is
     // concerned): restore from the snapshot file and replay the tail.
     let (addr2, server2) = start_server();
-    let mut client2 = Client::connect(addr2);
-    let restored = client2.send_ok(&req(
-        "restore",
-        [
-            ("session", Json::from("cooler")),
-            ("path", Json::from(path_str.as_str())),
-        ],
-    ));
+    let mut client2 = connect(addr2);
+    let restored = ok(client2.send(&obj([
+        ("op", "restore".into()),
+        ("session", Json::from("cooler")),
+        ("path", Json::from(path_str.as_str())),
+    ])));
     assert_eq!(restored.get("replayed_ingests").unwrap().as_u64(), Some(1));
     assert_eq!(restored.get("replayed_refines").unwrap().as_u64(), Some(1));
     assert_eq!(
@@ -327,26 +276,25 @@ fn snapshot_restore_round_trip_is_byte_identical() {
         "restored session replayed to a different pre-snapshot state"
     );
 
-    client2.send_ok(&req(
-        "ingest",
-        [
-            ("session", Json::from("cooler")),
-            ("traces", encode_batch(&batch2)),
-        ],
-    ));
-    let refined2b = client2.send_ok(&req("refine", [("session", Json::from("cooler"))]));
+    ok(client2.send(&obj([
+        ("op", "ingest".into()),
+        ("session", Json::from("cooler")),
+        ("traces", trace_batch(&batch2)),
+    ])));
+    let refined2b = ok(client2.send(&obj([
+        ("op", "refine".into()),
+        ("session", Json::from("cooler")),
+    ])));
     assert_eq!(
         refined2b.get("fingerprint").unwrap().as_str(),
         Some(fp2.as_str()),
         "post-restore refinement diverged from the original session"
     );
-    let model2b = client2.send_ok(&req(
-        "model",
-        [
-            ("session", Json::from("cooler")),
-            ("format", Json::from("dot")),
-        ],
-    ));
+    let model2b = ok(client2.send(&obj([
+        ("op", "model".into()),
+        ("session", Json::from("cooler")),
+        ("format", Json::from("dot")),
+    ])));
     assert_eq!(model2b.get("dot").unwrap().as_str(), Some(dot2.as_str()));
 
     // A tampered snapshot fails the integrity check instead of silently
@@ -354,13 +302,13 @@ fn snapshot_restore_round_trip_is_byte_identical() {
     let text = std::fs::read_to_string(&path).unwrap();
     let tampered = text.replacen("\"store_digest\":\"", "\"store_digest\":\"0", 1);
     std::fs::write(&path, tampered).unwrap();
-    let rejected = client2.send(&req(
-        "restore",
-        [
+    let rejected = client2
+        .send(&obj([
+            ("op", "restore".into()),
             ("session", Json::from("tampered")),
             ("path", Json::from(path_str.as_str())),
-        ],
-    ));
+        ]))
+        .unwrap();
     assert_eq!(rejected.get("ok"), Some(&Json::Bool(false)));
     assert!(
         rejected
@@ -373,7 +321,7 @@ fn snapshot_restore_round_trip_is_byte_identical() {
         rejected.render()
     );
 
-    client2.send_ok(&req("shutdown", []));
+    ok(client2.send(&obj([("op", "shutdown".into())])));
     server2.join().expect("server thread").expect("server io");
     let _ = std::fs::remove_file(&path);
 }
@@ -381,49 +329,47 @@ fn snapshot_restore_round_trip_is_byte_identical() {
 #[test]
 fn backpressure_rejects_and_deadlines_expire_without_blocking() {
     let (addr, server) = start_server();
-    let mut client = Client::connect(addr);
-    client.send_ok(&req(
-        "open",
-        [
-            ("session", Json::from("busy")),
-            ("system", Json::from(COOLER)),
-            (
-                "config",
-                [("queue_capacity".to_string(), Json::from(1usize))]
-                    .into_iter()
-                    .collect(),
-            ),
-        ],
-    ));
+    let mut client = connect(addr);
+    ok(client.send(&obj([
+        ("op", "open".into()),
+        ("session", Json::from("busy")),
+        ("system", Json::from(COOLER)),
+        ("config", obj([("queue_capacity", Json::from(1usize))])),
+    ])));
 
     // Occupy the actor: connection 1 parks in a 1.5s diagnostics sleep.
     let sleeper = thread::spawn(move || {
-        let mut conn = Client::connect(addr);
-        conn.send_ok(&req(
-            "sleep",
-            [("session", Json::from("busy")), ("ms", Json::from(1500u64))],
-        ))
+        let mut conn = connect(addr);
+        ok(conn.send(&obj([
+            ("op", "sleep".into()),
+            ("session", Json::from("busy")),
+            ("ms", Json::from(1500u64)),
+        ])))
     });
     thread::sleep(Duration::from_millis(300));
 
     // Connection 2 fills the single queue slot and asks for a deadline far
     // shorter than the sleep: it gets a retriable timeout, not a hang.
     let queued = thread::spawn(move || {
-        let mut conn = Client::connect(addr);
-        conn.send(&req(
-            "stats",
-            [
-                ("session", Json::from("busy")),
-                ("timeout_ms", Json::from(100u64)),
-            ],
-        ))
+        let mut conn = connect(addr);
+        conn.send(&obj([
+            ("op", "stats".into()),
+            ("session", Json::from("busy")),
+            ("timeout_ms", Json::from(100u64)),
+        ]))
+        .unwrap()
     });
     thread::sleep(Duration::from_millis(300));
 
     // Connection 3 finds the queue full and is rejected immediately —
     // the accept loop and the connection stay fully responsive.
-    let mut conn3 = Client::connect(addr);
-    let rejected = conn3.send(&req("stats", [("session", Json::from("busy"))]));
+    let mut conn3 = connect(addr);
+    let rejected = conn3
+        .send(&obj([
+            ("op", "stats".into()),
+            ("session", Json::from("busy")),
+        ]))
+        .unwrap();
     assert_eq!(rejected.get("ok"), Some(&Json::Bool(false)));
     assert_eq!(rejected.get("retriable"), Some(&Json::Bool(true)));
     assert!(
@@ -454,28 +400,35 @@ fn backpressure_rejects_and_deadlines_expire_without_blocking() {
     assert_eq!(slept.get("slept_ms").unwrap().as_u64(), Some(1500));
 
     // The session drained its queue and still works.
-    let stats = conn3.send_ok(&req("stats", [("session", Json::from("busy"))]));
+    let stats = ok(conn3.send(&obj([
+        ("op", "stats".into()),
+        ("session", Json::from("busy")),
+    ])));
     assert_eq!(stats.get("system").unwrap().as_str(), Some(COOLER));
 
-    conn3.send_ok(&req("shutdown", []));
+    ok(conn3.send(&obj([("op", "shutdown".into())])));
     server.join().expect("server thread").expect("server io");
 }
 
 #[test]
 fn protocol_errors_are_reported_not_fatal() {
     let (addr, server) = start_server();
-    let mut client = Client::connect(addr);
+    let mut client = connect(addr);
 
     assert_eq!(
-        client.send_ok(&req("ping", [])).get("pong"),
+        ok(client.send(&obj([("op", "ping".into())]))).get("pong"),
         Some(&Json::Bool(true))
     );
 
-    let bad = client.send_raw("{not json");
+    client
+        .stream()
+        .write_all(b"{not json\n")
+        .expect("write a malformed request");
+    let bad = client.read_line().unwrap();
     assert_eq!(bad.get("ok"), Some(&Json::Bool(false)));
     assert_eq!(bad.get("retriable"), Some(&Json::Bool(false)));
 
-    let unknown = client.send(&req("teleport", []));
+    let unknown = client.send(&obj([("op", "teleport".into())])).unwrap();
     assert!(unknown
         .get("error")
         .unwrap()
@@ -483,7 +436,12 @@ fn protocol_errors_are_reported_not_fatal() {
         .unwrap()
         .contains("unknown op"));
 
-    let missing = client.send(&req("refine", [("session", Json::from("ghost"))]));
+    let missing = client
+        .send(&obj([
+            ("op", "refine".into()),
+            ("session", Json::from("ghost")),
+        ]))
+        .unwrap();
     assert!(missing
         .get("error")
         .unwrap()
@@ -491,13 +449,13 @@ fn protocol_errors_are_reported_not_fatal() {
         .unwrap()
         .contains("unknown session"));
 
-    let bad_system = client.send(&req(
-        "open",
-        [
+    let bad_system = client
+        .send(&obj([
+            ("op", "open".into()),
             ("session", Json::from("s")),
             ("system", Json::from("PerpetuumMobile")),
-        ],
-    ));
+        ]))
+        .unwrap();
     assert!(bad_system
         .get("error")
         .unwrap()
@@ -507,19 +465,14 @@ fn protocol_errors_are_reported_not_fatal() {
 
     // A zero k-induction bound is refused at `open`; the connection and the
     // daemon keep serving.
-    let zero_k = client.send(&req(
-        "open",
-        [
+    let zero_k = client
+        .send(&obj([
+            ("op", "open".into()),
             ("session", Json::from("z")),
             ("system", Json::from(COOLER)),
-            (
-                "config",
-                [("k".to_string(), Json::from(0usize))]
-                    .into_iter()
-                    .collect(),
-            ),
-        ],
-    ));
+            ("config", obj([("k", Json::from(0usize))])),
+        ]))
+        .unwrap();
     assert_eq!(zero_k.get("ok"), Some(&Json::Bool(false)));
     assert_eq!(zero_k.get("retriable"), Some(&Json::Bool(false)));
     assert!(zero_k
@@ -529,14 +482,18 @@ fn protocol_errors_are_reported_not_fatal() {
         .unwrap()
         .contains("`k`"));
 
-    client.send_ok(&req(
-        "open",
-        [("session", Json::from("s")), ("system", Json::from(COOLER))],
-    ));
-    let duplicate = client.send(&req(
-        "open",
-        [("session", Json::from("s")), ("system", Json::from(COOLER))],
-    ));
+    ok(client.send(&obj([
+        ("op", "open".into()),
+        ("session", Json::from("s")),
+        ("system", Json::from(COOLER)),
+    ])));
+    let duplicate = client
+        .send(&obj([
+            ("op", "open".into()),
+            ("session", Json::from("s")),
+            ("system", Json::from(COOLER)),
+        ]))
+        .unwrap();
     assert!(duplicate
         .get("error")
         .unwrap()
@@ -545,17 +502,25 @@ fn protocol_errors_are_reported_not_fatal() {
         .contains("already exists"));
 
     // Refine before any trace arrived, and model before any refinement.
-    let empty = client.send(&req("refine", [("session", Json::from("s"))]));
+    let empty = client
+        .send(&obj([
+            ("op", "refine".into()),
+            ("session", Json::from("s")),
+        ]))
+        .unwrap();
     assert!(empty
         .get("error")
         .unwrap()
         .as_str()
         .unwrap()
         .contains("at least one ingested trace"));
-    let no_model = client.send(&req(
-        "model",
-        [("session", Json::from("s")), ("format", Json::from("dot"))],
-    ));
+    let no_model = client
+        .send(&obj([
+            ("op", "model".into()),
+            ("session", Json::from("s")),
+            ("format", Json::from("dot")),
+        ]))
+        .unwrap();
     assert!(no_model
         .get("error")
         .unwrap()
@@ -564,13 +529,13 @@ fn protocol_errors_are_reported_not_fatal() {
         .contains("refine first"));
 
     // A malformed trace batch is rejected by the wire codec with context.
-    let bad_rows = client.send(&req(
-        "ingest",
-        [
+    let bad_rows = client
+        .send(&obj([
+            ("op", "ingest".into()),
             ("session", Json::from("s")),
             ("traces", parse_json("[[[1,2,3,4,5,6,7,8,9]]]").unwrap()),
-        ],
-    ));
+        ]))
+        .unwrap();
     assert!(bad_rows
         .get("error")
         .unwrap()
@@ -583,16 +548,16 @@ fn protocol_errors_are_reported_not_fatal() {
     // bytes leave the server nothing unread, so the reply is not lost to a
     // reset, and the read timeout turns a daemon that keeps reading into a
     // failure instead of a hang.
-    let mut flooder = Client::connect(addr);
+    let mut flooder = connect(addr);
     flooder
-        .stream
+        .stream()
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("set read timeout");
     flooder
-        .stream
+        .stream()
         .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
         .expect("write oversized request");
-    let oversized = flooder.read_line();
+    let oversized = flooder.read_line().unwrap();
     assert_eq!(oversized.get("ok"), Some(&Json::Bool(false)));
     assert_eq!(oversized.get("retriable"), Some(&Json::Bool(false)));
     assert!(oversized
@@ -602,10 +567,10 @@ fn protocol_errors_are_reported_not_fatal() {
         .unwrap()
         .contains("exceeds"));
     assert_eq!(
-        client.send_ok(&req("ping", [])).get("pong"),
+        ok(client.send(&obj([("op", "ping".into())]))).get("pong"),
         Some(&Json::Bool(true))
     );
 
-    client.send_ok(&req("shutdown", []));
+    ok(client.send(&obj([("op", "shutdown".into())])));
     server.join().expect("server thread").expect("server io");
 }
