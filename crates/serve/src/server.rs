@@ -305,6 +305,7 @@ fn handle_restore(request: &Json, shared: &Arc<Shared>) -> Json {
         Ok(parsed) => parsed,
         Err(e) => return error_response(format!("bad snapshot {path}: {e}"), false),
     };
+    drop(text);
     let (handle, info) = match spawn_session(name.clone(), spec, replay, Some(store_digest)) {
         Ok(started) => started,
         Err(e) => return error_response(e, false),
@@ -366,7 +367,9 @@ fn handle_shutdown(shared: &Arc<Shared>, writer: &EventSink) -> Option<Json> {
 }
 
 /// Queues a session verb for its actor, as the request itself, and waits
-/// for the reply under the request's deadline.
+/// for the reply under the request's deadline. The actor checks the verb's
+/// fields, so a malformed request, too, can find the queue full or outlast
+/// its deadline.
 fn handle_session_verb(request: Json, shared: &Arc<Shared>, writer: &EventSink) -> Json {
     let name = match session_name(&request) {
         Ok(name) => name,

@@ -10,8 +10,9 @@
 //!
 //! A session verb reaches the actor as the request itself ([`Command`]),
 //! and one handler decodes and answers it. The actor logs every successful
-//! `ingest` and `refine` request; a snapshot writes that log, and `restore`
-//! feeds it back through the same handler before the session serves.
+//! `ingest` and `refine`, without the fields a replay does not read; a
+//! snapshot writes that log, and `restore` feeds it back through the same
+//! handler before the session serves.
 //!
 //! Dropping every sender of the queue is the graceful-shutdown signal: the
 //! channel delivers all buffered commands before disconnecting, so an actor
@@ -305,9 +306,10 @@ struct Actor<'a> {
     spec: SessionSpec,
     system: &'a System,
     session: Session<'a, LearnerKind>,
-    /// Every `ingest` and `refine` request that succeeded, rendered as a
-    /// snapshot records it: the text of a trace batch takes a fraction of
-    /// the memory of its parsed form.
+    /// Every `ingest` and `refine` that succeeded, rendered as a snapshot
+    /// records it: `{"op":"ingest","traces":…}` and `{"op":"refine"}`, no
+    /// other field. The text of a trace batch takes a fraction of the
+    /// memory of its parsed form.
     ops_log: Vec<String>,
     subscribers: Vec<EventSink>,
     last_fingerprint: Option<String>,
@@ -400,7 +402,7 @@ impl Actor<'_> {
     fn handle(&mut self, request: Json, sink: Option<&EventSink>) -> Json {
         match (request.get("op").and_then(Json::as_str), sink) {
             (Some("ingest"), _) => self.ingest(request),
-            (Some("refine"), _) => self.refine(request),
+            (Some("refine"), _) => self.refine(),
             (Some("model"), _) => self.model(
                 request
                     .get("format")
@@ -434,15 +436,6 @@ impl Actor<'_> {
         }
     }
 
-    /// Appends a successful `ingest` or `refine` request to the log, without
-    /// the fields a replay does not read (`session`, `timeout_ms`).
-    fn log(&mut self, mut request: Json) {
-        if let Json::Object(fields) = &mut request {
-            fields.retain(|key, _| key == "op" || key == "traces");
-        }
-        self.ops_log.push(request.render());
-    }
-
     /// The digest of the latest refinement's fingerprint; null before the
     /// first.
     fn last_digest(&self) -> Json {
@@ -453,10 +446,14 @@ impl Actor<'_> {
     }
 
     fn ingest(&mut self, request: Json) -> Json {
-        let Some(batch) = request.get("traces").and_then(Json::as_array) else {
+        let batch = match request {
+            Json::Object(mut fields) => fields.remove("traces"),
+            _ => None,
+        };
+        let Some(Json::Array(batch)) = batch else {
             return error_response("ingest lacks a `traces` array", false);
         };
-        let rows = match decode_trace_batch(batch) {
+        let rows = match decode_trace_batch(&batch) {
             Ok(rows) => rows,
             Err(e) => return error_response(e, false),
         };
@@ -469,7 +466,10 @@ impl Actor<'_> {
             }
         }
         let outcome = self.session.ingest(traces);
-        self.log(request);
+        // Only the batch is logged, and it decoded, so every cell is a whole
+        // number and renders as its integer, whatever its spelling was.
+        let logged = obj([("op", "ingest".into()), ("traces", Json::Array(batch))]);
+        self.ops_log.push(logged.render());
         obj([
             ("ok", Json::Bool(true)),
             ("accepted", Json::from(outcome.accepted)),
@@ -478,12 +478,12 @@ impl Actor<'_> {
         ])
     }
 
-    fn refine(&mut self, request: Json) -> Json {
+    fn refine(&mut self) -> Json {
         let report = match self.session.refine() {
             Ok(report) => report,
             Err(e) => return error_response(e.to_string(), false),
         };
-        self.log(request);
+        self.ops_log.push(obj([("op", "refine".into())]).render());
         let vars = self.system.vars();
         let fingerprint = report.semantic_fingerprint(vars);
         let digest = fingerprint_digest(&fingerprint);
@@ -594,20 +594,20 @@ impl Actor<'_> {
     }
 
     fn snapshot(&self, path: &str) -> Json {
+        // The store's rows are freed before the log is parsed back, so the
+        // two never peak together.
         let store_digest = wire::rows_digest(&wire::store_rows(self.session.store()));
+        let ops = match self.ops_log.iter().map(|op| parse_json(op)).collect() {
+            Ok(ops) => ops,
+            Err(e) => return error_response(format!("bad session log: {e}"), false),
+        };
         let doc = obj([
             ("schema", Json::from(SNAPSHOT_SCHEMA)),
             ("kind", Json::from(SNAPSHOT_KIND)),
             ("config", self.spec.to_json()),
             ("store_digest", Json::from(store_digest.as_str())),
             ("last_fingerprint_digest", self.last_digest()),
-            (
-                "ops",
-                self.ops_log
-                    .iter()
-                    .map(|op| parse_json(op).expect("the log holds requests this actor rendered"))
-                    .collect(),
-            ),
+            ("ops", ops),
         ]);
         match std::fs::write(path, doc.render() + "\n") {
             Ok(()) => obj([
@@ -687,10 +687,10 @@ pub const SNAPSHOT_KIND: &str = "amle-session-snapshot";
 /// requests and its store digest. The requests are replayed through the
 /// actor's live handler, so any other verb in the log is refused here.
 pub fn parse_snapshot(text: &str) -> Result<(SessionSpec, Vec<Json>, String), String> {
-    let doc = crate::json::parse_json(text)?;
-    if doc.get("kind").and_then(Json::as_str) != Some(SNAPSHOT_KIND) {
-        return Err("not an amle session snapshot".to_string());
-    }
+    let mut doc = match crate::json::parse_json(text)? {
+        Json::Object(doc) if doc.get("kind").and_then(Json::as_str) == Some(SNAPSHOT_KIND) => doc,
+        _ => return Err("not an amle session snapshot".to_string()),
+    };
     let schema = doc.get("schema").and_then(Json::as_u64).unwrap_or(0);
     if schema != SNAPSHOT_SCHEMA {
         return Err(format!("unsupported snapshot schema {schema}"));
@@ -704,17 +704,17 @@ pub fn parse_snapshot(text: &str) -> Result<(SessionSpec, Vec<Json>, String), St
         .and_then(Json::as_str)
         .ok_or("snapshot lacks `store_digest`")?
         .to_string();
-    let ops = doc
-        .get("ops")
-        .and_then(Json::as_array)
-        .ok_or("snapshot lacks an `ops` array")?;
+    // Moved out, not cloned: the recorded batches are the bulk of the file.
+    let Some(Json::Array(ops)) = doc.remove("ops") else {
+        return Err("snapshot lacks an `ops` array".to_string());
+    };
     for (i, op) in ops.iter().enumerate() {
         match op.get("op").and_then(Json::as_str) {
             Some("ingest" | "refine") => {}
             other => return Err(format!("ops[{i}]: unknown op {other:?}")),
         }
     }
-    Ok((spec, ops.to_vec(), store_digest))
+    Ok((spec, ops, store_digest))
 }
 
 /// Decodes the protocol's trace-batch shape (array of row matrices of

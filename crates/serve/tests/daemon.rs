@@ -327,6 +327,66 @@ fn snapshot_restore_round_trip_is_byte_identical() {
 }
 
 #[test]
+fn a_snapshot_records_decoded_batches_and_bare_refines() {
+    let (addr, server) = start_server();
+    let benchmark = cooler();
+    let path = std::env::temp_dir().join(format!("amle-snapshot-log-{}.json", std::process::id()));
+    let path_str = path.to_str().unwrap();
+    let batch = sample_batch(&benchmark, 3, 6, 5);
+    let mut client = connect(addr);
+    ok(client.send(&obj([
+        ("op", "open".into()),
+        ("session", Json::from("s")),
+        ("system", Json::from(COOLER)),
+    ])));
+
+    // The same integers spelled otherwise, and fields no replay reads: one
+    // of them a number the writer cannot render back (1e999 reads as
+    // infinity).
+    let spelled = trace_batch(&batch)
+        .render()
+        .replace(",0]", ",-0]")
+        .replace(",1]", ",1.0]");
+    assert!(spelled.contains("-0]"));
+    let mut raw = |line: String| {
+        client
+            .stream()
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write a request line");
+        ok(client.read_line())
+    };
+    raw(format!(
+        r#"{{"op":"ingest","session":"s","traces":{spelled},"timeout_ms":60000,"note":1e999}}"#
+    ));
+    let refined = raw(r#"{"op":"refine","session":"s","traces":1e999}"#.to_string());
+    ok(client.send(&obj([
+        ("op", "snapshot".into()),
+        ("session", Json::from("s")),
+        ("path", Json::from(path_str)),
+    ])));
+
+    let text = std::fs::read_to_string(&path).unwrap();
+    let ops = format!(
+        r#""ops":[{{"op":"ingest","traces":{}}},{{"op":"refine"}}]"#,
+        trace_batch(&batch).render()
+    );
+    assert!(text.contains(&ops), "expected {ops} in {text}");
+    let restored = ok(client.send(&obj([
+        ("op", "restore".into()),
+        ("session", Json::from("r")),
+        ("path", Json::from(path_str)),
+    ])));
+    assert_eq!(
+        restored.get("fingerprint_digest"),
+        refined.get("fingerprint_digest")
+    );
+
+    ok(client.send(&obj([("op", "shutdown".into())])));
+    server.join().expect("server thread").expect("server io");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn backpressure_rejects_and_deadlines_expire_without_blocking() {
     let (addr, server) = start_server();
     let mut client = connect(addr);

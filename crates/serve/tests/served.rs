@@ -6,6 +6,7 @@ use amle_serve::json::{obj, Json};
 use amle_serve::Client;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// A daemon process, killed and reaped if the test ends before it exits.
@@ -27,16 +28,29 @@ fn the_daemon_serves_and_exits_cleanly_after_shutdown() {
         .spawn()
         .expect("amle-served starts");
     let mut daemon = Daemon(child);
-    let mut banner = String::new();
-    BufReader::new(daemon.0.stdout.take().expect("stdout is piped"))
-        .read_line(&mut banner)
-        .expect("a banner line");
+    // Every read is bounded, so a daemon that never answers fails the test
+    // instead of hanging it.
+    let stdout = daemon.0.stdout.take().expect("stdout is piped");
+    let (banner_tx, banner_rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut banner = String::new();
+        let _ = BufReader::new(stdout).read_line(&mut banner);
+        let _ = banner_tx.send(banner);
+    });
+    let banner = banner_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a banner line within 30 s");
+    reader.join().expect("the banner reader");
     let addr = banner
         .trim()
         .strip_prefix("listening on ")
         .unwrap_or_else(|| panic!("unexpected banner {banner:?}"));
 
     let mut client = Client::connect(addr).expect("connect to amle-served");
+    client
+        .stream()
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set a read timeout");
     let pong = client.send(&obj([("op", "ping".into())])).expect("a pong");
     assert_eq!(pong.get("pong"), Some(&Json::Bool(true)));
     let ack = client
