@@ -1,7 +1,7 @@
 //! DOT (Graphviz) export of symbolic automata.
 
 use crate::Nfa;
-use amle_expr::{Expr, ExprKind, VarSet};
+use amle_expr::{Expr, ExprKind, UnOp, VarSet};
 use std::fmt::Write as _;
 
 impl Nfa {
@@ -13,9 +13,13 @@ impl Nfa {
     /// guards as edge labels.
     pub fn to_dot(&self, vars: &VarSet) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "digraph abstraction {{");
-        let _ = writeln!(out, "  rankdir=LR;");
-        let _ = writeln!(out, "  node [shape=circle];");
+        self.write_dot(&mut out, vars);
+        out
+    }
+
+    /// Appends [`Nfa::to_dot`]'s rendering to `out`.
+    pub fn write_dot(&self, out: &mut String, vars: &VarSet) {
+        out.push_str("digraph abstraction {\n  rankdir=LR;\n  node [shape=circle];\n");
         for q in self.initial_states() {
             let _ = writeln!(out, "  __init_{} [shape=point, style=invis];", q.index());
             let _ = writeln!(out, "  __init_{} -> q{};", q.index(), q.index());
@@ -24,63 +28,82 @@ impl Nfa {
             let _ = writeln!(out, "  q{} [label=\"q{}\"];", q.index(), q.index());
         }
         for t in self.transitions() {
-            let _ = writeln!(
-                out,
-                "  q{} -> q{} [label=\"{}\"];",
-                t.from.index(),
-                t.to.index(),
-                escape(&render_guard(&t.guard, vars))
-            );
+            let _ = write!(out, "  q{} -> q{} [label=\"", t.from.index(), t.to.index());
+            write_label(out, &t.guard, vars);
+            out.push_str("\"];\n");
         }
-        let _ = writeln!(out, "}}");
-        out
+        out.push_str("}\n");
     }
 }
 
 /// Renders an expression with variable names substituted for the `x<i>`
 /// placeholders of the default [`std::fmt::Display`] implementation.
 ///
-/// Used for edge labels in DOT output and for printing extracted invariants
-/// in reports.
+/// Used for printing guards and extracted invariants in reports.
 pub fn display_expr(guard: &Expr, vars: &VarSet) -> String {
-    render_expr(guard, vars)
+    let mut out = String::new();
+    write_expr(&mut out, guard, vars);
+    out
 }
 
-pub(crate) fn render_guard(guard: &Expr, vars: &VarSet) -> String {
-    render_expr(guard, vars)
-}
-
-fn render_expr(e: &Expr, vars: &VarSet) -> String {
+/// Appends the rendering of [`display_expr`] to `out`. DOT edge labels,
+/// [`display_expr`] and the invariant lines of a run's fingerprint are all
+/// written through it.
+pub fn write_expr(out: &mut String, e: &Expr, vars: &VarSet) {
     match e.kind() {
-        ExprKind::Const(_) => e.to_string(),
-        ExprKind::Var(id) => vars
-            .info(*id)
-            .map(|i| i.name.clone())
-            .unwrap_or_else(|| id.to_string()),
-        ExprKind::Unary(op, a) => {
-            let symbol = match op {
-                amle_expr::UnOp::Not => "!",
-                amle_expr::UnOp::Neg => "-",
-            };
-            format!("{symbol}({})", render_expr(a, vars))
+        ExprKind::Const(_) => {
+            let _ = write!(out, "{e}");
         }
-        ExprKind::Binary(op, a, b) => format!(
-            "({} {} {})",
-            render_expr(a, vars),
-            op.symbol(),
-            render_expr(b, vars)
-        ),
-        ExprKind::Ite(c, t, els) => format!(
-            "(if {} then {} else {})",
-            render_expr(c, vars),
-            render_expr(t, vars),
-            render_expr(els, vars)
-        ),
+        ExprKind::Var(id) => match vars.info(*id) {
+            Some(info) => out.push_str(&info.name),
+            None => {
+                let _ = write!(out, "{id}");
+            }
+        },
+        ExprKind::Unary(op, a) => {
+            out.push_str(match op {
+                UnOp::Not => "!(",
+                UnOp::Neg => "-(",
+            });
+            write_expr(out, a, vars);
+            out.push(')');
+        }
+        ExprKind::Binary(op, a, b) => {
+            out.push('(');
+            write_expr(out, a, vars);
+            out.push(' ');
+            out.push_str(op.symbol());
+            out.push(' ');
+            write_expr(out, b, vars);
+            out.push(')');
+        }
+        ExprKind::Ite(c, t, els) => {
+            out.push_str("(if ");
+            write_expr(out, c, vars);
+            out.push_str(" then ");
+            write_expr(out, t, vars);
+            out.push_str(" else ");
+            write_expr(out, els, vars);
+            out.push(')');
+        }
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('"', "\\\"")
+/// Appends `guard` as the text of a quoted DOT label. Variable names are
+/// free text (an AIGER symbol can be any string), so a quote or a backslash
+/// in one is escaped, and the label's closing quote stays a quote.
+fn write_label(out: &mut String, guard: &Expr, vars: &VarSet) {
+    let start = out.len();
+    write_expr(out, guard, vars);
+    if out[start..].contains(['"', '\\']) {
+        let label = out.split_off(start);
+        for c in label.chars() {
+            if matches!(c, '"' | '\\') {
+                out.push('\\');
+            }
+            out.push(c);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -117,12 +140,32 @@ mod tests {
         let guard = Expr::var(mode, mode_sort.clone())
             .eq(&Expr::enum_val(&mode_sort, "On"))
             .and(&Expr::var(b, Sort::Bool).not());
-        let text = render_guard(&guard, &vars);
+        let text = display_expr(&guard, &vars);
         assert_eq!(text, "((mode == On) && !(flag))");
     }
 
     #[test]
     fn quotes_are_escaped() {
-        assert_eq!(escape("a\"b"), "a\\\"b");
+        // Variable names are free text: a quote inside a label, and a
+        // backslash just before its closing quote (a bare variable whose
+        // name ends in one), must both be escaped.
+        let mut vars = VarSet::new();
+        let quoted = vars.declare("say \"hi\"", Sort::Bool).unwrap();
+        let trailing = vars.declare("dir\\", Sort::Bool).unwrap();
+        let mut nfa = Nfa::new();
+        let q0 = nfa.add_state();
+        nfa.mark_initial(q0);
+        nfa.add_transition(q0, q0, Expr::var(quoted, Sort::Bool));
+        nfa.add_transition(q0, q0, Expr::var(trailing, Sort::Bool));
+        let dot = nfa.to_dot(&vars);
+        assert!(
+            dot.contains("q0 -> q0 [label=\"say \\\"hi\\\"\"];\n"),
+            "{dot}"
+        );
+        assert!(dot.contains("q0 -> q0 [label=\"dir\\\\\"];\n"), "{dot}");
+        assert_eq!(
+            display_expr(&Expr::var(trailing, Sort::Bool), &vars),
+            "dir\\"
+        );
     }
 }

@@ -48,7 +48,7 @@
 mod dot;
 mod nfa;
 
-pub use dot::display_expr;
+pub use dot::{display_expr, write_expr};
 pub use nfa::{Nfa, StateId, Transition};
 
 #[cfg(test)]

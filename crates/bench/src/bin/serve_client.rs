@@ -35,7 +35,7 @@
 //! one write, through `amle_serve::Client`.
 
 use amle_bench::fingerprint_digest;
-use amle_benchmarks::benchmark_by_name;
+use amle_benchmarks::{benchmark_by_name, Benchmark};
 use amle_serve::json::{obj, Json};
 use amle_serve::{trace_batch, Client};
 use amle_system::Simulator;
@@ -161,9 +161,7 @@ fn send_retry(client: &mut Client, request: &Json) -> Result<Json, String> {
     Err("retriable rejection persisted after 50 attempts".to_string())
 }
 
-fn simulated_batch(options: &Options, session: usize, batch: usize) -> Result<Json, String> {
-    let benchmark = benchmark_by_name(&options.system)
-        .ok_or_else(|| format!("unknown system `{}`", options.system))?;
+fn simulated_batch(options: &Options, benchmark: &Benchmark, session: usize, batch: usize) -> Json {
     let seed = options
         .seed
         .wrapping_add(1000 * session as u64)
@@ -171,10 +169,14 @@ fn simulated_batch(options: &Options, session: usize, batch: usize) -> Result<Js
     let mut rng = StdRng::seed_from_u64(seed);
     let traces =
         Simulator::new(&benchmark.system).random_traces(options.traces, options.length, &mut rng);
-    Ok(trace_batch(traces.iter()))
+    trace_batch(traces.iter())
 }
 
-fn drive_session(options: &Options, index: usize) -> Result<(bool, String), String> {
+fn drive_session(
+    options: &Options,
+    benchmark: &Benchmark,
+    index: usize,
+) -> Result<(bool, String), String> {
     let name = format!("load-{index}");
     let mut client = connect(&options.addr)?;
     let session = || ("session", Json::from(name.as_str()));
@@ -190,7 +192,7 @@ fn drive_session(options: &Options, index: usize) -> Result<(bool, String), Stri
     let mut converged = false;
     let mut digest = String::new();
     for batch in 0..options.batches {
-        let traces = simulated_batch(options, index, batch)?;
+        let traces = simulated_batch(options, benchmark, index, batch);
         let ingest = obj([("op", "ingest".into()), session(), ("traces", traces)]);
         send_retry(&mut client, &ingest)?;
         let refined = send_retry(&mut client, &obj([("op", "refine".into()), session()]))?;
@@ -228,17 +230,17 @@ fn main() -> ExitCode {
         Ok(options) => options,
         Err(code) => return code,
     };
-    if benchmark_by_name(&options.system).is_none() {
+    let Some(benchmark) = benchmark_by_name(&options.system) else {
         eprintln!("unknown system `{}`", options.system);
         return ExitCode::FAILURE;
-    }
+    };
 
     // Sessions run on concurrent connections — the point of a resident
     // daemon — and each drives its own ingest/refine rounds.
-    let options = &options;
+    let (options, benchmark) = (&options, &benchmark);
     let outcomes: Vec<Result<(bool, String), String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..options.sessions)
-            .map(|index| scope.spawn(move || drive_session(options, index)))
+            .map(|index| scope.spawn(move || drive_session(options, benchmark, index)))
             .collect();
         handles
             .into_iter()

@@ -15,7 +15,7 @@
 //! and pins the circuit fingerprint separately.
 
 use crate::suite::{single_input, witness, Benchmark};
-use amle_circuit::{coi_stats, compile, reduce_to_coi, Fixture, NetlistStats, FIXTURES};
+use amle_circuit::{coi_stats, compile, fixture, reduce_to_coi, Fixture, NetlistStats, FIXTURES};
 
 /// The suite name of a fixture's benchmark, or `None` for unknown fixtures.
 pub fn circuit_benchmark_name(fixture_name: &str) -> Option<&'static str> {
@@ -108,10 +108,9 @@ fn build(fixture: &Fixture) -> Benchmark {
     }
 }
 
-/// The circuit benchmark family, one entry per embedded fixture, in fixture
-/// order.
-pub fn circuit_benchmarks() -> Vec<Benchmark> {
-    FIXTURES.iter().map(build).collect()
+/// The benchmark of the named embedded fixture.
+pub(crate) fn fixture_benchmark(fixture_name: &str) -> Benchmark {
+    build(fixture(fixture_name).expect("the catalogue names embedded fixtures"))
 }
 
 /// Loads a gate-level circuit from a real `.aag` (ASCII AIGER) or `.bench`
@@ -189,6 +188,7 @@ pub fn circuit_benchmark_from_file(path: &std::path::Path) -> Result<Benchmark, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit_benchmarks;
     use amle_expr::Value;
 
     #[test]
@@ -306,7 +306,7 @@ mod tests {
     fn file_loaded_circuit_becomes_a_benchmark_with_valid_witnesses() {
         // Round-trip an embedded fixture through a real on-disk file, as
         // `suite --circuit-file` would see it.
-        let fixture = amle_circuit::fixture("counter3").unwrap();
+        let fixture = fixture("counter3").unwrap();
         let dir = std::env::temp_dir().join("amle-circuit-file-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("my-counter.aag");

@@ -12,7 +12,7 @@ fn bool_sched(values: &[&[i64]]) -> Vec<Vec<i64>> {
 
 /// Fig. 2: the Home Climate-Control Cooler. The mode follows a temperature
 /// threshold.
-fn home_climate_control() -> Benchmark {
+pub(crate) fn home_climate_control() -> Benchmark {
     let mut b = SystemBuilder::new();
     b.name("HomeClimateControlCooler");
     let temp = b.input_in_range("inp_temp", Sort::int(8), 0, 120).unwrap();
@@ -39,7 +39,7 @@ fn home_climate_control() -> Benchmark {
 
 /// Bang-bang temperature controller with a heater-on dwell counter
 /// (the BangBangControlUsingTemporalLogic / Heater row).
-fn bang_bang_heater() -> Benchmark {
+pub(crate) fn bang_bang_heater() -> Benchmark {
     let mut b = SystemBuilder::new();
     b.name("BangBangControlHeater");
     let temp = b.input_in_range("temp", Sort::int(8), 0, 100).unwrap();
@@ -88,7 +88,7 @@ fn bang_bang_heater() -> Benchmark {
 
 /// Automatic transmission gear logic driven by speed thresholds
 /// (the AutomaticTransmissionUsingDurationOperator row).
-fn automatic_transmission() -> Benchmark {
+pub(crate) fn automatic_transmission() -> Benchmark {
     let gear_sort = Sort::enumeration("Gear", ["First", "Second", "Third"]);
     let mut b = SystemBuilder::new();
     b.name("AutomaticTransmission");
@@ -130,7 +130,7 @@ fn automatic_transmission() -> Benchmark {
 
 /// Redundant sensor pair: use sensor A unless it fails, fall back to B, and
 /// report total failure when both fail.
-fn redundant_sensor_pair() -> Benchmark {
+pub(crate) fn redundant_sensor_pair() -> Benchmark {
     let mode_sort = Sort::enumeration("Active", ["UseA", "UseB", "Failed"]);
     let mut b = SystemBuilder::new();
     b.name("RedundantSensorPair");
@@ -167,7 +167,7 @@ fn redundant_sensor_pair() -> Benchmark {
 }
 
 /// Security system alarm: arming switch plus door/motion sensors.
-fn security_system() -> Benchmark {
+pub(crate) fn security_system() -> Benchmark {
     let mode_sort = Sort::enumeration("Alarm", ["Disarmed", "Armed", "Sounding"]);
     let mut b = SystemBuilder::new();
     b.name("SecuritySystemAlarm");
@@ -213,7 +213,7 @@ fn security_system() -> Benchmark {
 
 /// Yo-yo satellite reel control: the reel alternates between reeling out and
 /// reeling in, driven by a rope-length counter.
-fn yoyo_control() -> Benchmark {
+pub(crate) fn yoyo_control() -> Benchmark {
     let mode_sort = Sort::enumeration("Reel", ["Out", "In"]);
     let mut b = SystemBuilder::new();
     b.name("YoYoControlOfSatellite");
@@ -261,7 +261,7 @@ fn yoyo_control() -> Benchmark {
 
 /// Size-based processing: a mode selector that follows an input size class
 /// (the VarSize / SizeBasedProcessing row).
-fn size_based_processing() -> Benchmark {
+pub(crate) fn size_based_processing() -> Benchmark {
     let mode_sort = Sort::enumeration("Path", ["Small", "Medium", "Large"]);
     let mut b = SystemBuilder::new();
     b.name("VarSizeSizeBasedProcessing");
@@ -292,19 +292,6 @@ fn size_based_processing() -> Benchmark {
         reference_transitions: 6,
         witnesses,
     }
-}
-
-/// The controller-family benchmarks.
-pub(crate) fn benchmarks() -> Vec<Benchmark> {
-    vec![
-        home_climate_control(),
-        bang_bang_heater(),
-        automatic_transmission(),
-        redundant_sensor_pair(),
-        security_system(),
-        yoyo_control(),
-        size_based_processing(),
-    ]
 }
 
 /// Builds the Fig. 2 system on its own (used by the `fig2` harness binary and

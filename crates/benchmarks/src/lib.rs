@@ -32,13 +32,11 @@ mod schedulers;
 mod suite;
 mod synth;
 
-pub use circuits::{
-    circuit_benchmark_from_file, circuit_benchmark_name, circuit_benchmarks, circuit_stats_for,
-};
+pub use circuits::{circuit_benchmark_from_file, circuit_benchmark_name, circuit_stats_for};
 pub use controllers::home_climate_control_system;
 pub use suite::{
-    all_benchmarks, benchmark_by_name, full_suite, stress_suite, trace_from_schedule, Benchmark,
-    ScheduleError,
+    all_benchmarks, benchmark_by_name, benchmark_names, circuit_benchmarks, full_suite,
+    stress_suite, trace_from_schedule, Benchmark, ScheduleError,
 };
 pub use synth::{
     splice_stress_benchmarks, synthetic_benchmarks, synthetic_system, SynthFamily, SynthKind,

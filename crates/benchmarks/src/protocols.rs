@@ -11,7 +11,7 @@ fn sched(rows: &[&[i64]]) -> Vec<Vec<i64>> {
 }
 
 /// Mealy vending machine: accepts 5c/10c coins, dispenses at 15c.
-fn vending_machine() -> Benchmark {
+pub(crate) fn vending_machine() -> Benchmark {
     let coin_sort = Sort::enumeration("Coin", ["None", "Nickel", "Dime"]);
     let mut b = SystemBuilder::new();
     b.name("MealyVendingMachine");
@@ -51,7 +51,7 @@ fn vending_machine() -> Benchmark {
 }
 
 /// Recognises the input sequence 1-0-1 (SequenceRecognitionUsingMealyAndMooreChart).
-fn sequence_recognition() -> Benchmark {
+pub(crate) fn sequence_recognition() -> Benchmark {
     let stage_sort = Sort::enumeration("Stage", ["S0", "S1", "S10", "Hit"]);
     let mut b = SystemBuilder::new();
     b.name("SequenceRecognition");
@@ -93,7 +93,7 @@ fn sequence_recognition() -> Benchmark {
 }
 
 /// A single-server queue with bounded length (ServerQueueingSystem).
-fn server_queue() -> Benchmark {
+pub(crate) fn server_queue() -> Benchmark {
     let mut b = SystemBuilder::new();
     b.name("ServerQueueingSystem");
     let arrive = b.input("arrive", Sort::Bool).unwrap();
@@ -134,7 +134,7 @@ fn server_queue() -> Benchmark {
 }
 
 /// CD player / radio mode manager (ModelingACdPlayerRadio, ModeManager chart).
-fn cd_player_mode_manager() -> Benchmark {
+pub(crate) fn cd_player_mode_manager() -> Benchmark {
     let mode_sort = Sort::enumeration("Mode", ["Standby", "Radio", "Cd"]);
     let mut b = SystemBuilder::new();
     b.name("CdPlayerModeManager");
@@ -170,7 +170,7 @@ fn cd_player_mode_manager() -> Benchmark {
 
 /// Launch-abort mode logic: nominal flight, abort trigger, then staged abort
 /// (ModelingALaunchAbortSystem / ModeLogic).
-fn launch_abort_mode_logic() -> Benchmark {
+pub(crate) fn launch_abort_mode_logic() -> Benchmark {
     let mode_sort = Sort::enumeration("Mode", ["Nominal", "LowAbort", "HighAbort", "Safed"]);
     let mut b = SystemBuilder::new();
     b.name("LaunchAbortModeLogic");
@@ -210,7 +210,7 @@ fn launch_abort_mode_logic() -> Benchmark {
 
 /// A frame synchroniser: hunts for a sync marker, locks after two consecutive
 /// markers and drops lock after two consecutive misses (FrameSyncController).
-fn frame_sync_controller() -> Benchmark {
+pub(crate) fn frame_sync_controller() -> Benchmark {
     let state_sort = Sort::enumeration("Sync", ["Hunt", "PreLock", "Lock", "PreHunt"]);
     let mut b = SystemBuilder::new();
     b.name("FrameSyncController");
@@ -249,16 +249,4 @@ fn frame_sync_controller() -> Benchmark {
         reference_transitions: 5,
         witnesses,
     }
-}
-
-/// The protocol-family benchmarks.
-pub(crate) fn benchmarks() -> Vec<Benchmark> {
-    vec![
-        vending_machine(),
-        sequence_recognition(),
-        server_queue(),
-        cd_player_mode_manager(),
-        launch_abort_mode_logic(),
-        frame_sync_controller(),
-    ]
 }

@@ -7,7 +7,7 @@ use amle_expr::{Expr, Sort, Value};
 use amle_system::SystemBuilder;
 
 /// Counts events up to a limit and raises a `full` flag (CountEvents).
-fn count_events() -> Benchmark {
+pub(crate) fn count_events() -> Benchmark {
     let mut b = SystemBuilder::new();
     b.name("CountEvents");
     let ev = b.input("ev", Sort::Bool).unwrap();
@@ -43,7 +43,7 @@ fn count_events() -> Benchmark {
 
 /// A periodic scheduler: a free-running counter triggers a task every 8 ticks
 /// (TemporalLogicScheduler).
-fn temporal_logic_scheduler() -> Benchmark {
+pub(crate) fn temporal_logic_scheduler() -> Benchmark {
     let mut b = SystemBuilder::new();
     b.name("TemporalLogicScheduler");
     let tick = b.input("tick", Sort::Bool).unwrap();
@@ -80,7 +80,7 @@ fn temporal_logic_scheduler() -> Benchmark {
 
 /// Ladder-logic style scheduler: three rungs executed in order, one per step
 /// (LadderLogicScheduler / SchedulingSimulinkAlgorithmsUsingStateflow).
-fn ladder_logic_scheduler() -> Benchmark {
+pub(crate) fn ladder_logic_scheduler() -> Benchmark {
     let rung_sort = Sort::enumeration("Rung", ["R1", "R2", "R3"]);
     let mut b = SystemBuilder::new();
     b.name("LadderLogicScheduler");
@@ -111,7 +111,7 @@ fn ladder_logic_scheduler() -> Benchmark {
 }
 
 /// A Moore-style traffic light with per-phase timers (MooreTrafficLight).
-fn moore_traffic_light() -> Benchmark {
+pub(crate) fn moore_traffic_light() -> Benchmark {
     let light_sort = Sort::enumeration("Light", ["Red", "Green", "Yellow"]);
     let mut b = SystemBuilder::new();
     b.name("MooreTrafficLight");
@@ -157,7 +157,7 @@ fn moore_traffic_light() -> Benchmark {
 }
 
 /// Two one-way streets alternating green (ModelingAnIntersectionOfTwo1wayStreets).
-fn intersection() -> Benchmark {
+pub(crate) fn intersection() -> Benchmark {
     let phase_sort = Sort::enumeration("Phase", ["NorthGreen", "EastGreen"]);
     let mut b = SystemBuilder::new();
     b.name("IntersectionOfTwo1wayStreets");
@@ -198,7 +198,7 @@ fn intersection() -> Benchmark {
 
 /// A super-step counter that advances by two per tick until a limit
 /// (Superstep with super step semantics).
-fn superstep() -> Benchmark {
+pub(crate) fn superstep() -> Benchmark {
     let mut b = SystemBuilder::new();
     b.name("SuperstepWithSuperStep");
     let tick = b.input("tick", Sort::Bool).unwrap();
@@ -230,16 +230,4 @@ fn superstep() -> Benchmark {
         reference_transitions: 3,
         witnesses,
     }
-}
-
-/// The scheduler-family benchmarks.
-pub(crate) fn benchmarks() -> Vec<Benchmark> {
-    vec![
-        count_events(),
-        temporal_logic_scheduler(),
-        ladder_logic_scheduler(),
-        moore_traffic_light(),
-        intersection(),
-        superstep(),
-    ]
 }

@@ -1,5 +1,6 @@
 //! The benchmark record type and the suite registry.
 
+use crate::{circuits, controllers, protocols, schedulers, synth};
 use amle_automaton::Nfa;
 use amle_expr::{Value, VarId};
 use amle_system::{System, Trace};
@@ -130,41 +131,111 @@ pub(crate) fn single_input(values: &[i64]) -> Vec<Vec<i64>> {
     values.iter().map(|v| vec![*v]).collect()
 }
 
+/// A catalogue entry: a benchmark's name and the function that builds it.
+type Entry = (&'static str, fn() -> Benchmark);
+
+/// Every named benchmark, in suite order: Table I (the first [`TABLE_I`]
+/// entries), the default synthetic families (up to [`FULL_SUITE`]), the
+/// splicing-stress family (up to [`STRESS_SUITE`]) and the circuit family,
+/// in fixture order. A lookup by name builds only the one benchmark; each
+/// name is the name its constructor gives the benchmark.
+const CATALOGUE: [Entry; 34] = [
+    (
+        "HomeClimateControlCooler",
+        controllers::home_climate_control,
+    ),
+    ("BangBangControlHeater", controllers::bang_bang_heater),
+    ("AutomaticTransmission", controllers::automatic_transmission),
+    ("RedundantSensorPair", controllers::redundant_sensor_pair),
+    ("SecuritySystemAlarm", controllers::security_system),
+    ("YoYoControlOfSatellite", controllers::yoyo_control),
+    (
+        "VarSizeSizeBasedProcessing",
+        controllers::size_based_processing,
+    ),
+    ("CountEvents", schedulers::count_events),
+    (
+        "TemporalLogicScheduler",
+        schedulers::temporal_logic_scheduler,
+    ),
+    ("LadderLogicScheduler", schedulers::ladder_logic_scheduler),
+    ("MooreTrafficLight", schedulers::moore_traffic_light),
+    ("IntersectionOfTwo1wayStreets", schedulers::intersection),
+    ("SuperstepWithSuperStep", schedulers::superstep),
+    ("MealyVendingMachine", protocols::vending_machine),
+    ("SequenceRecognition", protocols::sequence_recognition),
+    ("ServerQueueingSystem", protocols::server_queue),
+    ("CdPlayerModeManager", protocols::cd_player_mode_manager),
+    ("LaunchAbortModeLogic", protocols::launch_abort_mode_logic),
+    ("FrameSyncController", protocols::frame_sync_controller),
+    ("SynthCounterW3I1", || synth::default_synthetic(0)),
+    ("SynthCounterW4I2", || synth::default_synthetic(1)),
+    ("SynthGrayW2", || synth::default_synthetic(2)),
+    ("SynthGrayW3", || synth::default_synthetic(3)),
+    ("SynthModArithW4M5", || synth::default_synthetic(4)),
+    ("SynthModArithW5M9", || synth::default_synthetic(5)),
+    ("SynthGatedToggleT2", || synth::default_synthetic(6)),
+    ("SynthGatedToggleT3", || synth::default_synthetic(7)),
+    ("SynthSpliceStormD8", || synth::default_splice_storm(8)),
+    ("SynthSpliceStormD12", || synth::default_splice_storm(12)),
+    ("CircuitCounter3", || {
+        circuits::fixture_benchmark("counter3")
+    }),
+    ("CircuitShift4", || circuits::fixture_benchmark("shift4")),
+    ("CircuitTrafficLight", || {
+        circuits::fixture_benchmark("traffic")
+    }),
+    ("CircuitLfsr3", || circuits::fixture_benchmark("lfsr3")),
+    ("CircuitCoiDemo", || circuits::fixture_benchmark("coi_demo")),
+];
+
+/// Catalogue entries of Table I.
+const TABLE_I: usize = 19;
+/// Catalogue entries of [`full_suite`].
+const FULL_SUITE: usize = TABLE_I + synth::DEFAULT_SPECS.len();
+/// Catalogue entries of [`stress_suite`]; the circuit family follows.
+const STRESS_SUITE: usize = FULL_SUITE + 2;
+
+fn build(entries: &[Entry]) -> Vec<Benchmark> {
+    entries.iter().map(|(_, build)| build()).collect()
+}
+
 /// All Table I benchmarks, in a stable order.
 pub fn all_benchmarks() -> Vec<Benchmark> {
-    let mut suite = Vec::new();
-    suite.extend(crate::controllers::benchmarks());
-    suite.extend(crate::schedulers::benchmarks());
-    suite.extend(crate::protocols::benchmarks());
-    suite
+    build(&CATALOGUE[..TABLE_I])
 }
 
 /// The full evaluation suite: Table I plus the default synthetic families
 /// (see [`crate::synthetic_benchmarks`]), in a stable order.
 pub fn full_suite() -> Vec<Benchmark> {
-    let mut suite = all_benchmarks();
-    suite.extend(crate::synth::synthetic_benchmarks(
-        crate::synth::DEFAULT_SEED,
-    ));
-    suite
+    build(&CATALOGUE[..FULL_SUITE])
 }
 
 /// The stress suite: [`full_suite`] plus the splicing-stress family
 /// ([`crate::splice_stress_benchmarks`]), in a stable order. Kept separate
 /// so that default suite fingerprints stay comparable across releases.
 pub fn stress_suite() -> Vec<Benchmark> {
-    let mut suite = full_suite();
-    suite.extend(crate::synth::splice_stress_benchmarks(
-        crate::synth::DEFAULT_SEED,
-    ));
-    suite
+    build(&CATALOGUE[..STRESS_SUITE])
+}
+
+/// The circuit benchmark family, one entry per embedded fixture, in fixture
+/// order.
+pub fn circuit_benchmarks() -> Vec<Benchmark> {
+    build(&CATALOGUE[STRESS_SUITE..])
+}
+
+/// The names of every benchmark [`benchmark_by_name`] finds: the stress
+/// suite's, then the circuit family's. Builds nothing.
+pub fn benchmark_names() -> impl Iterator<Item = &'static str> {
+    CATALOGUE.iter().map(|(name, _)| *name)
 }
 
 /// Looks a benchmark up by name, across Table I, the default synthetic
-/// families, the splicing-stress family and the circuit family.
+/// families, the splicing-stress family and the circuit family, and builds
+/// only that one.
 pub fn benchmark_by_name(name: &str) -> Option<Benchmark> {
-    stress_suite()
-        .into_iter()
-        .chain(crate::circuits::circuit_benchmarks())
-        .find(|b| b.name == name)
+    CATALOGUE
+        .iter()
+        .find(|(entry, _)| *entry == name)
+        .map(|(_, build)| build())
 }

@@ -20,6 +20,52 @@ use amle_system::{System, SystemBuilder};
 /// The seed used for the synthetic half of [`crate::full_suite`].
 pub const DEFAULT_SEED: u64 = 0x5EED;
 
+/// The specs of [`SynthFamily::default_suite`]: two instances of each family
+/// at different widths. At [`DEFAULT_SEED`] they are the synthetic half of
+/// [`crate::full_suite`].
+pub(crate) const DEFAULT_SPECS: [SynthSpec; 8] = [
+    SynthSpec {
+        kind: SynthKind::Counter,
+        bits: 3,
+        inputs: 1,
+    },
+    SynthSpec {
+        kind: SynthKind::Counter,
+        bits: 4,
+        inputs: 2,
+    },
+    SynthSpec {
+        kind: SynthKind::GrayCode,
+        bits: 2,
+        inputs: 1,
+    },
+    SynthSpec {
+        kind: SynthKind::GrayCode,
+        bits: 3,
+        inputs: 1,
+    },
+    SynthSpec {
+        kind: SynthKind::ModularArith,
+        bits: 4,
+        inputs: 1,
+    },
+    SynthSpec {
+        kind: SynthKind::ModularArith,
+        bits: 5,
+        inputs: 1,
+    },
+    SynthSpec {
+        kind: SynthKind::GatedToggle,
+        bits: 1,
+        inputs: 2,
+    },
+    SynthSpec {
+        kind: SynthKind::GatedToggle,
+        bits: 1,
+        inputs: 3,
+    },
+];
+
 /// The synthetic system families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SynthKind {
@@ -134,54 +180,13 @@ impl SynthFamily {
         }
     }
 
-    /// The default synthetic slice of the full suite: two instances of each
-    /// family at different widths — 8 benchmarks.
+    /// The default synthetic slice of the full suite: the benchmarks of
+    /// [`DEFAULT_SPECS`], in order.
     pub fn default_suite(&self) -> Vec<Benchmark> {
-        [
-            SynthSpec {
-                kind: SynthKind::Counter,
-                bits: 3,
-                inputs: 1,
-            },
-            SynthSpec {
-                kind: SynthKind::Counter,
-                bits: 4,
-                inputs: 2,
-            },
-            SynthSpec {
-                kind: SynthKind::GrayCode,
-                bits: 2,
-                inputs: 1,
-            },
-            SynthSpec {
-                kind: SynthKind::GrayCode,
-                bits: 3,
-                inputs: 1,
-            },
-            SynthSpec {
-                kind: SynthKind::ModularArith,
-                bits: 4,
-                inputs: 1,
-            },
-            SynthSpec {
-                kind: SynthKind::ModularArith,
-                bits: 5,
-                inputs: 1,
-            },
-            SynthSpec {
-                kind: SynthKind::GatedToggle,
-                bits: 1,
-                inputs: 2,
-            },
-            SynthSpec {
-                kind: SynthKind::GatedToggle,
-                bits: 1,
-                inputs: 3,
-            },
-        ]
-        .into_iter()
-        .map(|spec| self.benchmark(spec))
-        .collect()
+        DEFAULT_SPECS
+            .into_iter()
+            .map(|spec| self.benchmark(spec))
+            .collect()
     }
 
     /// Saturating counter: `c` counts up to a seed-derived limit while every
@@ -448,6 +453,20 @@ pub fn splice_stress_benchmarks(seed: u64) -> Vec<Benchmark> {
             })
         })
         .collect()
+}
+
+/// Entry `index` of [`DEFAULT_SPECS`] at [`DEFAULT_SEED`].
+pub(crate) fn default_synthetic(index: usize) -> Benchmark {
+    SynthFamily::new(DEFAULT_SEED).benchmark(DEFAULT_SPECS[index])
+}
+
+/// The splicing-stress pipeline of the given depth at [`DEFAULT_SEED`].
+pub(crate) fn default_splice_storm(depth: u32) -> Benchmark {
+    SynthFamily::new(DEFAULT_SEED).benchmark(SynthSpec {
+        kind: SynthKind::SpliceStorm,
+        bits: depth,
+        inputs: 1,
+    })
 }
 
 /// Convenience: generate one synthetic system directly (e.g. for tests that

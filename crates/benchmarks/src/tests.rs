@@ -2,9 +2,12 @@
 //! and usable by the learning pipeline.
 
 use crate::{
-    all_benchmarks, benchmark_by_name, full_suite, home_climate_control_system, trace_from_schedule,
+    all_benchmarks, benchmark_by_name, benchmark_names, circuit_benchmarks, full_suite,
+    home_climate_control_system, splice_stress_benchmarks, stress_suite, synthetic_benchmarks,
+    trace_from_schedule, Benchmark, DEFAULT_SEED,
 };
 use amle_core::{ActiveLearner, ActiveLearnerConfig};
+use amle_expr::Sort;
 use amle_learner::HistoryLearner;
 use amle_system::Simulator;
 use rand::rngs::StdRng;
@@ -31,9 +34,92 @@ fn suite_is_non_trivial_and_names_are_unique() {
 
 #[test]
 fn lookup_by_name() {
-    assert!(benchmark_by_name("HomeClimateControlCooler").is_some());
-    assert!(benchmark_by_name("MealyVendingMachine").is_some());
-    assert!(benchmark_by_name("SynthGrayW2").is_some());
+    let catalogue: Vec<Benchmark> = stress_suite()
+        .into_iter()
+        .chain(circuit_benchmarks())
+        .collect();
+    let names: Vec<&str> = catalogue.iter().map(|b| b.name.as_str()).collect();
+    // Every suite keeps its order and count.
+    assert_eq!(
+        names,
+        [
+            "HomeClimateControlCooler",
+            "BangBangControlHeater",
+            "AutomaticTransmission",
+            "RedundantSensorPair",
+            "SecuritySystemAlarm",
+            "YoYoControlOfSatellite",
+            "VarSizeSizeBasedProcessing",
+            "CountEvents",
+            "TemporalLogicScheduler",
+            "LadderLogicScheduler",
+            "MooreTrafficLight",
+            "IntersectionOfTwo1wayStreets",
+            "SuperstepWithSuperStep",
+            "MealyVendingMachine",
+            "SequenceRecognition",
+            "ServerQueueingSystem",
+            "CdPlayerModeManager",
+            "LaunchAbortModeLogic",
+            "FrameSyncController",
+            "SynthCounterW3I1",
+            "SynthCounterW4I2",
+            "SynthGrayW2",
+            "SynthGrayW3",
+            "SynthModArithW4M5",
+            "SynthModArithW5M9",
+            "SynthGatedToggleT2",
+            "SynthGatedToggleT3",
+            "SynthSpliceStormD8",
+            "SynthSpliceStormD12",
+            "CircuitCounter3",
+            "CircuitShift4",
+            "CircuitTrafficLight",
+            "CircuitLfsr3",
+            "CircuitCoiDemo",
+        ]
+    );
+    assert_eq!(names, benchmark_names().collect::<Vec<_>>());
+    let suite_names =
+        |suite: Vec<Benchmark>| -> Vec<String> { suite.into_iter().map(|b| b.name).collect() };
+    assert_eq!(suite_names(all_benchmarks()), names[..19]);
+    assert_eq!(suite_names(full_suite()), names[..27]);
+    assert_eq!(suite_names(circuit_benchmarks()), names[29..]);
+    let generated = synthetic_benchmarks(DEFAULT_SEED)
+        .into_iter()
+        .chain(splice_stress_benchmarks(DEFAULT_SEED));
+    for (listed, generated) in catalogue[19..29].iter().zip(generated) {
+        assert_eq!(listed.name, generated.name);
+        assert_eq!(listed.witnesses, generated.witnesses, "{}", listed.name);
+    }
+
+    // Each name builds a benchmark equal to its suite entry.
+    let declarations = |b: &Benchmark| -> Vec<(String, Sort)> {
+        b.system
+            .vars()
+            .iter()
+            .map(|(_, info)| (info.name.clone(), info.sort.clone()))
+            .collect()
+    };
+    for listed in &catalogue {
+        let found = benchmark_by_name(&listed.name)
+            .unwrap_or_else(|| panic!("`{}` is not found by name", listed.name));
+        assert_eq!(found.name, listed.name);
+        assert_eq!(
+            declarations(&found),
+            declarations(listed),
+            "{}",
+            listed.name
+        );
+        assert_eq!(found.observables, listed.observables, "{}", listed.name);
+        assert_eq!(found.k, listed.k, "{}", listed.name);
+        assert_eq!(
+            found.reference_transitions, listed.reference_transitions,
+            "{}",
+            listed.name
+        );
+        assert_eq!(found.witnesses, listed.witnesses, "{}", listed.name);
+    }
     assert!(benchmark_by_name("DoesNotExist").is_none());
 }
 

@@ -1,7 +1,7 @@
 //! Run reports, per-iteration statistics and extracted invariants.
 
 use crate::engine::VerdictCacheStats;
-use amle_automaton::{display_expr, Nfa};
+use amle_automaton::{write_expr, Nfa};
 use amle_checker::CheckerStats;
 use amle_expr::{Expr, InternerStats, VarSet};
 use amle_learner::WordStats;
@@ -24,11 +24,17 @@ impl Invariant {
     /// Renders the invariant with variable names, e.g.
     /// `(s_on) ∧ R ⟹ (inp_temp > 75 || !s_on')`.
     pub fn display(&self, vars: &VarSet) -> String {
-        format!(
-            "{} && R(X, X') => {}'",
-            display_expr(&self.assumption, vars),
-            display_expr(&self.conclusion, vars)
-        )
+        let mut out = String::new();
+        self.write(&mut out, vars);
+        out
+    }
+
+    /// Appends [`Invariant::display`]'s rendering to `out`.
+    fn write(&self, out: &mut String, vars: &VarSet) {
+        write_expr(out, &self.assumption, vars);
+        out.push_str(" && R(X, X') => ");
+        write_expr(out, &self.conclusion, vars);
+        out.push('\'');
     }
 }
 
@@ -180,9 +186,11 @@ impl RunReport {
             );
         }
         for invariant in &self.invariants {
-            let _ = writeln!(out, "invariant: {}", invariant.display(vars));
+            out.push_str("invariant: ");
+            invariant.write(&mut out, vars);
+            out.push('\n');
         }
-        out.push_str(&self.abstraction.to_dot(vars));
+        self.abstraction.write_dot(&mut out, vars);
         out
     }
 }

@@ -107,16 +107,12 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Number(n) => {
                 if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    let _ = write!(out, "{}", *n as i64);
+                    push_integer(out, *n as i64);
                 } else {
                     let _ = write!(out, "{n}");
                 }
             }
-            Json::String(s) => {
-                out.push('"');
-                out.push_str(&json_escape(s));
-                out.push('"');
-            }
+            Json::String(s) => push_string(out, s),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -133,9 +129,8 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    out.push_str(&json_escape(key));
-                    out.push_str("\":");
+                    push_string(out, key);
+                    out.push(':');
                     value.render_into(out);
                 }
                 out.push('}');
@@ -203,29 +198,62 @@ pub fn obj<const N: usize>(pairs: [(&str, Json); N]) -> Json {
     pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
 }
 
-/// Escapes a string for embedding in a JSON document (quotes, backslashes,
-/// control characters).
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Appends `text` as a JSON string literal. Quotes, backslashes and control
+/// characters are escaped; every run between two of them is copied whole.
+/// Each of them is one ASCII byte, so every run ends on a character
+/// boundary.
+fn push_string(out: &mut String, text: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (at, byte) in text.bytes().enumerate() {
+        let short = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x20.. => continue,
+            _ => None,
+        };
+        out.push_str(&text[run..at]);
+        run = at + 1;
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(byte >> 4)]));
+                out.push(char::from(HEX[usize::from(byte & 0xF)]));
             }
-            c => out.push(c),
         }
     }
-    out
+    out.push_str(&text[run..]);
+    out.push('"');
+}
+
+/// Appends the decimal digits of `n`.
+fn push_integer(out: &mut String, n: i64) {
+    if n < 0 {
+        out.push('-');
+    }
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
 /// Parses a JSON document. Errors carry the byte offset of the problem.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -238,6 +266,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -351,80 +380,70 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self
+            // Copy the run up to the next quote or backslash whole: both are
+            // ASCII, so the run ends on a character boundary of the input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string".to_string())?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let esc = *self
                 .bytes
                 .get(self.pos)
-                .ok_or("unterminated string".to_string())?;
+                .ok_or("unterminated escape".to_string())?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or("unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            let c = match code {
-                                // A high surrogate must be followed by an
-                                // escaped low surrogate; together they name
-                                // one supplementary-plane scalar.
-                                0xD800..=0xDBFF => {
-                                    if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
-                                        return Err(format!(
-                                            "lone high surrogate \\u{code:04X} at byte {}",
-                                            self.pos
-                                        ));
-                                    }
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    if !(0xDC00..=0xDFFF).contains(&low) {
-                                        return Err(format!(
-                                            "high surrogate \\u{code:04X} followed by \\u{low:04X}, \
-                                             which is not a low surrogate"
-                                        ));
-                                    }
-                                    let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                    char::from_u32(scalar).ok_or_else(|| {
-                                        format!("invalid surrogate pair \\u{code:04X}\\u{low:04X}")
-                                    })?
-                                }
-                                0xDC00..=0xDFFF => {
-                                    return Err(format!(
-                                        "lone low surrogate \\u{code:04X} at byte {}",
-                                        self.pos
-                                    ));
-                                }
-                                _ => char::from_u32(code).ok_or_else(|| {
-                                    format!("invalid \\u{code:04X} escape at byte {}", self.pos)
-                                })?,
-                            };
-                            out.push(c);
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b't' => out.push('\t'),
+                b'r' => out.push('\r'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000C}'),
+                b'u' => {
+                    let code = self.hex4()?;
+                    let c = match code {
+                        // A high surrogate must be followed by an
+                        // escaped low surrogate; together they name
+                        // one supplementary-plane scalar.
+                        0xD800..=0xDBFF => {
+                            if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
+                                return Err(format!(
+                                    "lone high surrogate \\u{code:04X} at byte {}",
+                                    self.pos
+                                ));
+                            }
+                            self.pos += 2;
+                            let low = self.hex4()?;
+                            if !(0xDC00..=0xDFFF).contains(&low) {
+                                return Err(format!(
+                                    "high surrogate \\u{code:04X} followed by \\u{low:04X}, \
+                                     which is not a low surrogate"
+                                ));
+                            }
+                            let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            char::from_u32(scalar).ok_or_else(|| {
+                                format!("invalid surrogate pair \\u{code:04X}\\u{low:04X}")
+                            })?
                         }
-                        _ => return Err(format!("unknown escape at byte {}", self.pos)),
-                    }
+                        0xDC00..=0xDFFF => {
+                            return Err(format!(
+                                "lone low surrogate \\u{code:04X} at byte {}",
+                                self.pos
+                            ));
+                        }
+                        _ => char::from_u32(code).ok_or_else(|| {
+                            format!("invalid \\u{code:04X} escape at byte {}", self.pos)
+                        })?,
+                    };
+                    out.push(c);
                 }
-                _ => {
-                    // Re-assemble multi-byte UTF-8 sequences.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    self.pos = start + width;
-                    let chunk = self
-                        .bytes
-                        .get(start..start + width)
-                        .ok_or("truncated UTF-8 sequence".to_string())?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                }
+                _ => return Err(format!("unknown escape at byte {}", self.pos)),
             }
         }
     }
@@ -439,26 +458,29 @@ impl Parser<'_> {
                 break;
             }
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
+        let token = &self.text[start..self.pos];
+        // A plain integer of at most 15 digits is below 2^53, so folding its
+        // digits gives exactly the `f64` the float parser would.
+        let digits = token.strip_prefix('-').unwrap_or(token);
+        if (1..=15).contains(&digits.len()) && digits.bytes().all(|b| b.is_ascii_digit()) {
+            let magnitude = digits
+                .bytes()
+                .fold(0u64, |n, b| n * 10 + u64::from(b - b'0')) as f64;
+            let negative = digits.len() < token.len();
+            return Ok(Json::Number(if negative { -magnitude } else { magnitude }));
+        }
+        token
             .parse::<f64>()
             .map(Json::Number)
             .map_err(|_| format!("invalid number at byte {start}"))
     }
 }
 
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn parser_handles_escapes_and_nesting() {
@@ -544,5 +566,139 @@ mod tests {
         assert_eq!(parse_json("2.5").unwrap().as_u64(), None);
         assert_eq!(parse_json("-2").unwrap().as_u64(), None);
         assert_eq!(parse_json("-2").unwrap().as_i64(), Some(-2));
+    }
+
+    /// The character-by-character escaper the run-wise renderer replaced:
+    /// a rendered string keeps its bytes.
+    fn reference_literal(text: &str) -> String {
+        let mut out = String::from('"');
+        for c in text.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// `text` with every character written as a `\uXXXX` escape, astral
+    /// characters as surrogate pairs.
+    fn escaped_literal(text: &str) -> String {
+        let mut out = String::from('"');
+        for unit in text.encode_utf16() {
+            out.push_str(&format!("\\u{unit:04X}"));
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn any_string_round_trips_from_render_to_parse() {
+        // Quote, backslash, every control byte, plain ASCII, DEL, and two-,
+        // three- and four-byte characters.
+        let pool: Vec<char> = [
+            '"', '\\', '/', 'a', 'Z', ' ', '\u{7f}', 'é', '€', '中', '😀', '𝄞',
+        ]
+        .into_iter()
+        .chain((0u8..0x20).map(char::from))
+        .collect();
+        let mut rng = StdRng::seed_from_u64(0x0150_0001);
+        for _ in 0..2_000 {
+            let len = rng.gen_range(0..24usize);
+            let text: String = (0..len)
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect();
+            let rendered = Json::from(text.as_str()).render();
+            assert_eq!(rendered, reference_literal(&text));
+            assert_eq!(parse_json(&rendered), Ok(Json::String(text.clone())));
+            assert_eq!(
+                parse_json(&escaped_literal(&text)),
+                Ok(Json::String(text.clone()))
+            );
+            let keyed = obj([(text.as_str(), Json::from(text.as_str()))]);
+            assert_eq!(parse_json(&keyed.render()), Ok(keyed));
+        }
+    }
+
+    #[test]
+    fn numbers_parse_as_the_float_parser_does_and_render_as_before() {
+        let mut tokens: Vec<String> = [
+            "0", "-0", "007", "-007", "2.5", "-2.5e1", "1E3", "1e999", "-1e999", "1e-400",
+        ]
+        .map(String::from)
+        .into();
+        let mut rng = StdRng::seed_from_u64(0x0150_0002);
+        for _ in 0..2_000 {
+            let mut token = String::from(if rng.gen_bool(0.5) { "-" } else { "" });
+            let digits = rng.gen_range(1..=20usize);
+            token.extend((0..digits).map(|_| char::from(rng.gen_range(b'0'..=b'9'))));
+            tokens.push(token);
+        }
+        for token in &tokens {
+            let parsed = parse_json(token).unwrap().as_f64().unwrap();
+            let expected = token.parse::<f64>().unwrap();
+            assert_eq!(parsed.to_bits(), expected.to_bits(), "{token}");
+        }
+
+        // Whole numbers render as the integer formatter did; any other
+        // number through `f64`'s own formatter.
+        let reference = |n: f64| {
+            if n.fract() == 0.0 && n.abs() < 9.0e15 {
+                format!("{}", n as i64)
+            } else {
+                format!("{n}")
+            }
+        };
+        let mut numbers = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            9.0e15,
+            -9.0e15,
+            8_999_999_999_999_999.0,
+            1e20,
+            0.5,
+            -2.5,
+        ];
+        for _ in 0..2_000 {
+            let whole = rng.gen_range(-9_000_000_000_000_000i64..=9_000_000_000_000_000) as f64;
+            numbers.push(whole);
+            numbers.push(whole / 1024.0);
+        }
+        for n in numbers {
+            assert_eq!(Json::Number(n).render(), reference(n), "{n:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_documents_keep_their_errors() {
+        for (text, error) in [
+            ("\"abc", "unterminated string"),
+            ("\"a\\q\"", "unknown escape at byte 4"),
+            ("\"é\\x\"", "unknown escape at byte 5"),
+            ("\"a\\", "unterminated escape"),
+            ("\"😀\\", "unterminated escape"),
+            ("\"\\u12\"", "truncated \\u escape"),
+            ("\"\\uzzzz\"", "invalid digit found in string"),
+            ("-", "invalid number at byte 0"),
+            ("--5", "invalid number at byte 0"),
+            ("1.2.3", "invalid number at byte 0"),
+            ("1e", "invalid number at byte 0"),
+            ("[1,]", "invalid number at byte 3"),
+            ("0x10", "trailing content at byte 1"),
+            ("{\"a\" 1}", "expected ':' at byte 5"),
+            ("{\"a\": 1,}", "expected '\"' at byte 8"),
+            ("[\"a\",", "unexpected end of input"),
+            ("tru", "invalid literal at byte 0"),
+        ] {
+            assert_eq!(parse_json(text), Err(error.to_string()), "{text}");
+        }
     }
 }

@@ -261,19 +261,9 @@ fn handle_open(request: &Json, shared: &Arc<Shared>) -> Json {
         Ok(spec) => spec,
         Err(e) => return error_response(e, false),
     };
-    let (handle, _info) = match spawn_session(name.clone(), spec, Vec::new(), None) {
+    let (handle, info) = match spawn_session(name.clone(), spec, Vec::new(), None) {
         Ok(started) => started,
         Err(e) => return error_response(e, false),
-    };
-    let vars: Json = {
-        let benchmark = amle_benchmarks::benchmark_by_name(&handle.spec.system)
-            .expect("spec validated the system name");
-        benchmark
-            .system
-            .vars()
-            .iter()
-            .map(|(_, info)| Json::from(info.name.as_str()))
-            .collect()
     };
     let response = obj([
         ("ok", Json::Bool(true)),
@@ -281,7 +271,7 @@ fn handle_open(request: &Json, shared: &Arc<Shared>) -> Json {
         ("system", Json::from(handle.spec.system.as_str())),
         ("workers", Json::from(handle.spec.workers)),
         ("queue_capacity", Json::from(handle.spec.queue_capacity)),
-        ("vars", vars),
+        ("vars", info.vars.into_iter().map(Json::from).collect()),
     ]);
     match register(shared, &name, handle) {
         Ok(()) => response,

@@ -21,7 +21,7 @@
 use crate::json::{obj, parse_json, Json};
 use crate::{error_response, write_line};
 use amle_automaton::{display_expr, Nfa};
-use amle_benchmarks::{benchmark_by_name, Benchmark};
+use amle_benchmarks::{benchmark_by_name, benchmark_names, Benchmark};
 use amle_core::{
     fingerprint_digest, ActiveLearnerConfig, InternerStats, OracleKind, ParallelConfig, Session,
     SessionStats,
@@ -104,7 +104,7 @@ impl SessionSpec {
             system,
             ..SessionSpec::default()
         };
-        if benchmark_by_name(&spec.system).is_none() {
+        if !benchmark_names().any(|name| name == spec.system) {
             return Err(format!("unknown system `{}`", spec.system));
         }
         let Some(config) = config else {
@@ -246,6 +246,9 @@ pub struct SessionHandle {
 /// What a successfully started actor reports back after replay.
 #[derive(Debug, Clone)]
 pub struct ReadyInfo {
+    /// The names of the system's variables, in declaration order (the
+    /// columns of a wire row).
+    pub vars: Vec<String>,
     /// Replayed ingest batches.
     pub replayed_ingests: usize,
     /// Replayed refinements.
@@ -312,7 +315,8 @@ struct Actor<'a> {
     /// memory of its parsed form.
     ops_log: Vec<String>,
     subscribers: Vec<EventSink>,
-    last_fingerprint: Option<String>,
+    /// Digest of the latest refinement's fingerprint.
+    last_digest: Option<String>,
     last_model: Option<Nfa>,
 }
 
@@ -343,7 +347,7 @@ fn actor_main(
         session: Session::new(&system, learner, config),
         ops_log: Vec::new(),
         subscribers: Vec::new(),
-        last_fingerprint: None,
+        last_digest: None,
         last_model: None,
     };
 
@@ -353,6 +357,11 @@ fn actor_main(
     // contents, learner state, verdict cache), which the store digest then
     // witnesses.
     let mut info = ReadyInfo {
+        vars: system
+            .vars()
+            .iter()
+            .map(|(_, info)| info.name.clone())
+            .collect(),
         replayed_ingests: 0,
         replayed_refines: 0,
         last_fingerprint_digest: None,
@@ -379,7 +388,7 @@ fn actor_main(
             return;
         }
     }
-    info.last_fingerprint_digest = actor.last_fingerprint.as_deref().map(fingerprint_digest);
+    info.last_fingerprint_digest = actor.last_digest.clone();
     let _ = ready.send(Ok(info));
 
     // The command loop. `recv` returns `Err` only once every sender is gone
@@ -439,10 +448,7 @@ impl Actor<'_> {
     /// The digest of the latest refinement's fingerprint; null before the
     /// first.
     fn last_digest(&self) -> Json {
-        self.last_fingerprint
-            .as_deref()
-            .map(|fp| Json::from(fingerprint_digest(fp)))
-            .unwrap_or(Json::Null)
+        self.last_digest.as_deref().map_or(Json::Null, Json::from)
     }
 
     fn ingest(&mut self, request: Json) -> Json {
@@ -488,18 +494,21 @@ impl Actor<'_> {
         let fingerprint = report.semantic_fingerprint(vars);
         let digest = fingerprint_digest(&fingerprint);
 
-        // Push the model to every subscriber; a dead one is dropped.
-        let event = obj([
-            ("event", Json::from("refinement")),
-            ("session", Json::from(self.name.as_str())),
-            ("alpha", Json::Number(report.alpha)),
-            ("converged", Json::Bool(report.converged)),
-            ("iterations", Json::from(report.iterations)),
-            ("fingerprint_digest", Json::from(digest.as_str())),
-            ("fingerprint", Json::from(fingerprint.as_str())),
-            ("dot", Json::from(report.abstraction.to_dot(vars))),
-        ]);
-        self.subscribers.retain(|sink| send(sink, &event));
+        // Push the model to every subscriber; a dead one is dropped. With no
+        // subscriber, no event (and no second DOT rendering) is built.
+        if !self.subscribers.is_empty() {
+            let event = obj([
+                ("event", Json::from("refinement")),
+                ("session", Json::from(self.name.as_str())),
+                ("alpha", Json::Number(report.alpha)),
+                ("converged", Json::Bool(report.converged)),
+                ("iterations", Json::from(report.iterations)),
+                ("fingerprint_digest", Json::from(digest.as_str())),
+                ("fingerprint", Json::from(fingerprint.as_str())),
+                ("dot", Json::from(report.abstraction.to_dot(vars))),
+            ]);
+            self.subscribers.retain(|sink| send(sink, &event));
+        }
 
         let response = obj([
             ("ok", Json::Bool(true)),
@@ -512,10 +521,10 @@ impl Actor<'_> {
                 Json::from(report.abstraction.num_transitions()),
             ),
             ("traces", Json::from(self.session.trace_count())),
-            ("fingerprint", Json::from(fingerprint.as_str())),
-            ("fingerprint_digest", Json::from(digest)),
+            ("fingerprint", Json::from(fingerprint)),
+            ("fingerprint_digest", Json::from(digest.as_str())),
         ]);
-        self.last_fingerprint = Some(fingerprint);
+        self.last_digest = Some(digest);
         self.last_model = Some(report.abstraction);
         response
     }
