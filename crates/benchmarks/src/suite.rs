@@ -1,6 +1,19 @@
 //! The benchmark record type and the suite registry.
 
-use crate::{circuits, controllers, protocols, schedulers, synth};
+use crate::circuits::fixture_benchmark;
+use crate::controllers::{
+    automatic_transmission, bang_bang_heater, home_climate_control, redundant_sensor_pair,
+    security_system, size_based_processing, yoyo_control,
+};
+use crate::protocols::{
+    cd_player_mode_manager, frame_sync_controller, launch_abort_mode_logic, sequence_recognition,
+    server_queue, vending_machine,
+};
+use crate::schedulers::{
+    count_events, intersection, ladder_logic_scheduler, moore_traffic_light, superstep,
+    temporal_logic_scheduler,
+};
+use crate::synth::{default_splice_storm, default_synthetic, DEFAULT_SPECS};
 use amle_automaton::Nfa;
 use amle_expr::{Value, VarId};
 use amle_system::{System, Trace};
@@ -140,59 +153,46 @@ type Entry = (&'static str, fn() -> Benchmark);
 /// in fixture order. A lookup by name builds only the one benchmark; each
 /// name is the name its constructor gives the benchmark.
 const CATALOGUE: [Entry; 34] = [
-    (
-        "HomeClimateControlCooler",
-        controllers::home_climate_control,
-    ),
-    ("BangBangControlHeater", controllers::bang_bang_heater),
-    ("AutomaticTransmission", controllers::automatic_transmission),
-    ("RedundantSensorPair", controllers::redundant_sensor_pair),
-    ("SecuritySystemAlarm", controllers::security_system),
-    ("YoYoControlOfSatellite", controllers::yoyo_control),
-    (
-        "VarSizeSizeBasedProcessing",
-        controllers::size_based_processing,
-    ),
-    ("CountEvents", schedulers::count_events),
-    (
-        "TemporalLogicScheduler",
-        schedulers::temporal_logic_scheduler,
-    ),
-    ("LadderLogicScheduler", schedulers::ladder_logic_scheduler),
-    ("MooreTrafficLight", schedulers::moore_traffic_light),
-    ("IntersectionOfTwo1wayStreets", schedulers::intersection),
-    ("SuperstepWithSuperStep", schedulers::superstep),
-    ("MealyVendingMachine", protocols::vending_machine),
-    ("SequenceRecognition", protocols::sequence_recognition),
-    ("ServerQueueingSystem", protocols::server_queue),
-    ("CdPlayerModeManager", protocols::cd_player_mode_manager),
-    ("LaunchAbortModeLogic", protocols::launch_abort_mode_logic),
-    ("FrameSyncController", protocols::frame_sync_controller),
-    ("SynthCounterW3I1", || synth::default_synthetic(0)),
-    ("SynthCounterW4I2", || synth::default_synthetic(1)),
-    ("SynthGrayW2", || synth::default_synthetic(2)),
-    ("SynthGrayW3", || synth::default_synthetic(3)),
-    ("SynthModArithW4M5", || synth::default_synthetic(4)),
-    ("SynthModArithW5M9", || synth::default_synthetic(5)),
-    ("SynthGatedToggleT2", || synth::default_synthetic(6)),
-    ("SynthGatedToggleT3", || synth::default_synthetic(7)),
-    ("SynthSpliceStormD8", || synth::default_splice_storm(8)),
-    ("SynthSpliceStormD12", || synth::default_splice_storm(12)),
-    ("CircuitCounter3", || {
-        circuits::fixture_benchmark("counter3")
-    }),
-    ("CircuitShift4", || circuits::fixture_benchmark("shift4")),
-    ("CircuitTrafficLight", || {
-        circuits::fixture_benchmark("traffic")
-    }),
-    ("CircuitLfsr3", || circuits::fixture_benchmark("lfsr3")),
-    ("CircuitCoiDemo", || circuits::fixture_benchmark("coi_demo")),
+    ("HomeClimateControlCooler", home_climate_control),
+    ("BangBangControlHeater", bang_bang_heater),
+    ("AutomaticTransmission", automatic_transmission),
+    ("RedundantSensorPair", redundant_sensor_pair),
+    ("SecuritySystemAlarm", security_system),
+    ("YoYoControlOfSatellite", yoyo_control),
+    ("VarSizeSizeBasedProcessing", size_based_processing),
+    ("CountEvents", count_events),
+    ("TemporalLogicScheduler", temporal_logic_scheduler),
+    ("LadderLogicScheduler", ladder_logic_scheduler),
+    ("MooreTrafficLight", moore_traffic_light),
+    ("IntersectionOfTwo1wayStreets", intersection),
+    ("SuperstepWithSuperStep", superstep),
+    ("MealyVendingMachine", vending_machine),
+    ("SequenceRecognition", sequence_recognition),
+    ("ServerQueueingSystem", server_queue),
+    ("CdPlayerModeManager", cd_player_mode_manager),
+    ("LaunchAbortModeLogic", launch_abort_mode_logic),
+    ("FrameSyncController", frame_sync_controller),
+    ("SynthCounterW3I1", || default_synthetic(0)),
+    ("SynthCounterW4I2", || default_synthetic(1)),
+    ("SynthGrayW2", || default_synthetic(2)),
+    ("SynthGrayW3", || default_synthetic(3)),
+    ("SynthModArithW4M5", || default_synthetic(4)),
+    ("SynthModArithW5M9", || default_synthetic(5)),
+    ("SynthGatedToggleT2", || default_synthetic(6)),
+    ("SynthGatedToggleT3", || default_synthetic(7)),
+    ("SynthSpliceStormD8", || default_splice_storm(8)),
+    ("SynthSpliceStormD12", || default_splice_storm(12)),
+    ("CircuitCounter3", || fixture_benchmark("counter3")),
+    ("CircuitShift4", || fixture_benchmark("shift4")),
+    ("CircuitTrafficLight", || fixture_benchmark("traffic")),
+    ("CircuitLfsr3", || fixture_benchmark("lfsr3")),
+    ("CircuitCoiDemo", || fixture_benchmark("coi_demo")),
 ];
 
 /// Catalogue entries of Table I.
 const TABLE_I: usize = 19;
 /// Catalogue entries of [`full_suite`].
-const FULL_SUITE: usize = TABLE_I + synth::DEFAULT_SPECS.len();
+const FULL_SUITE: usize = TABLE_I + DEFAULT_SPECS.len();
 /// Catalogue entries of [`stress_suite`]; the circuit family follows.
 const STRESS_SUITE: usize = FULL_SUITE + 2;
 
