@@ -180,8 +180,9 @@ impl SynthFamily {
         }
     }
 
-    /// The default synthetic slice of the full suite: the benchmarks of
-    /// [`DEFAULT_SPECS`], in order.
+    /// The default synthetic slice of the full suite: two instances of each
+    /// family at different widths, in the order [`crate::full_suite`] lists
+    /// them at [`DEFAULT_SEED`].
     pub fn default_suite(&self) -> Vec<Benchmark> {
         DEFAULT_SPECS
             .into_iter()

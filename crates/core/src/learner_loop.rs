@@ -865,13 +865,8 @@ mod tests {
 
     #[test]
     fn store_splicing_matches_reference_on_a_synthetic_family() {
-        let benchmark = amle_benchmarks::benchmark_by_name("SynthModularArithM5")
-            .or_else(|| {
-                amle_benchmarks::full_suite()
-                    .into_iter()
-                    .find(|b| b.name.starts_with("Synth"))
-            })
-            .expect("a synthetic benchmark exists");
+        let benchmark = amle_benchmarks::benchmark_by_name("SynthModArithW4M5")
+            .expect("the catalogue has SynthModArithW4M5");
         let (traces, iterations) = splicing_workload(&benchmark.system, 0x5E);
         assert_splicing_differential(&traces, &iterations);
     }

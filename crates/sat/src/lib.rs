@@ -19,6 +19,11 @@
 //!   solves, so the checker and the learner each keep one solver alive
 //!   across queries and select per-query constraints with activation
 //!   literals ([`ActivationLedger`]),
+//! * trail and model reuse across calls: a call keeps the decision levels of
+//!   the assumption prefix it shares with the last search, and a call whose
+//!   assumptions the last model already satisfies is answered from it, so a
+//!   run of probes that each pin one more literal costs little more than one
+//!   search; every call still counts in [`SolverStats::solve_calls`],
 //! * a plain [`CnfFormula`] container, the brute-force reference of the
 //!   property tests.
 //!

@@ -11,8 +11,8 @@
 //!   minimization and learn-time LBD computation.
 //!
 //! This module owns the [`Solver`] state, the public API and the top-level
-//! search loop (assumption handling, Luby restarts, clause-database
-//! reduction).
+//! search loop (assumption handling with trail and model reuse across
+//! calls, Luby restarts, clause-database reduction).
 
 mod analyze;
 mod clause_db;
@@ -55,7 +55,8 @@ pub struct SolverStats {
     /// and [`SolverStats::since`] passes the current gauge value through
     /// unchanged rather than differencing it.
     pub learnt_clauses: u64,
-    /// Number of `solve` / `solve_with_assumptions` calls.
+    /// Number of `solve` / `solve_with_assumptions` calls, including those
+    /// answered from the last model.
     pub solve_calls: u64,
     /// Cumulative wall-clock time spent inside `solve`.
     pub solve_time: Duration,
@@ -176,6 +177,10 @@ pub struct Solver {
     order: VsidsHeap,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
+    /// The assumptions of the last search. Decision level `i + 1` holds
+    /// `assumed[i]` for every `i` below `min(assumed.len(), decision
+    /// level)`, so the next call keeps the levels of the prefix it shares.
+    assumed: Vec<Lit>,
     qhead: usize,
     ok: bool,
     model_valid: bool,
@@ -227,6 +232,7 @@ impl Solver {
             order: VsidsHeap::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
+            assumed: Vec::new(),
             qhead: 0,
             ok: true,
             model_valid: false,
@@ -539,6 +545,14 @@ impl Solver {
     /// Assumptions are treated as forced decisions at the lowest decision
     /// levels; they do not permanently constrain the solver, so repeated calls
     /// with different assumptions are supported.
+    ///
+    /// Successive calls are incremental. A call keeps the decision levels of
+    /// the longest assumption prefix it shares with the last search instead
+    /// of re-propagating them, and when the last call was `Sat`, no clause or
+    /// variable was added since and every assumption is true in that model,
+    /// it answers `Sat` from the model without searching. Either way the call
+    /// counts in [`SolverStats::solve_calls`] and `solve_time`, and the
+    /// verdict is the one a fresh solver would give.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
         let started = Instant::now();
         let result = self.solve_with_assumptions_inner(assumptions);
@@ -571,11 +585,24 @@ impl Solver {
         for lit in assumptions {
             self.ensure_vars(lit.var().index() + 1);
         }
-        self.backtrack(0);
-        if self.propagate().is_some() {
-            self.ok = false;
-            return SolveResult::Unsat;
+        // The last model is total and satisfies every clause, so it proves
+        // any assumptions it makes true; the trail keeps describing the
+        // last search.
+        if self.model_valid
+            && self.trail.len() == self.num_vars()
+            && assumptions.iter().all(|a| self.value[a.code()] == LTRUE)
+        {
+            return SolveResult::Sat;
         }
+        let shared = self
+            .assumed
+            .iter()
+            .zip(assumptions)
+            .take_while(|(old, new)| old == new)
+            .count();
+        self.backtrack(shared.min(self.decision_level()));
+        self.assumed.clear();
+        self.assumed.extend_from_slice(assumptions);
         self.max_learnts = self.initial_max_learnts();
 
         let luby_unit = self.luby_unit();
@@ -634,10 +661,9 @@ impl Solver {
                                 self.trail_lim.push(self.trail.len());
                                 continue;
                             }
-                            Some(false) => {
-                                self.backtrack(0);
-                                return SolveResult::Unsat;
-                            }
+                            // The trail stays: the next call usually flips
+                            // exactly this assumption.
+                            Some(false) => return SolveResult::Unsat,
                             None => Some(a),
                         }
                     } else {
@@ -919,6 +945,131 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Unsat);
         // The level-0 residue (¬a) is not a model.
         assert_eq!(s.value(v[0]), None);
+    }
+
+    /// A call whose assumptions the last model already satisfies is
+    /// answered from that model without search, and still counts as a
+    /// solve call.
+    #[test]
+    fn a_call_answered_from_the_last_model_counts_and_satisfies_its_assumptions() {
+        let (mut s, v) = solver_with_vars(3);
+        s.add_clause([lit(&v, 1), lit(&v, 2)]);
+        s.add_clause([lit(&v, -1), lit(&v, 3)]);
+        assert_eq!(s.solve_with_assumptions(&[lit(&v, 1)]), SolveResult::Sat);
+        let before = s.stats();
+        assert_eq!(
+            s.solve_with_assumptions(&[lit(&v, 1), lit(&v, 3)]),
+            SolveResult::Sat
+        );
+        let after = s.stats();
+        assert_eq!(after.solve_calls, before.solve_calls + 1);
+        assert_eq!(after.decisions, before.decisions, "searched again");
+        assert_eq!(after.propagations, before.propagations, "searched again");
+        assert_eq!(s.value(v[0]), Some(true));
+        assert_eq!(s.value(v[2]), Some(true));
+        // The last assumption is false in that model (a forces c), so this
+        // call searches and fails.
+        assert_eq!(
+            s.solve_with_assumptions(&[lit(&v, 1), lit(&v, -3)]),
+            SolveResult::Unsat
+        );
+        assert_eq!(s.stats().solve_calls, before.solve_calls + 2);
+    }
+
+    #[test]
+    fn a_variable_allocated_after_a_model_gets_a_value_in_the_next() {
+        let (mut s, v) = solver_with_vars(2);
+        s.add_clause([lit(&v, 1), lit(&v, 2)]);
+        assert_eq!(s.solve_with_assumptions(&[lit(&v, 1)]), SolveResult::Sat);
+        let fresh = s.new_var();
+        assert_eq!(s.value(fresh), None);
+        assert_eq!(s.solve_with_assumptions(&[lit(&v, 1)]), SolveResult::Sat);
+        assert!(s.value(fresh).is_some());
+        assert_eq!(s.value(v[0]), Some(true));
+    }
+
+    #[test]
+    fn a_clause_added_after_a_model_forces_a_new_search() {
+        let (mut s, v) = solver_with_vars(2);
+        s.add_clause([lit(&v, 1), lit(&v, 2)]);
+        assert_eq!(s.solve_with_assumptions(&[lit(&v, 1)]), SolveResult::Sat);
+        s.add_clause([lit(&v, -1)]);
+        assert!(!s.has_model());
+        assert_eq!(s.solve_with_assumptions(&[lit(&v, 1)]), SolveResult::Unsat);
+        assert_eq!(s.solve_with_assumptions(&[lit(&v, 2)]), SolveResult::Sat);
+        assert_eq!(s.value(v[0]), Some(false));
+        assert_eq!(s.value(v[1]), Some(true));
+    }
+
+    /// An `Unsat` caused by an assumption keeps the trail of the shared
+    /// assumption levels but no model; later calls that flip or drop
+    /// assumptions answer from the formula.
+    #[test]
+    fn unsat_by_assumption_leaves_no_model_and_later_calls_agree_with_the_formula() {
+        let (mut s, v) = solver_with_vars(2);
+        s.add_clause([lit(&v, 1), lit(&v, 2)]);
+        assert_eq!(
+            s.solve_with_assumptions(&[lit(&v, -1), lit(&v, -2)]),
+            SolveResult::Unsat
+        );
+        assert!(!s.has_model());
+        assert_eq!(s.value(v[0]), None);
+        assert_eq!(s.value(v[1]), None);
+        // Flip the last assumption: same first level, new second one.
+        assert_eq!(
+            s.solve_with_assumptions(&[lit(&v, -1), lit(&v, 2)]),
+            SolveResult::Sat
+        );
+        assert_eq!(s.value(v[0]), Some(false));
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert!(s.value(v[0]) == Some(true) || s.value(v[1]) == Some(true));
+    }
+
+    /// The levels of an assumption prefix shared with the last search stay
+    /// on the trail, after `Sat` and after an `Unsat` caused by an
+    /// assumption: a call that keeps the head of a 20-literal implication
+    /// chain does not propagate the chain again.
+    #[test]
+    fn a_shared_assumption_prefix_is_not_propagated_again() {
+        let (mut s, v) = solver_with_vars(21);
+        for i in 1..20 {
+            s.add_clause([lit(&v, -i), lit(&v, i + 1)]);
+        }
+        let propagations = |s: &mut Solver, assumptions: &[i64], expected: SolveResult| {
+            let before = s.stats().propagations;
+            let assumptions: Vec<Lit> = assumptions.iter().map(|&i| lit(&v, i)).collect();
+            assert_eq!(s.solve_with_assumptions(&assumptions), expected);
+            s.stats().propagations - before
+        };
+        assert!(propagations(&mut s, &[1, -21], SolveResult::Sat) >= 20);
+        assert!(propagations(&mut s, &[1, 21], SolveResult::Sat) < 20);
+        assert_eq!(propagations(&mut s, &[1, -20], SolveResult::Unsat), 0);
+        assert!(propagations(&mut s, &[1, 20, -21], SolveResult::Sat) < 20);
+        assert_eq!(s.value(v[19]), Some(true));
+        assert_eq!(s.value(v[20]), Some(false));
+    }
+
+    /// Assumption lists that diverge from the last call's at their first
+    /// literal must give up every assumption level of that call.
+    #[test]
+    fn diverging_assumption_prefixes_are_searched_again() {
+        let (mut s, v) = solver_with_vars(3);
+        s.add_clause([lit(&v, 1), lit(&v, 2)]);
+        assert_eq!(s.solve_with_assumptions(&[lit(&v, 1)]), SolveResult::Sat);
+        assert_eq!(s.solve_with_assumptions(&[lit(&v, -1)]), SolveResult::Sat);
+        assert_eq!(s.value(v[0]), Some(false));
+        assert_eq!(s.value(v[1]), Some(true));
+        assert_eq!(
+            s.solve_with_assumptions(&[lit(&v, 3), lit(&v, -2)]),
+            SolveResult::Sat
+        );
+        assert_eq!(s.value(v[0]), Some(true));
+        assert_eq!(
+            s.solve_with_assumptions(&[lit(&v, -3), lit(&v, -1)]),
+            SolveResult::Sat
+        );
+        assert_eq!(s.value(v[2]), Some(false));
+        assert_eq!(s.value(v[1]), Some(true));
     }
 
     #[test]
