@@ -1,5 +1,8 @@
 //! Reproduces Fig. 2: the learned abstraction of the Home Climate-Control
-//! Cooler, printed as a transition list and as Graphviz DOT.
+//! Cooler, printed as a transition list and as Graphviz DOT, with the
+//! invariants it yields and the SAT work the run took.
+//!
+//! Run with `cargo run --release -p amle-bench --bin fig2`.
 
 use amle_bench::{paper_config, run_active};
 use amle_benchmarks::benchmark_by_name;
@@ -36,4 +39,15 @@ fn main() {
     for invariant in report.invariants.iter().take(6) {
         println!("  {}", invariant.display(vars));
     }
+    // The default portfolio answers the small queries by explicit-state
+    // search and the rest through the incremental SAT backend.
+    let solver = report.solver_stats();
+    println!(
+        "solver: {} solve calls, {} decisions, {} propagations, {} conflicts, {:?} in solve",
+        solver.solve_calls,
+        solver.decisions,
+        solver.propagations,
+        solver.conflicts,
+        solver.solve_time
+    );
 }

@@ -393,7 +393,7 @@ pub fn format_active_table(rows: &[ActiveRow]) -> String {
 /// misses, the per-engine query attribution (k-induction vs explicit, and
 /// explicit work units), the conclusion-disjunct
 /// ledger traffic (`disjE` first-time encodes vs `disjR` session reuses —
-/// the quantity delta-encoded condition sessions minimise), the base-session
+/// the quantity delta-encoded condition checks minimise), the base-session
 /// frame-ledger traffic (`frmE` chain links encoded vs `frmR` reuses), the
 /// expression-interner traffic the canonical cache keys ride on (nodes
 /// interned, intern hit rate, canonical rewrites applied), and the CDCL

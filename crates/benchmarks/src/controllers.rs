@@ -4,7 +4,7 @@
 
 use crate::suite::{single_input, witness, Benchmark};
 use amle_expr::{Expr, Sort, Value};
-use amle_system::{System, SystemBuilder};
+use amle_system::SystemBuilder;
 
 fn bool_sched(values: &[&[i64]]) -> Vec<Vec<i64>> {
     values.iter().map(|row| row.to_vec()).collect()
@@ -292,10 +292,4 @@ pub(crate) fn size_based_processing() -> Benchmark {
         reference_transitions: 6,
         witnesses,
     }
-}
-
-/// Builds the Fig. 2 system on its own (used by the `fig2` harness binary and
-/// the `home_climate_control` example).
-pub fn home_climate_control_system() -> System {
-    home_climate_control().system
 }

@@ -33,7 +33,6 @@ mod suite;
 mod synth;
 
 pub use circuits::{circuit_benchmark_from_file, circuit_benchmark_name, circuit_stats_for};
-pub use controllers::home_climate_control_system;
 pub use suite::{
     all_benchmarks, benchmark_by_name, benchmark_names, circuit_benchmarks, full_suite,
     stress_suite, trace_from_schedule, Benchmark, ScheduleError,

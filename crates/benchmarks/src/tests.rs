@@ -3,8 +3,8 @@
 
 use crate::{
     all_benchmarks, benchmark_by_name, benchmark_names, circuit_benchmarks, full_suite,
-    home_climate_control_system, splice_stress_benchmarks, stress_suite, synthetic_benchmarks,
-    trace_from_schedule, Benchmark, DEFAULT_SEED,
+    splice_stress_benchmarks, stress_suite, synthetic_benchmarks, trace_from_schedule, Benchmark,
+    DEFAULT_SEED,
 };
 use amle_core::{ActiveLearner, ActiveLearnerConfig};
 use amle_expr::Sort;
@@ -207,14 +207,6 @@ fn score_d_is_one_for_a_converged_cooler_model() {
     let report = learner.run().unwrap();
     assert!(report.converged);
     assert_eq!(b.score_d(&report.abstraction), 1.0);
-}
-
-#[test]
-fn fig2_system_accessor_matches_suite_entry() {
-    let system = home_climate_control_system();
-    assert_eq!(system.name(), "HomeClimateControlCooler");
-    assert_eq!(system.state_vars().len(), 1);
-    assert_eq!(system.input_vars().len(), 1);
 }
 
 #[test]

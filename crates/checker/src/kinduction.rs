@@ -1,20 +1,8 @@
 //! The SAT-based bounded model checker with k-induction.
 //!
-//! The checker keeps **persistent incremental solver sessions** — one per
-//! query shape — instead of bit-blasting a fresh CNF per query:
+//! The checker keeps **two persistent incremental solver sessions** instead
+//! of bit-blasting a fresh CNF per query:
 //!
-//! * the *condition session* holds one unrolling of the transition relation
-//!   (frames 0 → 1); per-query assumption/blocked/conclusion constraints are
-//!   selected with assumption literals, so repeated condition checks share
-//!   the transition clauses, Tseitin definitions and everything the solver
-//!   learnt about them. The conclusion disjunction `⋁ outgoing'` is
-//!   **delta-encoded**: each disjunct is Tseitin-encoded once, keyed by its
-//!   canonical [`ExprId`] in a persistent ledger, and a query assumes the
-//!   negation of exactly its disjuncts (`¬(⋁ dᵢ) = ⋀ ¬dᵢ`). An iteration
-//!   that adds 3 outgoing transitions to a state with 80 existing ones
-//!   therefore encodes 3 disjuncts, not 83 — and no or-chain spine at all.
-//!   Disjuncts dropped from a later query are retracted by simply not
-//!   assuming them; their definitional clauses stay but never bite;
 //! * the *base session* holds `Init(X₀)` plus a growing unrolling of the
 //!   transition relation; "the target state is hit within `k` steps" is
 //!   **chain-encoded**: one activation literal per `(formula, frame)` pair
@@ -22,14 +10,35 @@
 //!   Growing `k → k+1` for a known formula therefore encodes one new frame
 //!   literal and one chaining clause instead of a fresh clause re-listing
 //!   every frame `0..=k+1`;
-//! * the *step session* holds the same unrolling without `Init`; the
-//!   k-induction step case is expressed purely through assumptions
-//!   (`¬state` on frames `0..k`, `state` on frame `k`).
+//! * the *step session* holds the same unrolling without `Init`. The
+//!   k-induction step case is expressed purely through assumptions (`¬state`
+//!   on frames `0..k`, `state` on frame `k`), and so is a condition check
+//!   (Fig. 3a), which is the step case at `k = 1` with its own assumption,
+//!   blocked states and conclusion: one transition from an arbitrary state.
+//!   Condition checks therefore share the transition clauses, Tseitin
+//!   definitions and everything the solver learnt with the step cases. The
+//!   conclusion disjunction `⋁ outgoing'` is **delta-encoded**: each
+//!   disjunct is Tseitin-encoded once, keyed by its canonical [`ExprId`] in
+//!   a persistent ledger, and a query assumes the negation of exactly its
+//!   disjuncts (`¬(⋁ dᵢ) = ⋀ ¬dᵢ`). An iteration that adds 3 outgoing
+//!   transitions to a state with 80 existing ones therefore encodes 3
+//!   disjuncts, not 83 — and no or-chain spine at all. Disjuncts dropped
+//!   from a later query are retracted by simply not assuming them; their
+//!   definitional clauses stay but never bite.
 //!
 //! Because the transition relation is a total function of the previous frame
 //! and input ranges are non-empty, a longer unrolling never constrains a
 //! shorter query — frames beyond `k` simply extend any witness — so sessions
-//! can grow monotonically across queries with different bounds.
+//! can grow monotonically across queries with different bounds. A condition
+//! check on a step session that earlier step cases grew to many frames has
+//! the frame-0 and frame-1 solutions of a one-step unrolling, and so the
+//! same canonical counterexample.
+//!
+//! `Init` stays a hard clause of its own session rather than an assumption
+//! in the step session. A single session with `Init` behind an activation
+//! literal answers the same queries, but it ran the paper's configuration
+//! (`suite --quick --workers 1 --engine kinduction`) 2.2× slower, with 3.3×
+//! the propagations.
 //!
 //! Every session is built on first use, so a fresh checker per query gives
 //! the original blob-per-query behaviour; the differential tests use that as
@@ -95,8 +104,8 @@ pub struct CheckerStats {
     /// Concrete work units (state and transition evaluations) spent by the
     /// explicit-state engine — its analogue of `solver.solve_calls`.
     pub explicit_work: u64,
-    /// Conclusion disjuncts Tseitin-encoded for the first time in a
-    /// condition session (once per distinct canonical disjunct).
+    /// Conclusion disjuncts Tseitin-encoded for the first time by a
+    /// condition check (once per distinct canonical disjunct and session).
     pub disj_encoded: u64,
     /// Conclusion disjuncts answered from the session's persistent ledger
     /// without re-encoding.
@@ -174,10 +183,10 @@ struct Session {
     /// probe — so repeated base-case queries re-assume instead of re-adding
     /// the clause.
     activations: ActivationLedger<(ExprId, usize)>,
-    /// Conclusion-disjunct ledger of the condition session: the frame-1
-    /// Tseitin literal of each canonical disjunct already encoded. A query
-    /// assumes the negations of exactly its disjuncts' literals; everything
-    /// else stays retracted.
+    /// Conclusion-disjunct ledger of condition checks: the frame-1 Tseitin
+    /// literal of each canonical disjunct already encoded. A query assumes
+    /// the negations of exactly its disjuncts' literals; everything else
+    /// stays retracted.
     disjuncts: ActivationLedger<ExprId>,
 }
 
@@ -226,11 +235,10 @@ impl Session {
 pub struct KInductionChecker<'a> {
     system: &'a System,
     stats: CheckerStats,
-    /// Fig. 3a session: one transition unrolling, query via assumptions.
-    condition: Option<Session>,
     /// Fig. 3b base-case session: `Init` plus a growing unrolling.
     base: Option<Session>,
-    /// Fig. 3b step-case session: a growing unrolling without `Init`.
+    /// Fig. 3b step-case session, which also answers the Fig. 3a condition
+    /// checks: a growing unrolling without `Init`.
     step: Option<Session>,
 }
 
@@ -250,7 +258,6 @@ impl<'a> KInductionChecker<'a> {
         KInductionChecker {
             system,
             stats: CheckerStats::default(),
-            condition: None,
             base: None,
             step: None,
         }
@@ -267,23 +274,10 @@ impl<'a> KInductionChecker<'a> {
     /// Aggregated solver statistics across all sessions.
     pub fn solver_stats(&self) -> SolverStats {
         let mut total = SolverStats::default();
-        for session in [&self.condition, &self.base, &self.step]
-            .into_iter()
-            .flatten()
-        {
+        for session in [&self.base, &self.step].into_iter().flatten() {
             total += session.solver_stats();
         }
         total
-    }
-
-    /// The condition session, created on first use: input constraints on
-    /// frame 0 plus one transition unrolling (which constrains frame 1).
-    fn condition_session(system: &System) -> Session {
-        let mut session = Session::new(system);
-        let input_constraints = system.input_constraints_expr();
-        session.enc.assert_expr(0, &input_constraints);
-        session.ensure_unrolled(system, 1);
-        session
     }
 
     /// The base-case session: `Init(X₀)`; the unrolling grows per query.
@@ -295,7 +289,8 @@ impl<'a> KInductionChecker<'a> {
     }
 
     /// The step-case session: input constraints on frame 0; the unrolling
-    /// grows per query.
+    /// grows per query (to one step for a condition check, to `k` for a
+    /// step case).
     fn step_session(system: &System) -> Session {
         let mut session = Session::new(system);
         let input_constraints = system.input_constraints_expr();
@@ -303,10 +298,9 @@ impl<'a> KInductionChecker<'a> {
         session
     }
 
-    /// Runs a condition query against a session. The session must contain
-    /// the one-step transition unrolling; everything query-specific travels
-    /// through assumptions. `outgoing` holds the *canonical* conclusion
-    /// disjuncts.
+    /// Runs a condition query against the step session, unrolled to at
+    /// least one step; everything query-specific travels through
+    /// assumptions. `outgoing` holds the *canonical* conclusion disjuncts.
     ///
     /// The query assumes `¬dᵢ` per disjunct — semantically `¬(⋁ dᵢ)` — with
     /// each `dᵢ` encoded at most once per session via the disjunct ledger
@@ -319,6 +313,7 @@ impl<'a> KInductionChecker<'a> {
         blocked: &[Expr],
         outgoing: &[Expr],
     ) -> CheckResult {
+        session.ensure_unrolled(system, 1);
         let mut assumptions = Vec::with_capacity(blocked.len() + outgoing.len() + 1);
         assumptions.push(session.enc.encode_bool(0, assumption));
         for blocked_state in blocked {
@@ -472,7 +467,7 @@ impl<'a> KInductionChecker<'a> {
     /// structured form the learning loop produces (a single conclusion is
     /// passed with [`std::slice::from_ref`]). This is what makes the
     /// conclusion incremental: each canonical disjunct is encoded into the
-    /// condition session at most once (see the module documentation), so a
+    /// step session at most once (see the module documentation), so a
     /// growing outgoing set costs only its delta.
     pub fn check_condition(
         &mut self,
@@ -491,9 +486,7 @@ impl<'a> KInductionChecker<'a> {
         let blocked: Vec<Expr> = blocked.iter().map(Expr::canonical).collect();
         let outgoing: Vec<Expr> = outgoing.iter().map(Expr::canonical).collect();
         let system = self.system;
-        let session = self
-            .condition
-            .get_or_insert_with(|| Self::condition_session(system));
+        let session = self.step.get_or_insert_with(|| Self::step_session(system));
         Self::condition_query(
             &mut self.stats,
             session,
@@ -915,9 +908,17 @@ mod tests {
         let mut cold = KInductionChecker::new(&sys);
         let direct = cold.check_condition(&Expr::true_(), &[], &conclusion);
 
-        // A warmed-up checker whose condition session served unrelated
-        // queries first (different learnt clauses and saved phases).
+        // A warmed-up checker whose step session served a step case at
+        // k = 6 and unrelated condition queries first (six unrolled frames,
+        // different learnt clauses and saved phases).
         let mut warm = KInductionChecker::new(&sys);
+        let c_id = sys.vars().lookup("c").unwrap();
+        let flag_id = sys.vars().lookup("flag").unwrap();
+        let mut ghost = sys.initial_valuation();
+        ghost.set(c_id, Value::Int(0));
+        ghost.set(flag_id, Value::Bool(true));
+        let ghost = state_formula(sys.vars(), &ghost, &[c_id, flag_id]);
+        assert_eq!(warm.check_spurious(&ghost, 6), SpuriousResult::Spurious);
         let side = c.le(&Expr::int_val(5, 4));
         assert!(warm
             .check_condition(&side, &[], std::slice::from_ref(&side))

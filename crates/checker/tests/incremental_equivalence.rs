@@ -1,11 +1,12 @@
 //! Differential tests of the incremental checker sessions.
 //!
 //! The persistent, assumption-activated sessions must produce exactly the
-//! verdicts of the original from-scratch re-encoding (a fresh
+//! results of the original from-scratch re-encoding (a fresh
 //! [`KInductionChecker`] per query, whose sessions are built for that query
-//! alone) on every benchmark of the suite, and the aggregated solver
-//! statistics must grow monotonically as queries are issued at increasing
-//! k-induction bounds.
+//! alone) on every benchmark of the suite, condition checks included after
+//! spurious checks have grown the step session they share, and the
+//! aggregated solver statistics must grow monotonically as queries are
+//! issued at increasing k-induction bounds.
 
 use amle_benchmarks::all_benchmarks;
 use amle_checker::{state_formula, CheckResult, KInductionChecker, SpuriousResult};
@@ -56,22 +57,19 @@ fn incremental_and_fresh_sessions_agree_on_every_benchmark() {
             conditions.push((var.eq(&value), var.eq(&value)));
         }
 
-        for (assumption, conclusion) in &conditions {
-            let conclusion = std::slice::from_ref(conclusion);
-            let a = incremental.check_condition(assumption, &[], conclusion);
-            let b = fresh().check_condition(assumption, &[], conclusion);
-            // Verdicts must agree; specific counterexample transitions may
-            // legitimately differ, but both must be genuine transitions.
-            assert_eq!(
-                a.is_valid(),
-                b.is_valid(),
-                "condition verdict mismatch on {} for {:?} => {:?}",
-                benchmark.name,
-                assumption,
-                conclusion
-            );
-            for result in [&a, &b] {
-                if let CheckResult::Violated { from, to } = result {
+        // Counterexamples are canonical, so the whole result must agree, not
+        // just the verdict.
+        let check_conditions = |incremental: &mut KInductionChecker| {
+            for (assumption, conclusion) in &conditions {
+                let conclusion = std::slice::from_ref(conclusion);
+                let a = incremental.check_condition(assumption, &[], conclusion);
+                let b = fresh().check_condition(assumption, &[], conclusion);
+                assert_eq!(
+                    a, b,
+                    "condition result mismatch on {} for {:?} => {:?}",
+                    benchmark.name, assumption, conclusion
+                );
+                if let CheckResult::Violated { from, to } = &a {
                     assert!(
                         system.is_transition(from, to),
                         "spurious counterexample transition on {}",
@@ -79,7 +77,8 @@ fn incremental_and_fresh_sessions_agree_on_every_benchmark() {
                     );
                 }
             }
-        }
+        };
+        check_conditions(&mut incremental);
 
         // Spurious checks over reachable/perturbed state formulas.
         for formula in probe_formulas(system.vars(), observables, &benchmark.witnesses, &initial) {
@@ -100,6 +99,10 @@ fn incremental_and_fresh_sessions_agree_on_every_benchmark() {
                 benchmark.name
             );
         }
+
+        // The same condition checks again, on sessions the spurious checks
+        // have grown to `k` frames.
+        check_conditions(&mut incremental);
     }
 }
 

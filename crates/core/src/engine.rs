@@ -1,9 +1,9 @@
 //! The condition-checking engine: a query planner over condition oracles,
-//! with a cross-iteration verdict cache and a failure-history priority
-//! order, solving each condition set on one oracle per worker.
+//! with a cross-iteration verdict cache, solving each condition set on one
+//! oracle per worker.
 //!
 //! Checking the extracted conditions dominates the wall-clock time of an
-//! active-learning iteration. Three observations shape the engine:
+//! active-learning iteration. Two observations shape the engine:
 //!
 //! 1. **Conditions are mutually independent** — each is decided by its own
 //!    oracle queries, and the spurious-counterexample re-check loop of a
@@ -28,13 +28,6 @@
 //!    conditions miss while untouched ones keep hitting; spliced traces
 //!    never invalidate anything because trace content does not enter the
 //!    outcome at all.
-//! 3. **Past failures predict future failures.** A refined state keeps its
-//!    incoming predicate while its outgoing set grows, so a condition whose
-//!    *assumption* produced counterexamples before is the best candidate to
-//!    fail again. The planner orders pending work by per-assumption failure
-//!    counts (ties broken by condition index), so likely-failing conditions
-//!    surface counterexamples first and the workers spend their early slots
-//!    where refinement progress is made.
 //!
 //! **Determinism guarantee.** The merged [`ConditionEvaluation`] is
 //! byte-identical for every worker count (including 1), every oracle engine
@@ -44,10 +37,10 @@
 //!   canonicalised, so each condition's outcome is a pure function of the
 //!   condition and the system — across engines too (see `amle-checker`);
 //! * cached outcomes are exactly the outcomes the oracle would recompute;
-//! * workers pull pending slots from one shared cursor (dynamic load
-//!   balancing); outcomes are recorded in pending order and merged **in
-//!   condition order**, so neither scheduling, priority order nor
-//!   completion order can leak into the report.
+//! * every pending condition is solved, in condition order, with workers
+//!   pulling pending slots from one shared cursor (dynamic load balancing);
+//!   outcomes are recorded and merged **in condition order**, so neither
+//!   scheduling nor completion order can leak into the report.
 
 use crate::conditions::{Condition, ConditionKind};
 use crate::learner_loop::ActiveLearnerConfig;
@@ -80,42 +73,6 @@ impl ParallelConfig {
     pub fn with_workers(workers: usize) -> Self {
         ParallelConfig {
             workers: workers.max(1),
-        }
-    }
-
-    /// Reads the worker count from the `AMLE_WORKERS` environment variable:
-    /// unset (or empty) means 1 (sequential), `0` is clamped to 1, and a
-    /// value that does not parse as an unsigned integer falls back to 1 with
-    /// a one-time warning — a typo in a CI matrix or a service unit must not
-    /// silently evaporate the intended parallel coverage.
-    pub fn from_env() -> Self {
-        Self::with_workers(Self::workers_from_env_value(
-            std::env::var("AMLE_WORKERS").ok().as_deref(),
-        ))
-    }
-
-    /// The pure parsing rule behind [`ParallelConfig::from_env`], factored
-    /// out so tests can pin it without mutating the process environment.
-    fn workers_from_env_value(value: Option<&str>) -> usize {
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        let Some(raw) = value else { return 1 };
-        let raw = raw.trim();
-        if raw.is_empty() {
-            return 1;
-        }
-        match raw.parse::<usize>() {
-            // `with_workers` clamps again, but clamping here keeps the rule
-            // self-contained: 0 is "sequential", never "no workers".
-            Ok(n) => n.max(1),
-            Err(_) => {
-                WARN_ONCE.call_once(|| {
-                    eprintln!(
-                        "AMLE_WORKERS=`{raw}` is not a worker count; \
-                         using 1 (sequential)"
-                    )
-                });
-                1
-            }
         }
     }
 }
@@ -310,23 +267,12 @@ impl ConditionKey {
     }
 }
 
-/// The failure-history key: per-assumption, deliberately coarser than the
-/// cache key. Refinement grows a state's *outgoing* set while keeping its
-/// incoming predicate, so the assumption is the stable part that predicts
-/// repeated failure.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct FailureKey {
-    initial: bool,
-    assumption: Expr,
-}
-
 /// The work plan for one condition set: cache hits pre-filled, misses listed
-/// in solving order.
+/// in condition order.
 struct PlannedWork {
     /// One slot per condition, hits already filled.
     outcomes: Vec<Option<ConditionOutcome>>,
-    /// `(condition index, cache key)` of every miss, most-likely-failing
-    /// first (per-assumption failure count, ties by index).
+    /// `(condition index, cache key)` of every miss, in condition order.
     pending: Vec<(usize, ConditionKey)>,
     /// In-batch duplicates, keyed by the primary pending index: these slots
     /// receive a clone of the primary's outcome instead of being solved.
@@ -348,14 +294,12 @@ impl PlannedWork {
     }
 }
 
-/// The query planner: consults and maintains the verdict cache and the
-/// failure history. Lives on the calling thread (never inside a helper), so
-/// its state evolves identically for every worker count.
+/// The query planner: consults and maintains the verdict cache. Lives on
+/// the calling thread (never inside a helper), so its state evolves
+/// identically for every worker count.
 struct QueryPlanner {
-    /// `None` when the cache is disabled; the failure history stays active
-    /// either way.
+    /// `None` when the cache is disabled.
     cache: Option<HashMap<ConditionKey, ConditionOutcome>>,
-    failures: HashMap<FailureKey, u64>,
     hits: u64,
     misses: u64,
 }
@@ -364,7 +308,6 @@ impl QueryPlanner {
     fn new(cache_enabled: bool) -> QueryPlanner {
         QueryPlanner {
             cache: cache_enabled.then(HashMap::new),
-            failures: HashMap::new(),
             hits: 0,
             misses: 0,
         }
@@ -372,9 +315,7 @@ impl QueryPlanner {
 
     fn plan(&mut self, conditions: &[Condition]) -> PlannedWork {
         let mut outcomes: Vec<Option<ConditionOutcome>> = vec![None; conditions.len()];
-        // (failure count, index, key) so the priority sort compares plain
-        // integers instead of re-hashing expression trees per comparison.
-        let mut pending: Vec<(u64, usize, ConditionKey)> = Vec::new();
+        let mut pending = Vec::new();
         // First occurrence of each semantic key within this batch: later
         // duplicates are not solved again, they share the primary's outcome
         // (and count as hits — they are served by the entry the primary is
@@ -401,36 +342,19 @@ impl QueryPlanner {
                 self.misses += 1;
                 planned.insert(key.clone(), index);
             }
-            let failures = self.failure_count(&key);
-            pending.push((failures, index, key));
+            pending.push((index, key));
         }
-        pending.sort_by(|(fa, ia, _), (fb, ib, _)| fb.cmp(fa).then(ia.cmp(ib)));
         PlannedWork {
             outcomes,
-            pending: pending.into_iter().map(|(_, i, k)| (i, k)).collect(),
+            pending,
             duplicates,
             cache_hits,
         }
     }
 
-    fn failure_count(&self, key: &ConditionKey) -> u64 {
-        let key = FailureKey {
-            initial: key.initial,
-            assumption: key.assumption.clone(),
-        };
-        self.failures.get(&key).copied().unwrap_or(0)
-    }
-
-    /// Records a freshly solved outcome: into the cache under its semantic
-    /// key, and into the failure history when it produced a counterexample.
+    /// Records a freshly solved outcome into the cache under its semantic
+    /// key.
     fn record(&mut self, key: ConditionKey, outcome: &ConditionOutcome) {
-        if matches!(outcome, ConditionOutcome::Counterexample { .. }) {
-            let fkey = FailureKey {
-                initial: key.initial,
-                assumption: key.assumption.clone(),
-            };
-            *self.failures.entry(fkey).or_insert(0) += 1;
-        }
         if let Some(cache) = &mut self.cache {
             cache.insert(key, outcome.clone());
         }
@@ -517,8 +441,7 @@ impl<'a> ConditionEngine<'a> {
     }
 
     /// Checks a whole condition set: plans it, solves the pending
-    /// conditions, records their outcomes in pending order and merges in
-    /// condition order.
+    /// conditions, and records and merges their outcomes in condition order.
     pub fn evaluate(&mut self, conditions: &[Condition]) -> ConditionEvaluation {
         let mut plan = self.planner.plan(conditions);
         let pending = std::mem::take(&mut plan.pending);
@@ -535,7 +458,7 @@ impl<'a> ConditionEngine<'a> {
     /// The calling thread is worker 0 and `min(workers, pending) − 1`
     /// scoped helpers join it; each worker pulls the next pending slot from
     /// one shared cursor. With one worker the caller takes the slots in
-    /// planner order on one oracle. A helper's panic is re-raised on the
+    /// condition order on one oracle. A helper's panic is re-raised on the
     /// caller with its own payload; the other helpers drain the cursor and
     /// the scope waits for them, so nothing hangs.
     fn solve(
@@ -622,11 +545,21 @@ mod tests {
         }
     }
 
-    /// An engine over `system` with `k = 4` and the given oracle kind, at
-    /// the worker count `AMLE_WORKERS` selects.
-    fn engine(system: &System, kind: OracleKind, verdict_cache: bool) -> ConditionEngine<'_> {
+    /// The worker counts the cache tests run at: the calling thread alone,
+    /// and the calling thread with three helpers.
+    const WORKER_COUNTS: [usize; 2] = [1, 4];
+
+    /// An engine over `system` with `k = 4`, the given oracle kind and
+    /// `workers` condition workers.
+    fn engine(
+        system: &System,
+        kind: OracleKind,
+        verdict_cache: bool,
+        workers: usize,
+    ) -> ConditionEngine<'_> {
         let config = ActiveLearnerConfig {
             k: 4,
+            parallel: ParallelConfig::with_workers(workers),
             oracle: OracleConfig {
                 engine: kind,
                 verdict_cache,
@@ -666,40 +599,6 @@ mod tests {
         assert_eq!(ParallelConfig::with_workers(8).workers, 8);
     }
 
-    /// The `AMLE_WORKERS` parsing rule, pinned without touching the process
-    /// environment: unset/empty → sequential, `0` clamps to 1 (never "no
-    /// workers"), garbage falls back to 1 (with a one-time warning) instead
-    /// of silently dropping the intended parallelism to a panic or to 0.
-    #[test]
-    fn workers_env_value_clamps_and_defaults() {
-        assert_eq!(ParallelConfig::workers_from_env_value(None), 1);
-        assert_eq!(ParallelConfig::workers_from_env_value(Some("")), 1);
-        assert_eq!(ParallelConfig::workers_from_env_value(Some("  ")), 1);
-        assert_eq!(ParallelConfig::workers_from_env_value(Some(" 7 ")), 7);
-        assert_eq!(
-            ParallelConfig::workers_from_env_value(Some("0")),
-            1,
-            "0 must clamp to sequential, not zero workers"
-        );
-        assert_eq!(ParallelConfig::workers_from_env_value(Some("four")), 1);
-        assert_eq!(ParallelConfig::workers_from_env_value(Some("-3")), 1);
-        assert_eq!(ParallelConfig::workers_from_env_value(Some("3.5")), 1);
-    }
-
-    #[test]
-    fn from_env_parses_and_defaults() {
-        // Sequential when unset; the CI matrix sets AMLE_WORKERS explicitly,
-        // in which case the parsed value must flow through.
-        let parsed = ParallelConfig::from_env();
-        match std::env::var("AMLE_WORKERS") {
-            Ok(v) => assert_eq!(
-                parsed.workers,
-                v.trim().parse::<usize>().unwrap_or(1).max(1)
-            ),
-            Err(_) => assert_eq!(parsed.workers, 1),
-        }
-    }
-
     /// The stale-cache regression pin (a cache keyed by automaton state id or
     /// by condition index — the natural bug — fails this test): across two
     /// "iterations" the condition at the *same* state id and the same
@@ -708,38 +607,40 @@ mod tests {
     /// report the violation, while the genuinely unchanged condition hits.
     #[test]
     fn changed_predicates_flush_exactly_the_affected_entries() {
-        let system = toggle_system();
-        let s = system.vars().lookup("s").unwrap();
-        let se = system.var(s);
-        let mut engine = engine(&system, OracleKind::default(), true);
+        for workers in WORKER_COUNTS {
+            let system = toggle_system();
+            let s = system.vars().lookup("s").unwrap();
+            let se = system.var(s);
+            let mut engine = engine(&system, OracleKind::default(), true, workers);
 
-        // Iteration 1: both conditions hold.
-        let unchanged = state_condition(0, se.clone(), vec![Expr::true_()]);
-        let mutated_v1 = state_condition(1, se.not(), vec![Expr::true_()]);
-        let first = engine.evaluate(&[unchanged.clone(), mutated_v1]);
-        assert_eq!(first.held, 2);
-        assert_eq!(first.cache_hits, 0);
+            // Iteration 1: both conditions hold.
+            let unchanged = state_condition(0, se.clone(), vec![Expr::true_()]);
+            let mutated_v1 = state_condition(1, se.not(), vec![Expr::true_()]);
+            let first = engine.evaluate(&[unchanged.clone(), mutated_v1]);
+            assert_eq!(first.held, 2);
+            assert_eq!(first.cache_hits, 0);
 
-        // Iteration 2: state 1 keeps its id and position but its outgoing
-        // set changed to something falsifiable ("after a step, s never
-        // holds" is violated by tick = true).
-        let mutated_v2 = state_condition(1, se.not(), vec![se.not()]);
-        let second = engine.evaluate(&[unchanged, mutated_v2]);
-        assert_eq!(
-            second.cache_hits, 1,
-            "the unchanged condition must hit and the mutated one re-solve"
-        );
-        assert_eq!(
-            second.counterexamples.len(),
-            1,
-            "a stale verdict would mask the violation"
-        );
-        assert_eq!(second.held, 1);
+            // Iteration 2: state 1 keeps its id and position but its outgoing
+            // set changed to something falsifiable ("after a step, s never
+            // holds" is violated by tick = true).
+            let mutated_v2 = state_condition(1, se.not(), vec![se.not()]);
+            let second = engine.evaluate(&[unchanged, mutated_v2]);
+            assert_eq!(
+                second.cache_hits, 1,
+                "the unchanged condition must hit and the mutated one re-solve"
+            );
+            assert_eq!(
+                second.counterexamples.len(),
+                1,
+                "a stale verdict would mask the violation"
+            );
+            assert_eq!(second.held, 1);
 
-        let stats = engine.cache_stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 3);
-        assert_eq!(stats.entries, 3);
+            let stats = engine.cache_stats();
+            assert_eq!(stats.hits, 1);
+            assert_eq!(stats.misses, 3);
+            assert_eq!(stats.entries, 3);
+        }
     }
 
     /// The canonical-key pin of the interner PR: conditions whose predicates
@@ -751,34 +652,36 @@ mod tests {
     /// behaviour — miss here.)
     #[test]
     fn syntactically_reshaped_conditions_hit_the_cache() {
-        let system = toggle_system();
-        let s = system.vars().lookup("s").unwrap();
-        let se = system.var(s);
-        let mut engine = engine(&system, OracleKind::default(), true);
+        for workers in WORKER_COUNTS {
+            let system = toggle_system();
+            let s = system.vars().lookup("s").unwrap();
+            let se = system.var(s);
+            let mut engine = engine(&system, OracleKind::default(), true, workers);
 
-        let original = state_condition(0, se.clone(), vec![se.clone(), se.not()]);
-        let first = engine.evaluate(std::slice::from_ref(&original));
-        assert_eq!(first.cache_hits, 0);
+            let original = state_condition(0, se.clone(), vec![se.clone(), se.not()]);
+            let first = engine.evaluate(std::slice::from_ref(&original));
+            assert_eq!(first.cache_hits, 0);
 
-        // The refinement-loop motif: same semantics, different shape, and a
-        // different state id for good measure.
-        let reshaped = state_condition(
-            7,
-            Expr::true_().and(&se),
-            vec![se.not(), se.clone(), se.not()],
-        );
-        assert_ne!(original.assumption, reshaped.assumption);
-        assert_ne!(original.conclusion(), reshaped.conclusion());
-        let second = engine.evaluate(std::slice::from_ref(&reshaped));
-        assert_eq!(
-            second.cache_hits, 1,
-            "canonical keys must merge the variants"
-        );
-        assert_eq!(second.held, first.held);
+            // The refinement-loop motif: same semantics, different shape, and a
+            // different state id for good measure.
+            let reshaped = state_condition(
+                7,
+                Expr::true_().and(&se),
+                vec![se.not(), se.clone(), se.not()],
+            );
+            assert_ne!(original.assumption, reshaped.assumption);
+            assert_ne!(original.conclusion(), reshaped.conclusion());
+            let second = engine.evaluate(std::slice::from_ref(&reshaped));
+            assert_eq!(
+                second.cache_hits, 1,
+                "canonical keys must merge the variants"
+            );
+            assert_eq!(second.held, first.held);
 
-        let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.entries, 1);
+            let stats = engine.cache_stats();
+            assert_eq!((stats.hits, stats.misses), (1, 1));
+            assert_eq!(stats.entries, 1);
+        }
     }
 
     /// Semantic keying also *merges*: a condition re-extracted under a
@@ -786,23 +689,28 @@ mod tests {
     /// must hit.
     #[test]
     fn state_ids_do_not_enter_the_cache_key() {
-        let system = toggle_system();
-        let s = system.vars().lookup("s").unwrap();
-        let se = system.var(s);
-        let mut engine = engine(&system, OracleKind::default(), true);
-        let at_state_0 = state_condition(0, se.clone(), vec![Expr::true_()]);
-        let at_state_7 = state_condition(7, se, vec![Expr::true_()]);
-        let first = engine.evaluate(std::slice::from_ref(&at_state_0));
-        assert_eq!(first.cache_hits, 0);
-        let second = engine.evaluate(std::slice::from_ref(&at_state_7));
-        assert_eq!(second.cache_hits, 1);
+        for workers in WORKER_COUNTS {
+            let system = toggle_system();
+            let s = system.vars().lookup("s").unwrap();
+            let se = system.var(s);
+            let mut engine = engine(&system, OracleKind::default(), true, workers);
+            let at_state_0 = state_condition(0, se.clone(), vec![Expr::true_()]);
+            let at_state_7 = state_condition(7, se, vec![Expr::true_()]);
+            let first = engine.evaluate(std::slice::from_ref(&at_state_0));
+            assert_eq!(first.cache_hits, 0);
+            let second = engine.evaluate(std::slice::from_ref(&at_state_7));
+            assert_eq!(second.cache_hits, 1);
+        }
     }
 
     /// Cache on and cache off must produce identical evaluations (the cache
     /// only skips work); the oracle must not be consulted again on a hit.
     /// Returns the checker work of the cached and the uncached engine after
     /// three rounds of the same two conditions under `kind`.
-    fn cached_and_uncached_checker_stats(kind: OracleKind) -> (CheckerStats, CheckerStats) {
+    fn cached_and_uncached_checker_stats(
+        kind: OracleKind,
+        workers: usize,
+    ) -> (CheckerStats, CheckerStats) {
         let system = toggle_system();
         let s = system.vars().lookup("s").unwrap();
         let se = system.var(s);
@@ -811,8 +719,8 @@ mod tests {
             state_condition(1, se.clone(), vec![se.not()]),
         ];
 
-        let mut cached = engine(&system, kind, true);
-        let mut uncached = engine(&system, kind, false);
+        let mut cached = engine(&system, kind, true, workers);
+        let mut uncached = engine(&system, kind, false, workers);
 
         for round in 0..3 {
             let a = cached.evaluate(&conditions);
@@ -840,22 +748,28 @@ mod tests {
 
     #[test]
     fn cached_evaluations_match_uncached_and_skip_the_oracle() {
-        let (cached, uncached) = cached_and_uncached_checker_stats(OracleKind::KInduction);
-        assert!(
-            cached.solver.solve_calls < uncached.solver.solve_calls,
-            "the cache must actually skip solver work"
-        );
+        for workers in WORKER_COUNTS {
+            let (cached, uncached) =
+                cached_and_uncached_checker_stats(OracleKind::KInduction, workers);
+            assert!(
+                cached.solver.solve_calls < uncached.solver.solve_calls,
+                "the cache must actually skip solver work"
+            );
+        }
     }
 
     /// The default portfolio routes the toggle's tiny queries to the
     /// explicit engine, so there the cache must skip explicit queries.
     #[test]
     fn cached_evaluations_skip_the_explicit_engine_under_the_default_oracle() {
-        let (cached, uncached) = cached_and_uncached_checker_stats(OracleKind::default());
-        assert!(
-            cached.explicit_queries < uncached.explicit_queries,
-            "the cache must actually skip explicit-engine work"
-        );
+        for workers in WORKER_COUNTS {
+            let (cached, uncached) =
+                cached_and_uncached_checker_stats(OracleKind::default(), workers);
+            assert!(
+                cached.explicit_queries < uncached.explicit_queries,
+                "the cache must actually skip explicit-engine work"
+            );
+        }
     }
 
     /// Semantically identical conditions within one batch are solved once:
@@ -863,63 +777,28 @@ mod tests {
     /// the cache disabled every condition is genuinely solved.
     #[test]
     fn in_batch_duplicates_are_solved_once_with_the_cache_on() {
-        let system = toggle_system();
-        let s = system.vars().lookup("s").unwrap();
-        let se = system.var(s);
-        let batch = vec![
-            state_condition(0, se.clone(), vec![Expr::true_()]),
-            state_condition(1, se.clone(), vec![Expr::true_()]),
-            state_condition(2, se.clone(), vec![Expr::true_()]),
-        ];
-        let mut cached = engine(&system, OracleKind::default(), true);
-        let evaluation = cached.evaluate(&batch);
-        assert_eq!(evaluation.held, 3, "duplicates must still get an outcome");
-        assert_eq!(evaluation.cache_hits, 2);
-        assert_eq!(cached.checker_stats().condition_checks, 1);
-        let stats = cached.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (2, 1));
+        for workers in WORKER_COUNTS {
+            let system = toggle_system();
+            let s = system.vars().lookup("s").unwrap();
+            let se = system.var(s);
+            let batch = vec![
+                state_condition(0, se.clone(), vec![Expr::true_()]),
+                state_condition(1, se.clone(), vec![Expr::true_()]),
+                state_condition(2, se.clone(), vec![Expr::true_()]),
+            ];
+            let mut cached = engine(&system, OracleKind::default(), true, workers);
+            let evaluation = cached.evaluate(&batch);
+            assert_eq!(evaluation.held, 3, "duplicates must still get an outcome");
+            assert_eq!(evaluation.cache_hits, 2);
+            assert_eq!(cached.checker_stats().condition_checks, 1);
+            let stats = cached.cache_stats();
+            assert_eq!((stats.hits, stats.misses), (2, 1));
 
-        let mut uncached = engine(&system, OracleKind::default(), false);
-        let evaluation = uncached.evaluate(&batch);
-        assert_eq!(evaluation.held, 3);
-        assert_eq!(evaluation.cache_hits, 0);
-        assert_eq!(uncached.checker_stats().condition_checks, 3);
-    }
-
-    /// The failure history orders pending work: an assumption that produced
-    /// counterexamples before is solved first even from a later position,
-    /// and the coarser key survives a changed conclusion.
-    #[test]
-    fn failure_history_prioritises_likely_failing_assumptions() {
-        let system = toggle_system();
-        let s = system.vars().lookup("s").unwrap();
-        let se = system.var(s);
-        let mut planner = QueryPlanner::new(true);
-
-        let failing = state_condition(3, se.clone(), vec![se.not()]);
-        let key = ConditionKey::of(&failing);
-        planner.record(
-            key,
-            &ConditionOutcome::Counterexample {
-                from: Valuation::zeroed(system.vars()),
-                to: Valuation::zeroed(system.vars()),
-                spurious: 0,
-                inconclusive: false,
-            },
-        );
-
-        // Same assumption, *different* conclusion (the refinement case) at a
-        // late position; two fresh conditions ahead of it.
-        let refined = state_condition(3, se.clone(), vec![se.not(), se.clone()]);
-        let fresh_a = state_condition(0, Expr::true_(), vec![Expr::true_()]);
-        let fresh_b = state_condition(1, se.not(), vec![Expr::true_()]);
-        let plan = planner.plan(&[fresh_a, fresh_b, refined]);
-        assert_eq!(plan.pending.len(), 3);
-        assert_eq!(
-            plan.pending[0].0, 2,
-            "the historically failing assumption must be scheduled first"
-        );
-        assert_eq!(plan.pending[1].0, 0);
-        assert_eq!(plan.pending[2].0, 1);
+            let mut uncached = engine(&system, OracleKind::default(), false, workers);
+            let evaluation = uncached.evaluate(&batch);
+            assert_eq!(evaluation.held, 3);
+            assert_eq!(evaluation.cache_hits, 0);
+            assert_eq!(uncached.checker_stats().condition_checks, 3);
+        }
     }
 }

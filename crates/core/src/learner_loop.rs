@@ -38,9 +38,9 @@ pub struct ActiveLearnerConfig {
     pub seed: u64,
     /// Worker count of the condition-checking engine: the calling thread is
     /// worker 0, and each further worker adds a helper thread and an oracle
-    /// of its own. The default honours the `AMLE_WORKERS` environment
-    /// variable (1 = the calling thread alone); reports are byte-identical
-    /// across worker counts.
+    /// of its own. The default is one worker, the calling thread alone; set
+    /// more with [`ParallelConfig::with_workers`]. Reports are
+    /// byte-identical across worker counts.
     pub parallel: ParallelConfig,
     /// The condition-oracle stack and planner behaviour: which engine
     /// answers queries, whether the cross-iteration verdict cache is on, and
@@ -84,7 +84,7 @@ impl Default for ActiveLearnerConfig {
             max_iterations: 25,
             max_spurious_rounds: 10,
             seed: 0xA1,
-            parallel: ParallelConfig::from_env(),
+            parallel: ParallelConfig::default(),
             oracle: OracleConfig::default(),
         }
     }

@@ -65,7 +65,7 @@ pub struct SessionStats {
 ///
 /// * the interned [`TraceStore`] the traces accumulate in;
 /// * one condition engine for its whole lifetime, at every worker count:
-///   the query planner (verdict cache + failure history) and one
+///   the query planner with its verdict cache, and one
 ///   oracle per worker, each with its incremental solver sessions.
 ///
 /// `initial_traces`, `trace_length` and `seed` in the config are ignored:

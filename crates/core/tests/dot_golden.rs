@@ -5,7 +5,7 @@
 //! golden file, so that any change to guard rendering, node/edge layout or
 //! the learned model itself is surfaced in review. The run is deterministic
 //! across condition-engine worker counts (canonical counterexamples), so the
-//! golden holds under any `AMLE_WORKERS` setting.
+//! test checks the golden at 1 and at 4 workers.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -13,7 +13,7 @@
 //! AMLE_DOT_GOLDEN_WRITE=1 cargo test -p amle-core --test dot_golden
 //! ```
 
-use amle_core::{ActiveLearner, ActiveLearnerConfig};
+use amle_core::{ActiveLearner, ActiveLearnerConfig, ParallelConfig};
 use amle_expr::{Expr, Sort, Value};
 use amle_learner::HistoryLearner;
 use amle_system::{System, SystemBuilder};
@@ -32,27 +32,30 @@ fn cooler() -> System {
 #[test]
 fn learned_cooler_dot_matches_golden() {
     let system = cooler();
-    let config = ActiveLearnerConfig {
-        initial_traces: 15,
-        trace_length: 15,
-        k: 6,
-        max_iterations: 15,
-        ..Default::default()
-    };
-    let report = ActiveLearner::new(&system, HistoryLearner::default(), config)
-        .run()
-        .expect("cooler learning failed");
-    assert!(report.converged, "cooler must converge before rendering");
-    let dot = report.abstraction.to_dot(system.vars());
+    for workers in [1, 4] {
+        let config = ActiveLearnerConfig {
+            initial_traces: 15,
+            trace_length: 15,
+            k: 6,
+            max_iterations: 15,
+            parallel: ParallelConfig::with_workers(workers),
+            ..Default::default()
+        };
+        let report = ActiveLearner::new(&system, HistoryLearner::default(), config)
+            .run()
+            .expect("cooler learning failed");
+        assert!(report.converged, "cooler must converge before rendering");
+        let dot = report.abstraction.to_dot(system.vars());
 
-    if std::env::var("AMLE_DOT_GOLDEN_WRITE").is_ok() {
-        std::fs::write(GOLDEN_PATH, &dot).expect("writing golden file failed");
+        if std::env::var("AMLE_DOT_GOLDEN_WRITE").is_ok() {
+            std::fs::write(GOLDEN_PATH, &dot).expect("writing golden file failed");
+        }
+        let golden = std::fs::read_to_string(GOLDEN_PATH)
+            .expect("golden file missing; run with AMLE_DOT_GOLDEN_WRITE=1 to create it");
+        assert_eq!(
+            dot, golden,
+            "DOT rendering at {workers} workers drifted from tests/golden/cooler.dot; \
+             re-generate with AMLE_DOT_GOLDEN_WRITE=1 if the change is intended"
+        );
     }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing; run with AMLE_DOT_GOLDEN_WRITE=1 to create it");
-    assert_eq!(
-        dot, golden,
-        "DOT rendering drifted from tests/golden/cooler.dot; \
-         re-generate with AMLE_DOT_GOLDEN_WRITE=1 if the change is intended"
-    );
 }

@@ -11,7 +11,9 @@
 //! high/low pair decodes to its supplementary-plane scalar, and a *lone*
 //! surrogate is a parse error rather than a silent pair of U+FFFD
 //! replacement characters (the bug the old copy had — protocol payloads,
-//! unlike suite output, are not guaranteed ASCII).
+//! unlike suite output, are not guaranteed ASCII). The reader recurses once
+//! per array or object, so it refuses documents nested deeper than 128
+//! levels instead of overflowing the reading thread's stack.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -250,12 +252,18 @@ fn push_integer(out: &mut String, n: i64) {
     out.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
-/// Parses a JSON document. Errors carry the byte offset of the problem.
+/// The deepest nesting of arrays and objects [`parse_json`] accepts. The
+/// deepest document the workspace writes, a session snapshot, has 6 levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document nested at most 128 levels deep. Errors carry the
+/// byte offset of the problem.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut parser = Parser {
         text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.value()?;
     parser.skip_whitespace();
@@ -269,6 +277,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -310,14 +320,29 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Json::String(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
             b'n' => self.literal("null", Json::Null),
             _ => self.number(),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -700,5 +725,19 @@ mod tests {
         ] {
             assert_eq!(parse_json(text), Err(error.to_string()), "{text}");
         }
+        // Nesting past the limit is refused at the first bracket too deep,
+        // however deep the document goes; at the limit it parses.
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let too_deep = Err("nesting deeper than 128 levels at byte 128".to_string());
+        assert_eq!(parse_json(&nested(MAX_DEPTH + 1)), too_deep);
+        assert_eq!(parse_json(&nested(100_000)), too_deep);
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        let at_byte = 5 * MAX_DEPTH;
+        assert_eq!(
+            parse_json(&objects),
+            Err(format!("nesting deeper than 128 levels at byte {at_byte}"))
+        );
+        let deepest = nested(MAX_DEPTH);
+        assert_eq!(parse_json(&deepest).map(|json| json.render()), Ok(deepest));
     }
 }

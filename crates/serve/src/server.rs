@@ -549,17 +549,23 @@ mod tests {
     fn a_line_that_is_not_utf8_is_refused_and_the_connection_served_on() {
         let (addr, _, serving) = start();
         let mut client = connect(addr);
-        client
-            .stream()
-            .write_all(b"\xff\xfe\n")
-            .expect("write a line that is not UTF-8");
-        let refused = client.read_line().expect("an error line");
-        assert_eq!(refused.get("ok"), Some(&Json::Bool(false)));
-        assert_eq!(refused.get("retriable"), Some(&Json::Bool(false)));
-        let error = refused.get("error").and_then(Json::as_str).unwrap();
-        assert!(error.starts_with("malformed request"), "{error}");
-        let pong = client.send(&ping()).expect("a pong");
-        assert_eq!(pong.get("pong"), Some(&Json::Bool(true)));
+        // A line that is not UTF-8, and one nested 20,000 arrays deep: deep
+        // enough to overflow the connection thread's stack unless the parser
+        // refuses it.
+        let too_deep = "[".repeat(20_000) + &"]".repeat(20_000) + "\n";
+        for line in [&b"\xff\xfe\n"[..], too_deep.as_bytes()] {
+            client
+                .stream()
+                .write_all(line)
+                .expect("write a malformed line");
+            let refused = client.read_line().expect("an error line");
+            assert_eq!(refused.get("ok"), Some(&Json::Bool(false)));
+            assert_eq!(refused.get("retriable"), Some(&Json::Bool(false)));
+            let error = refused.get("error").and_then(Json::as_str).unwrap();
+            assert!(error.starts_with("malformed request"), "{error}");
+            let pong = client.send(&ping()).expect("a pong");
+            assert_eq!(pong.get("pong"), Some(&Json::Bool(true)));
+        }
         shut_down(client, serving);
     }
 }
